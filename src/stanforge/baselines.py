@@ -1,21 +1,35 @@
-"""Reference models the smooth-transition network is benchmarked against.
+"""Reference models the smooth-transition network is benchmarked against,
+and ``MODEL_KINDS``, the one registry of model kinds.
 
-Three baselines share the training contract from ``stan_core``: a bias-only
-linear network, a plain relu MLP of matching width and depth, and closed-form
-multi-output linear regression (fit once, no gradient descent).
+Three baselines share the training contract from ``stan_core``: a single
+affine map trained by gradient descent, a plain relu MLP of matching width
+and depth, and closed-form multi-output linear regression (fit once, no
+gradient descent). The CLI, the benchmark matrix and checkpoints name, size,
+build and fit every kind through the registry; a new kind is one entry there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .numerics import ShapeError, affine_backward, affine_forward, as_matrix, relu, relu_grad
-from .stan_core import GradStore, NetworkSpec, ParamStore, glorot_uniform
+from .stan_core import (
+    GradStore,
+    NetworkSpec,
+    ParamStore,
+    StanNetwork,
+    dense_stack_count,
+    glorot_uniform,
+    init_dense_stack,
+)
 
 __all__ = [
+    "MODEL_KINDS",
+    "ModelKind",
     "ConditioningError",
     "fit_linear_regression",
     "LinearRegressionModel",
@@ -85,6 +99,10 @@ class LinearRegressionModel:
             raise ShapeError(f"input has {x.shape[1]} columns, model expects {self.weights.shape[0] - 1}")
         return self.weights[0] + x @ self.weights[1:]
 
+    @property
+    def params(self) -> ParamStore:
+        return {"weights": self.weights}
+
     def num_params(self) -> int:
         return int(self.weights.size)
 
@@ -97,29 +115,13 @@ class LinearRegressionModel:
         return int(self.weights.shape[1])
 
 
-def mlp_count_parameters(spec: NetworkSpec) -> int:
-    """Trainable scalars in a relu MLP: like the smooth-transition count minus
-    the four per-unit coefficient vectors."""
-    q, d, depth, tau = spec.lookback, spec.units, spec.depth, spec.horizon
-    return (q * d + d) + (depth - 1) * (d * d + d) + (d * tau + tau)
+# A relu MLP is the smooth-transition network's dense stack without the gates.
+mlp_count_parameters = dense_stack_count
+init_mlp = init_dense_stack
 
 
 def linear_count_parameters(lookback: int, horizon: int) -> int:
     return lookback * horizon + horizon
-
-
-def init_mlp(spec: NetworkSpec, seed: int) -> ParamStore:
-    """Glorot-uniform dense maps with zero biases, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    store: ParamStore = {}
-    fan_in = spec.lookback
-    for i in range(spec.depth):
-        store[f"layers.{i}.W"] = glorot_uniform(rng, fan_in, spec.units)
-        store[f"layers.{i}.b"] = np.zeros(spec.units)
-        fan_in = spec.units
-    store["proj.W"] = glorot_uniform(rng, fan_in, spec.horizon)
-    store["proj.b"] = np.zeros(spec.horizon)
-    return store
 
 
 def init_linear(lookback: int, horizon: int, seed: int) -> ParamStore:
@@ -213,3 +215,36 @@ class LinearNetwork:
 
     def num_params(self) -> int:
         return sum(arr.size for arr in self.params.values())
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """How one model kind is named, sized, built and fit."""
+
+    column: str  # benchmark column name; sized kinds fill in {units} and {depth}
+    # (lookback, horizon, units, depth, params=None, seed=0) -> model, rebuilt
+    # from ``params`` or drawn fresh from ``seed``; unsized kinds ignore units and depth
+    build: Callable[..., object]
+    sized: bool = False
+    fit: Callable[..., object] | None = None  # closed-form fit(x, y), no gradient descent
+
+    @property
+    def spec_keys(self) -> tuple[str, ...]:  # the checkpoint ``spec``, in saved order
+        return ("lookback", "units", "depth", "horizon") if self.sized else ("lookback", "horizon")
+
+
+def _network(cls):
+    return lambda lookback, horizon, units, depth, params=None, seed=0: \
+        cls(NetworkSpec(lookback, units, depth, horizon), params, seed)
+
+
+MODEL_KINDS: dict[str, ModelKind] = {
+    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True),
+    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), sized=True),
+    "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
+                        LinearNetwork(lookback, horizon, params, seed)),
+    "linreg": ModelKind("LinReg", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
+                        LinearRegressionModel(np.zeros((lookback + 1, horizon)) if params is None
+                                              else params["weights"]),
+                        fit=LinearRegressionModel.fit),
+}

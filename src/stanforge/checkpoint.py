@@ -1,20 +1,22 @@
-"""Self-describing JSON checkpoints for every model kind.
+"""Self-describing JSON checkpoints for every kind in ``baselines.MODEL_KINDS``.
 
-Floats serialize through ``repr`` (shortest round-trip form), so a saved
-model reloads bit-identically at 64-bit and re-scoring a test set after a
-round trip reproduces the exact RMSE.
+A checkpoint holds the kind, its ``spec`` (the sizes the registry builds it
+from) and the named parameter arrays. Floats serialize through ``repr``
+(shortest round-trip form), so a saved model reloads bit-identically. Saving
+refuses non-finite values and replaces the file atomically; loading checks
+every parameter's name and shape against a fresh build of the kind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import LinearNetwork, LinearRegressionModel, MlpNetwork
+from .baselines import MODEL_KINDS
 from .data import ScalerParams
-from .stan_core import NetworkSpec, StanNetwork
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -26,34 +28,19 @@ class CheckpointError(ValueError):
     """File is not a readable checkpoint of a known model kind."""
 
 
-def _spec_dict(model) -> dict:
-    if isinstance(model, (StanNetwork, MlpNetwork)):
-        s = model.spec
-        return {"lookback": s.lookback, "units": s.units, "depth": s.depth, "horizon": s.horizon}
-    if isinstance(model, LinearNetwork):
-        return {"lookback": model.lookback, "horizon": model.horizon}
-    if isinstance(model, LinearRegressionModel):
-        return {"lookback": model.lookback, "horizon": model.horizon}
-    raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
-
-
-def _params_dict(model) -> dict[str, np.ndarray]:
-    if isinstance(model, LinearRegressionModel):
-        return {"weights": model.weights}
-    return model.params
-
-
 def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
     """Write ``model`` (and optionally its scaler) as JSON; returns the path."""
     path = Path(path)
-    spec = _spec_dict(model)  # also rejects objects that are not checkpointable
-    params = _params_dict(model)
+    if getattr(model, "kind", None) not in MODEL_KINDS:
+        raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
+    kind, params = MODEL_KINDS[model.kind], model.params
+    sizes = model.spec if kind.sized else model  # unsized kinds carry lookback/horizon themselves
     order = sorted(params)
     doc = {
         "format": FORMAT,
         "version": VERSION,
         "kind": model.kind,
-        "spec": spec,
+        "spec": {key: getattr(sizes, key) for key in kind.spec_keys},
         "param_order": order,
         "params": {
             name: {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
@@ -61,10 +48,52 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
         },
         "scaler": None if scaler is None else {"mean": scaler.mean, "std": scaler.std},
     }
-    with open(path, "w") as handle:
-        json.dump(doc, handle)
-        handle.write("\n")
+    tmp = path.with_name(path.name + ".tmp")  # replaces ``path`` only once complete
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(doc, handle, allow_nan=False)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except ValueError:  # json refuses NaN and infinity
+        raise CheckpointError(f"{path.name}: refusing to save non-finite parameters or scaler") from None
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def _load_array(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        if entry["shape"] != list(shape):
+            raise ValueError(f"shape {entry['shape']!r} does not match spec shape {list(shape)}")
+        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"parameter {name!r} has non-finite values")
+    return arr
+
+
+def _parse(doc):
+    """``(model, scaler_or_None)`` from a decoded checkpoint document."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise CheckpointError(f"not a {FORMAT} file")
+    if doc.get("version") != VERSION:
+        raise CheckpointError(f"unsupported version {doc.get('version')!r}")
+    kind = MODEL_KINDS.get(str(doc.get("kind")))
+    if kind is None:
+        raise CheckpointError(f"unknown model kind {doc.get('kind')!r}; expected one of {tuple(MODEL_KINDS)}")
+    spec, raw, scaler = doc.get("spec"), doc.get("params"), doc.get("scaler")
+    if not isinstance(spec, dict) or sorted(spec) != sorted(kind.spec_keys) \
+            or not all(type(v) is int and v >= 1 for v in spec.values()):
+        raise CheckpointError(f"spec must map {list(kind.spec_keys)} to positive integers, got {spec!r}")
+    fresh = kind.build(**spec).params
+    if not isinstance(raw, dict) or set(raw) != set(fresh):
+        raise CheckpointError(f"params must be an object of the arrays {sorted(fresh)}")
+    model = kind.build(**spec, params={name: _load_array(name, raw[name], fresh[name].shape) for name in fresh})
+    try:
+        return model, None if scaler is None else ScalerParams(mean=scaler["mean"], std=scaler["std"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"scaler needs finite 'mean' and positive 'std': {exc!r}") from None
 
 
 def load_checkpoint(path):
@@ -72,30 +101,8 @@ def load_checkpoint(path):
     path = Path(path)
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            return _parse(json.load(handle))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path.name}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise CheckpointError(f"{path.name}: not a {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise CheckpointError(f"{path.name}: unsupported version {doc.get('version')!r}")
-    kind = doc.get("kind")
-    spec = doc.get("spec", {})
-    raw = doc.get("params", {})
-    params = {}
-    for name, entry in raw.items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = arr
-    if kind == "stan":
-        model = StanNetwork(NetworkSpec(**spec), params=params)
-    elif kind == "mlp":
-        model = MlpNetwork(NetworkSpec(**spec), params=params)
-    elif kind == "linear":
-        model = LinearNetwork(spec["lookback"], spec["horizon"], params=params)
-    elif kind == "linreg":
-        model = LinearRegressionModel(weights=params["weights"])
-    else:
-        raise CheckpointError(f"{path.name}: unknown model kind {kind!r}")
-    scaler_doc = doc.get("scaler")
-    scaler = None if scaler_doc is None else ScalerParams(mean=scaler_doc["mean"], std=scaler_doc["std"])
-    return model, scaler
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path.name}: {exc}") from None

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import ConditioningError, LinearNetwork, LinearRegressionModel, MlpNetwork
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .baselines import MODEL_KINDS, ConditioningError
+from .checkpoint import CheckpointError, save_checkpoint
 from .data import (
     DataFormatError,
     TimeSeries,
@@ -45,6 +45,7 @@ from .eval_bench import (
     ModelEntry,
     PlanError,
     aggregate,
+    fit_model,
     rmse,
     run_benchmark,
     write_report,
@@ -62,7 +63,9 @@ from .star_classic import (
     LstarParams,
     simulate_lstar,
 )
-from .training import DivergenceError, TrainConfig, train
+# ``train`` is unused here but kept as a module binding: the perfbench
+# tracer test checks that it wraps ``stanforge.cli.train``.
+from .training import DivergenceError, TrainConfig, train  # noqa: F401
 
 __all__ = ["main", "UsageError"]
 
@@ -240,16 +243,6 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _build_model(kind: str, lookback: int, units: int, depth: int, horizon: int, seed: int):
-    if kind == "stan":
-        return StanNetwork(NetworkSpec(lookback, units, depth, horizon), seed=seed)
-    if kind == "mlp":
-        return MlpNetwork(NetworkSpec(lookback, units, depth, horizon), seed=seed)
-    if kind == "linear":
-        return LinearNetwork(lookback, horizon, seed=seed)
-    raise UsageError(f"unknown model kind {kind!r}")
-
-
 def cmd_train(args) -> int:
     ctx = _make_context(args)
     cfg = ctx.config
@@ -258,8 +251,8 @@ def cmd_train(args) -> int:
     if data_path is None or column is None:
         raise UsageError("train needs --data and --column (or config keys 'data'/'column')")
     kind = str(_pick(args.model, cfg, "model", "stan"))
-    if kind not in ("stan", "mlp", "linear", "linreg"):
-        raise UsageError(f"unknown model kind {kind!r}")
+    if kind not in MODEL_KINDS:
+        raise UsageError(f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
     units = int(_pick(args.units, cfg, "units", 64))
     depth = int(_pick(args.depth, cfg, "depth", 3))
     horizon = int(_pick(args.horizon, cfg, "horizon", 1))
@@ -284,20 +277,8 @@ def cmd_train(args) -> int:
     }
     _echo_config(ctx, effective)
 
-    if kind == "linreg":
-        x = np.vstack([prep.train.inputs, prep.val.inputs])
-        y = np.vstack([prep.train.targets, prep.val.targets])
-        model = LinearRegressionModel.fit(x, y)
-        epochs = 0
-        best_val = float(mse_loss(model.predict(prep.val.inputs), prep.val.targets)[0])
-        with open(ctx.run_dir / "history.csv", "w") as handle:
-            handle.write("epoch,train_loss,val_loss,lr,seconds\n")
-    else:
-        model = _build_model(kind, prep.lookback, units, depth, horizon, ctx.seed)
-        model, history = train(model, prep.train, prep.val, train_cfg)
-        epochs = len(history)
-        best_val = history.best_val_loss
-        history.write_csv(ctx.run_dir / "history.csv")
+    model, history = fit_model(ModelEntry(kind=kind, units=units, depth=depth), prep, train_cfg, ctx.seed)
+    history.write_csv(ctx.run_dir / "history.csv")
     test_rmse = rmse(prep.test.targets, model.predict(prep.test.inputs))
     save_checkpoint(ctx.run_dir / "checkpoint.json", model, scaler=prep.scaler)
     summary = {
@@ -307,15 +288,15 @@ def cmd_train(args) -> int:
         "lookback": prep.lookback,
         "seed": ctx.seed,
         "rmse": test_rmse,
-        "best_val_loss": best_val,
-        "epochs": epochs,
+        "best_val_loss": history.best_val_loss,
+        "epochs": len(history),
         "param_count": model.num_params(),
         "scaler": {"mean": prep.scaler.mean, "std": prep.scaler.std},
     }
     with open(ctx.run_dir / "summary.json", "w") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
-    print(f"{kind}: test RMSE {test_rmse:.4f} (standardized) after {epochs} epoch(s); "
+    print(f"{kind}: test RMSE {test_rmse:.4f} (standardized) after {len(history)} epoch(s); "
           f"outputs in {ctx.run_dir}")
     return 0
 
@@ -429,12 +410,8 @@ def _plan_from_args(args, cfg: dict, base_seed: int) -> tuple[BenchmarkPlan, int
                 name=entry.get("name", ""),
             ))
     else:
-        models = [
-            ModelEntry(kind="stan", units=units, depth=depth),
-            ModelEntry(kind="mlp", units=units, depth=depth),
-            ModelEntry(kind="linear"),
-            ModelEntry(kind="linreg"),
-        ]
+        models = [ModelEntry(kind=name, units=units, depth=depth) if kind.sized else ModelEntry(kind=name)
+                  for name, kind in MODEL_KINDS.items()]
 
     runs = int(_pick(args.runs, cfg, "runs", 5))
     split = str(_pick(args.split, cfg, "split", "random"))
@@ -551,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(tr)
     tr.add_argument("--data", default=None, help="CSV path")
     tr.add_argument("--column", default=None, help="value column, e.g. AEP_MW")
-    tr.add_argument("--model", default=None, choices=["stan", "mlp", "linear", "linreg"])
+    tr.add_argument("--model", default=None, choices=list(MODEL_KINDS))
     tr.add_argument("--units", type=int, default=None)
     tr.add_argument("--depth", type=int, default=None)
     tr.add_argument("--horizon", type=int, default=None)
@@ -580,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bm)
     bm.add_argument("--data", default=None, help="CSV path (single-dataset plan)")
     bm.add_argument("--column", default=None, help="value column for --data")
-    bm.add_argument("--models", default=None, help="comma-separated kinds, e.g. stan,mlp,linear,linreg")
+    bm.add_argument("--models", default=None, help=f"comma-separated kinds, e.g. {','.join(MODEL_KINDS)}")
     bm.add_argument("--horizons", default=None, help="comma-separated horizons, e.g. 1,6,12")
     bm.add_argument("--units", type=int, default=None)
     bm.add_argument("--depth", type=int, default=None)

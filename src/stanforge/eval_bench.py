@@ -3,8 +3,9 @@
 A plan fully specifies every cell up front. Each run derives its seed as
 ``base_seed + run_index`` and uses it for the split, the weight init, and
 the batch shuffling, so results are reproducible and independent of the
-order (or concurrency) in which cells execute. Per-run failures are recorded
-in the results instead of aborting the matrix.
+order (or concurrency) in which cells execute. A run that hits a data or
+numeric error is recorded as failed in the results instead of aborting the
+matrix; any other exception propagates.
 
 Report files: ``results_rmse_mean.csv``, ``results_rmse_std.csv``,
 ``results_time.csv``, ``results.json``, ``report.md``. Wall-clock seconds
@@ -23,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import LinearNetwork, LinearRegressionModel, MlpNetwork
+from .baselines import MODEL_KINDS
 from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, prepare_splits
-from .stan_core import NetworkSpec, StanNetwork
-from .training import TrainConfig, train
+from .numerics import mse_loss
+from .training import DivergenceError, TrainConfig, TrainHistory, train
 
 __all__ = [
     "PlanError",
@@ -35,6 +36,7 @@ __all__ = [
     "BenchmarkPlan",
     "RunResult",
     "CellStats",
+    "fit_model",
     "ReportTable",
     "rmse",
     "run_benchmark",
@@ -43,9 +45,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-MODEL_KINDS = ("stan", "mlp", "linear", "linreg")
-
 
 class PlanError(ValueError):
     """Benchmark plan is misconfigured; raised before any run starts."""
@@ -86,18 +85,9 @@ class ModelEntry:
 
     def __post_init__(self):
         if not self.name:
-            object.__setattr__(self, "name", self._default_name())
-
-    def _default_name(self) -> str:
-        if self.kind == "stan":
-            return f"STAN-{self.units}-{self.depth}"
-        if self.kind == "mlp":
-            return f"MLP-{self.units}-{self.depth}"
-        if self.kind == "linear":
-            return "LinearNN"
-        if self.kind == "linreg":
-            return "LinReg"
-        return self.kind
+            kind = MODEL_KINDS.get(self.kind)
+            name = self.kind if kind is None else kind.column.format(units=self.units, depth=self.depth)
+            object.__setattr__(self, "name", name)
 
 
 @dataclass
@@ -128,8 +118,8 @@ class BenchmarkPlan:
                 problems.append(f"horizon must be positive, got {h}")
         for m in self.models:
             if m.kind not in MODEL_KINDS:
-                problems.append(f"unknown model kind {m.kind!r}; expected one of {MODEL_KINDS}")
-            elif m.kind in ("stan", "mlp") and (m.units < 1 or m.depth < 1):
+                problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
+            elif MODEL_KINDS[m.kind].sized and (m.units < 1 or m.depth < 1):
                 problems.append(f"model {m.name!r} needs positive units and depth")
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
@@ -168,25 +158,21 @@ class RunResult:
         }
 
 
-def _build_and_fit(entry: ModelEntry, prep: PreparedSplits, config: TrainConfig, seed: int):
-    """Returns (model, epochs_run). Closed-form regression fits on the training
-    pool (train plus validation) since it has no use for a stopping set."""
-    if entry.kind == "linreg":
-        x = np.vstack([prep.train.inputs, prep.val.inputs])
-        y = np.vstack([prep.train.targets, prep.val.targets])
-        return LinearRegressionModel.fit(x, y), 0
-    if entry.kind == "stan":
-        spec = NetworkSpec(lookback=prep.lookback, units=entry.units, depth=entry.depth, horizon=prep.horizon)
-        model = StanNetwork(spec, seed=seed)
-    elif entry.kind == "mlp":
-        spec = NetworkSpec(lookback=prep.lookback, units=entry.units, depth=entry.depth, horizon=prep.horizon)
-        model = MlpNetwork(spec, seed=seed)
-    elif entry.kind == "linear":
-        model = LinearNetwork(prep.lookback, prep.horizon, seed=seed)
-    else:
-        raise PlanError(f"unknown model kind {entry.kind!r}")
-    _, history = train(model, prep.train, prep.val, config.with_seed(seed))
-    return model, len(history)
+def fit_model(entry: ModelEntry, prep: PreparedSplits, config: TrainConfig, seed: int):
+    """Build ``entry``'s model at ``seed`` and fit it; returns (model, history).
+
+    Network kinds train with ``config`` reseeded to ``seed``. A closed-form
+    kind solves once on the training pool (train plus validation), since it
+    has no use for a stopping set, and returns a history with no epochs whose
+    best validation loss is the fitted model's.
+    """
+    kind = MODEL_KINDS[entry.kind]
+    if kind.fit is not None:
+        model = kind.fit(np.vstack([prep.train.inputs, prep.val.inputs]),
+                         np.vstack([prep.train.targets, prep.val.targets]))
+        return model, TrainHistory(best_val_loss=mse_loss(model.predict(prep.val.inputs), prep.val.targets)[0])
+    model = kind.build(prep.lookback, prep.horizon, entry.units, entry.depth, seed=seed)
+    return train(model, prep.train, prep.val, config.with_seed(seed))
 
 
 def _run_cell(series: TimeSeries, entry: ModelEntry, horizon: int, seed: int,
@@ -195,12 +181,14 @@ def _run_cell(series: TimeSeries, entry: ModelEntry, horizon: int, seed: int,
     tic = time.perf_counter()
     try:
         prep = prepare_splits(series, horizon, mode=split, seed=seed)
-        model, epochs = _build_and_fit(entry, prep, config, seed)
+        model, history = fit_model(entry, prep, config, seed)
         pred = model.predict(prep.test.inputs)
         result.rmse = rmse(prep.test.targets, pred)
-        result.epochs = epochs
+        result.epochs = len(history)
         result.param_count = model.num_params()
-    except Exception as exc:  # recorded per-cell; the matrix keeps going
+    # data, conditioning and numeric failures are recorded per cell and the
+    # matrix keeps going; anything else is a bug and propagates
+    except (ValueError, ArithmeticError, DivergenceError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         logger.warning("run failed (%s, %s, h=%d, seed=%d): %s",
                        entry.name, series.name, horizon, seed, result.error)
@@ -394,38 +382,26 @@ def _markdown_report(table: ReportTable) -> str:
     return "\n".join(lines)
 
 
-def write_report(table: ReportTable, results: list[RunResult], out_dir,
-                 formats: tuple[str, ...] = ("csv", "json", "markdown")) -> list[Path]:
-    """Write the report files for the requested formats; returns written paths.
+def write_report(table: ReportTable, results: list[RunResult], out_dir) -> list[Path]:
+    """Write every report file; returns the written paths.
 
-    csv -> results_rmse_mean.csv, results_rmse_std.csv, results_time.csv;
-    json -> results.json (full per-run results, no wall times);
-    markdown -> report.md with the best cell per row bolded.
+    results_rmse_mean.csv, results_rmse_std.csv, results_time.csv; results.json
+    (full per-run results, no wall times); report.md with the best cell per
+    row bolded.
     """
     if not table.cells:
         raise ValueError("cannot write an empty report table")
-    unknown = set(formats) - {"csv", "json", "markdown"}
-    if unknown:
-        raise ValueError(f"unknown report format(s): {sorted(unknown)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "csv" in formats:
-        mean_path = out / "results_rmse_mean.csv"
-        _write_csv(mean_path, _csv_grid(table, lambda s: s.mean_rmse))
-        std_path = out / "results_rmse_std.csv"
-        _write_csv(std_path, _csv_grid(table, lambda s: s.std_x100))
-        time_path = out / "results_time.csv"
-        _write_csv(time_path, _csv_grid(table, lambda s: s.mean_seconds))
-        written += [mean_path, std_path, time_path]
-    if "json" in formats:
-        json_path = out / "results.json"
-        with open(json_path, "w") as handle:
-            json.dump({"results": [r.to_json_dict() for r in results]}, handle, indent=2)
-            handle.write("\n")
-        written.append(json_path)
-    if "markdown" in formats:
-        md_path = out / "report.md"
-        md_path.write_text(_markdown_report(table))
-        written.append(md_path)
-    return written
+    grids = {
+        "results_rmse_mean.csv": lambda s: s.mean_rmse,
+        "results_rmse_std.csv": lambda s: s.std_x100,
+        "results_time.csv": lambda s: s.mean_seconds,
+    }
+    for name, value in grids.items():
+        _write_csv(out / name, _csv_grid(table, value))
+    with open(out / "results.json", "w") as handle:
+        json.dump({"results": [r.to_json_dict() for r in results]}, handle, indent=2)
+        handle.write("\n")
+    (out / "report.md").write_text(_markdown_report(table))
+    return [out / name for name in (*grids, "results.json", "report.md")]

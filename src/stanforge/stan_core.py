@@ -42,6 +42,8 @@ __all__ = [
     "stan_layer_forward",
     "stan_layer_backward",
     "count_parameters",
+    "dense_stack_count",
+    "init_dense_stack",
     "init_network",
     "glorot_uniform",
 ]
@@ -184,18 +186,17 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> t
     return dx, StanLayerParams(w=dw, b=db, phi=dphi, theta=dtheta, gamma=dgamma, c=dc)
 
 
-def count_parameters(spec: NetworkSpec) -> int:
-    """Exact number of trainable scalars in a network built from ``spec``.
-
-    The first layer maps the flattened lookback window (q -> d), every later
-    layer maps d -> d, each layer adds four per-unit coefficient vectors, and
-    the output projection maps d -> horizon with a bias.
-    """
+def dense_stack_count(spec: NetworkSpec) -> int:
+    """Trainable scalars in the dense maps and biases of ``spec``: q -> d,
+    then d -> d for every later layer, then the d -> horizon projection."""
     q, d, depth, tau = spec.lookback, spec.units, spec.depth, spec.horizon
-    first = q * d + d + 4 * d
-    later = (depth - 1) * (d * d + d + 4 * d)
-    proj = d * tau + tau
-    return first + later + proj
+    return (q * d + d) + (depth - 1) * (d * d + d) + (d * tau + tau)
+
+
+def count_parameters(spec: NetworkSpec) -> int:
+    """Exact number of trainable scalars in a network built from ``spec``:
+    the dense stack plus four per-unit coefficient vectors in each layer."""
+    return dense_stack_count(spec) + 4 * spec.units * spec.depth
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -203,28 +204,37 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
-    """Fresh parameters, deterministic for a given seed (PCG64 generator).
-
-    Dense maps draw Glorot-uniform entries; biases start at zero. The unit
-    coefficients start at phi=1, theta=0, gamma=1, c=0, so an untrained
-    network is a well-conditioned affine map whose gates sit in the middle of
-    their sensitive range for standardized inputs.
-    """
+def init_dense_stack(spec: NetworkSpec, seed: int) -> ParamStore:
+    """Glorot-uniform dense maps with zero biases, deterministic per seed
+    (PCG64 generator), drawn layer by layer and then the projection."""
     rng = np.random.default_rng(seed)
     store: ParamStore = {}
     fan_in = spec.lookback
     for i in range(spec.depth):
-        d = spec.units
-        store[f"layers.{i}.W"] = glorot_uniform(rng, fan_in, d)
-        store[f"layers.{i}.b"] = np.zeros(d)
+        store[f"layers.{i}.W"] = glorot_uniform(rng, fan_in, spec.units)
+        store[f"layers.{i}.b"] = np.zeros(spec.units)
+        fan_in = spec.units
+    store["proj.W"] = glorot_uniform(rng, fan_in, spec.horizon)
+    store["proj.b"] = np.zeros(spec.horizon)
+    return store
+
+
+def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
+    """Fresh parameters, deterministic for a given seed.
+
+    The dense maps are ``init_dense_stack``'s, so they equal a relu MLP's at
+    the same spec and seed. The unit coefficients start at phi=1, theta=0,
+    gamma=1, c=0, so an untrained network is a well-conditioned affine map
+    whose gates sit in the middle of their sensitive range for standardized
+    inputs.
+    """
+    store = init_dense_stack(spec, seed)
+    d = spec.units
+    for i in range(spec.depth):
         store[f"layers.{i}.phi"] = np.ones(d)
         store[f"layers.{i}.theta"] = np.zeros(d)
         store[f"layers.{i}.gamma"] = np.ones(d)
         store[f"layers.{i}.c"] = np.zeros(d)
-        fan_in = d
-    store["proj.W"] = glorot_uniform(rng, fan_in, spec.horizon)
-    store["proj.b"] = np.zeros(spec.horizon)
     return store
 
 

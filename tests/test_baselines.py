@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stanforge.baselines import (
+    MODEL_KINDS,
     ConditioningError,
     LinearNetwork,
     LinearRegressionModel,
@@ -13,7 +14,7 @@ from stanforge.baselines import (
     mlp_count_parameters,
 )
 from stanforge.numerics import ShapeError, finite_diff_check, mse_loss, relu
-from stanforge.stan_core import NetworkSpec
+from stanforge.stan_core import NetworkSpec, count_parameters, init_network
 
 
 # ------------------------------------------------------- linear regression --
@@ -200,3 +201,21 @@ def test_linear_network_gradients_match_finite_differences():
 
 def test_linear_network_count():
     assert LinearNetwork(45, 1, seed=0).num_params() == 46
+
+
+def test_stan_dense_maps_are_the_mlp_init_at_the_same_seed():
+    spec = NetworkSpec(45, 64, 3, 12)
+    mlp, stan = init_mlp(spec, 7), init_network(spec, 7)
+    assert all(np.array_equal(stan[name], arr) for name, arr in mlp.items())
+    assert count_parameters(spec) == mlp_count_parameters(spec) + 4 * 64 * 3
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
+    entry = MODEL_KINDS[kind]
+    fresh = entry.build(6, 2, 5, 2, seed=3)
+    assert fresh.kind == kind
+    assert fresh.num_params() == sum(arr.size for arr in fresh.params.values())
+    rebuilt = entry.build(6, 2, 5, 2, params={n: a.copy() for n, a in fresh.params.items()})
+    x = np.random.default_rng(0).standard_normal((4, 6))
+    assert np.array_equal(rebuilt.predict(x), fresh.predict(x))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stanforge.baselines import LinearNetwork, LinearRegressionModel, MlpNetwork
+from stanforge import checkpoint
+from stanforge.baselines import MODEL_KINDS, LinearNetwork
 from stanforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stanforge.data import ScalerParams
 from stanforge.stan_core import NetworkSpec, StanNetwork
@@ -18,30 +19,29 @@ def _perturbed_stan(seed=0):
     return net
 
 
-@pytest.mark.parametrize("build", [
-    lambda: _perturbed_stan(),
-    lambda: MlpNetwork(NetworkSpec(6, 5, 2, 2), seed=3),
-    lambda: LinearNetwork(6, 2, seed=4),
-])
-def test_round_trip_is_bit_identical(tmp_path, build):
-    model = build()
+def _random_model(kind, seed=0):
+    """A registry-built model (lookback 6, horizon 2, 5 units, depth 2) with
+    every parameter redrawn, so no gate, coefficient or intercept is trivial."""
+    model = MODEL_KINDS[kind].build(6, 2, 5, 2, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for arr in model.params.values():
+        arr[...] = rng.standard_normal(arr.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_round_trip_is_bit_identical(tmp_path, kind):
+    model = _random_model(kind)
     path = save_checkpoint(tmp_path / "model.json", model)
     loaded, scaler = load_checkpoint(path)
     assert scaler is None
-    assert loaded.kind == model.kind
+    assert type(loaded) is type(model)
+    assert loaded.kind == kind
     assert set(loaded.params) == set(model.params)
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
     x = np.random.default_rng(5).standard_normal((7, 6))
     assert np.array_equal(loaded.predict(x), model.predict(x))
-
-
-def test_round_trip_linreg(tmp_path):
-    rng = np.random.default_rng(6)
-    model = LinearRegressionModel.fit(rng.standard_normal((50, 6)), rng.standard_normal((50, 2)))
-    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "lr.json", model))
-    assert isinstance(loaded, LinearRegressionModel)
-    assert np.array_equal(loaded.weights, model.weights)
 
 
 def test_scaler_round_trips(tmp_path):
@@ -93,3 +93,58 @@ def test_load_rejects_unknown_version_and_kind(tmp_path):
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(CheckpointError, match="dict"):
         save_checkpoint(tmp_path / "m.json", {"not": "a model"})
+
+
+# Each mutation turns a valid checkpoint of the kind into a malformed one.
+MALFORMED = {
+    "missing-shape": ("stan", lambda d: d["params"]["proj.W"].pop("shape")),
+    "missing-spec-lookback": ("stan", lambda d: d["spec"].pop("lookback")),
+    "spec-not-positive": ("mlp", lambda d: d["spec"].update(units=0)),
+    "spec-of-another-kind": ("linear", lambda d: d["spec"].update(units=5, depth=2)),
+    "params-as-list": ("mlp", lambda d: d.update(params=list(d["params"].values()))),
+    "missing-param": ("mlp", lambda d: d["params"].pop("layers.1.b")),
+    "unexpected-param": ("linear", lambda d: d["params"].update(extra={"shape": [1], "data": [0.0]})),
+    "shape-does-not-match-data": ("linear", lambda d: d["params"]["proj.W"].update(shape=[3, 3])),
+    "data-does-not-fill-shape": ("linear", lambda d: d["params"]["proj.W"]["data"].pop()),
+    "non-numeric-data": ("mlp", lambda d: d["params"]["proj.b"].update(data=["x", "y"])),
+    "nan-in-data": ("stan", lambda d: d["params"]["proj.b"]["data"].__setitem__(0, float("nan"))),
+    "linreg-without-weights": ("linreg", lambda d: d["params"].pop("weights")),
+    "scaler-without-std": ("linear", lambda d: d["scaler"].pop("std")),
+    "scaler-as-list": ("linreg", lambda d: d.update(scaler=[1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("kind,mutate", MALFORMED.values(), ids=list(MALFORMED))
+def test_load_rejects_malformed_checkpoints(tmp_path, kind, mutate):
+    path = save_checkpoint(tmp_path / "m.json", _random_model(kind), ScalerParams(mean=1.0, std=2.0))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="m.json"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_save_refuses_non_finite_parameters_and_keeps_earlier_file(tmp_path, bad):
+    model = _random_model("mlp")
+    path = save_checkpoint(tmp_path / "m.json", model)
+    before = path.read_bytes()
+    model.params["proj.b"][0] = bad
+    with pytest.raises(CheckpointError, match="non-finite"):
+        save_checkpoint(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_failed_write_leaves_earlier_file_and_no_temp(tmp_path, monkeypatch):
+    path = save_checkpoint(tmp_path / "m.json", _random_model("linear", seed=1))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _random_model("linear", seed=2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]

@@ -129,6 +129,18 @@ def test_train_without_data_flags_exits_1(tmp_path, capsys):
     assert "--data" in capsys.readouterr().err
 
 
+def test_train_unknown_model_kind_in_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model": "transformer"}))
+    data = _dataset_csv(tmp_path, n=260)
+    code = main(["train", "--data", str(data), "--column", "EAST_MW",
+                 "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "transformer" in err
+    assert "stan, mlp, linear, linreg" in err
+
+
 def test_train_rejects_unknown_train_config_key(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"train": {"bogus": 1}}))

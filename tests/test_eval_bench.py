@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import sine_series
+from stanforge import eval_bench
 from stanforge.data import TimeSeries, hourly_timestamps, write_pjm_csv
 from stanforge.eval_bench import (
     BenchmarkPlan,
@@ -182,7 +183,7 @@ def test_write_report_produces_all_files(tmp_path):
 
 def test_report_csv_round_trip(tmp_path):
     table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path, formats=("csv",))
+    write_report(table, results, tmp_path)
     with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["horizon", "dataset", "A", "B"]
@@ -193,7 +194,7 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_report_markdown_bolds_best_cell(tmp_path):
     table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path, formats=("markdown",))
+    write_report(table, results, tmp_path)
     text = (tmp_path / "report.md").read_text()
     best = table.cells[(1, "DS", "A")].mean_rmse
     assert f"**{best:.3f}**" in text
@@ -213,19 +214,13 @@ def test_report_marks_failed_cells(tmp_path):
 
 def test_report_json_excludes_wall_time(tmp_path):
     table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path, formats=("json",))
+    write_report(table, results, tmp_path)
     doc = json.loads((tmp_path / "results.json").read_text())
     assert len(doc["results"]) == 4
     for entry in doc["results"]:
         assert "train_seconds" not in entry
         assert set(entry) == {"model", "dataset", "horizon", "seed", "rmse",
                               "epochs", "param_count", "error"}
-
-
-def test_report_rejects_unknown_format(tmp_path):
-    table, results = _tiny_table_and_results()
-    with pytest.raises(ValueError, match="format"):
-        write_report(table, results, tmp_path, formats=("yaml",))
 
 
 # --------------------------------------------------------------- benchmark --
@@ -280,6 +275,25 @@ def test_benchmark_records_failures_without_aborting(tmp_path):
     assert len(results) == 2
     assert all(r.failed for r in results)
     assert all(r.error for r in results)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_propagates_programming_errors(tmp_path, short_series, monkeypatch, jobs):
+    # only data and numeric errors become failed cells; a bug must surface
+    path = write_pjm_csv(short_series, tmp_path / "sine.csv")
+    plan = BenchmarkPlan(
+        datasets=[DatasetRef(str(path), "SINE_MW")],
+        horizons=[1],
+        models=[ModelEntry(kind="linreg")],
+        runs=2,
+    )
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("fit_model called wrongly")
+
+    monkeypatch.setattr(eval_bench, "fit_model", broken_fit)
+    with pytest.raises(TypeError, match="called wrongly"):
+        run_benchmark(plan, jobs=jobs)
 
 
 def test_benchmark_same_seed_reproduces_and_jobs_do_not_matter(tmp_path, short_series):
