@@ -23,8 +23,10 @@ from .stan_core import (
     ParamStore,
     StanNetwork,
     dense_stack_count,
+    dense_stack_shapes,
     glorot_uniform,
     init_dense_stack,
+    network_shapes,
 )
 
 __all__ = [
@@ -225,6 +227,9 @@ class ModelKind:
     # (lookback, horizon, units, depth, params=None, seed=0) -> model, rebuilt
     # from ``params`` or drawn fresh from ``seed``; unsized kinds ignore units and depth
     build: Callable[..., object]
+    # (lookback, horizon, units, depth) -> {name: shape} of the parameters
+    # ``build`` makes at those sizes, derived without drawing any weights
+    shapes: Callable[..., dict[str, tuple[int, ...]]]
     sized: bool = False
     fit: Callable[..., object] | None = None  # closed-form fit(x, y), no gradient descent
 
@@ -238,13 +243,20 @@ def _network(cls):
         cls(NetworkSpec(lookback, units, depth, horizon), params, seed)
 
 
+def _network_shapes(shapes):
+    return lambda lookback, horizon, units, depth: shapes(NetworkSpec(lookback, units, depth, horizon))
+
+
 MODEL_KINDS: dict[str, ModelKind] = {
-    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True),
-    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), sized=True),
+    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), _network_shapes(network_shapes), sized=True),
+    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), _network_shapes(dense_stack_shapes), sized=True),
     "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
-                        LinearNetwork(lookback, horizon, params, seed)),
+                        LinearNetwork(lookback, horizon, params, seed),
+                        lambda lookback, horizon, units=None, depth=None:
+                        {"proj.W": (lookback, horizon), "proj.b": (horizon,)}),
     "linreg": ModelKind("LinReg", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
                         LinearRegressionModel(np.zeros((lookback + 1, horizon)) if params is None
                                               else params["weights"]),
+                        lambda lookback, horizon, units=None, depth=None: {"weights": (lookback + 1, horizon)},
                         fit=LinearRegressionModel.fit),
 }

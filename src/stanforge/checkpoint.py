@@ -4,7 +4,8 @@ A checkpoint holds the kind, its ``spec`` (the sizes the registry builds it
 from) and the named parameter arrays. Floats serialize through ``repr``
 (shortest round-trip form), so a saved model reloads bit-identically. Saving
 refuses non-finite values and replaces the file atomically; loading checks
-every parameter's name and shape against a fresh build of the kind.
+every parameter's name and shape against the shapes the kind derives from
+the ``spec``, without building or drawing a fresh model.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def _parse(doc):
     if not isinstance(spec, dict) or sorted(spec) != sorted(kind.spec_keys) \
             or not all(type(v) is int and v >= 1 for v in spec.values()):
         raise CheckpointError(f"spec must map {list(kind.spec_keys)} to positive integers, got {spec!r}")
-    fresh = kind.build(**spec).params
-    if not isinstance(raw, dict) or set(raw) != set(fresh):
-        raise CheckpointError(f"params must be an object of the arrays {sorted(fresh)}")
-    model = kind.build(**spec, params={name: _load_array(name, raw[name], fresh[name].shape) for name in fresh})
+    shapes = kind.shapes(**spec)
+    if not isinstance(raw, dict) or set(raw) != set(shapes):
+        raise CheckpointError(f"params must be an object of the arrays {sorted(shapes)}")
+    model = kind.build(**spec, params={name: _load_array(name, raw[name], shape) for name, shape in shapes.items()})
     try:
         return model, None if scaler is None else ScalerParams(mean=scaler["mean"], std=scaler["std"])
     except (TypeError, KeyError, ValueError) as exc:

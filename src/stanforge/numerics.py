@@ -107,7 +107,7 @@ def relu(x):
 
 def relu_grad(x):
     """Derivative of relu; the subgradient at exactly zero is taken as 0."""
-    return np.where(np.asarray(x, dtype=np.float64) > 0.0, 1.0, 0.0)
+    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:

@@ -43,6 +43,8 @@ __all__ = [
     "stan_layer_backward",
     "count_parameters",
     "dense_stack_count",
+    "dense_stack_shapes",
+    "network_shapes",
     "init_dense_stack",
     "init_network",
     "glorot_uniform",
@@ -81,22 +83,30 @@ class NetworkSpec:
 def transition_g(z, gamma, c):
     """Logistic transition ``1 / (1 + exp(-gamma * (z - c)))``, elementwise.
 
-    Evaluated on the branch that never exponentiates a positive argument, so
-    arbitrarily large ``|gamma * (z - c)|`` cannot overflow. The result is
-    clipped to the open interval (0, 1) at one ulp from each end, which keeps
-    it strictly inside while staying within 1e-15 of the saturated limits.
+    With ``t = gamma * (z - c)`` it is evaluated branch-free as
+    ``exp(min(t, 0)) / (1 + exp(-|t|))``: for ``t >= 0`` that is
+    ``1 / (1 + exp(-t))`` and for ``t < 0`` it is ``exp(t) / (1 + exp(t))``,
+    so no positive argument is ever exponentiated and arbitrarily large
+    ``|t|`` cannot overflow. The result is clipped to the open interval
+    (0, 1) at one ulp from each end, which keeps it strictly inside while
+    staying within 1e-15 of the saturated limits. The shorter
+    ``0.5 * (1 + tanh(t / 2))`` is not used: it differs in the last bits and
+    loses relative precision deep in the negative tail, where the gate's
+    ``g * (1 - g)`` slope feeds the gamma and c gradients.
     """
     t = np.asarray(
         np.asarray(gamma, dtype=np.float64)
         * (np.asarray(z, dtype=np.float64) - np.asarray(c, dtype=np.float64))
     )
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    t = np.atleast_1d(t)  # a fresh array, reused below as the denominator
+    out = np.minimum(t, 0.0)
+    np.exp(out, out=out)
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    out /= t
     np.clip(out, _G_LO, _G_HI, out=out)
     return float(out[0]) if scalar else out
 
@@ -186,17 +196,40 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> t
     return dx, StanLayerParams(w=dw, b=db, phi=dphi, theta=dtheta, gamma=dgamma, c=dc)
 
 
+def dense_stack_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the dense maps and biases of ``spec``: q -> d, then
+    d -> d for every later layer, then the d -> horizon projection."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    fan_in = spec.lookback
+    for i in range(spec.depth):
+        shapes[f"layers.{i}.W"] = (fan_in, spec.units)
+        shapes[f"layers.{i}.b"] = (spec.units,)
+        fan_in = spec.units
+    shapes["proj.W"] = (fan_in, spec.horizon)
+    shapes["proj.b"] = (spec.horizon,)
+    return shapes
+
+
+def network_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a network built from ``spec``, in
+    ``init_network`` order: the dense stack, then the four per-unit
+    coefficient vectors of each layer. Draws no weights."""
+    shapes = dense_stack_shapes(spec)
+    for i in range(spec.depth):
+        for field_name in LAYER_FIELDS[2:]:
+            shapes[f"layers.{i}.{field_name}"] = (spec.units,)
+    return shapes
+
+
 def dense_stack_count(spec: NetworkSpec) -> int:
-    """Trainable scalars in the dense maps and biases of ``spec``: q -> d,
-    then d -> d for every later layer, then the d -> horizon projection."""
-    q, d, depth, tau = spec.lookback, spec.units, spec.depth, spec.horizon
-    return (q * d + d) + (depth - 1) * (d * d + d) + (d * tau + tau)
+    """Trainable scalars in the dense maps and biases of ``spec``."""
+    return sum(math.prod(shape) for shape in dense_stack_shapes(spec).values())
 
 
 def count_parameters(spec: NetworkSpec) -> int:
     """Exact number of trainable scalars in a network built from ``spec``:
     the dense stack plus four per-unit coefficient vectors in each layer."""
-    return dense_stack_count(spec) + 4 * spec.units * spec.depth
+    return sum(math.prod(shape) for shape in network_shapes(spec).values())
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -208,15 +241,10 @@ def init_dense_stack(spec: NetworkSpec, seed: int) -> ParamStore:
     """Glorot-uniform dense maps with zero biases, deterministic per seed
     (PCG64 generator), drawn layer by layer and then the projection."""
     rng = np.random.default_rng(seed)
-    store: ParamStore = {}
-    fan_in = spec.lookback
-    for i in range(spec.depth):
-        store[f"layers.{i}.W"] = glorot_uniform(rng, fan_in, spec.units)
-        store[f"layers.{i}.b"] = np.zeros(spec.units)
-        fan_in = spec.units
-    store["proj.W"] = glorot_uniform(rng, fan_in, spec.horizon)
-    store["proj.b"] = np.zeros(spec.horizon)
-    return store
+    return {
+        name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in dense_stack_shapes(spec).items()
+    }
 
 
 def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
@@ -254,16 +282,18 @@ class StanNetwork:
         self._check_store()
 
     def _check_store(self) -> None:
-        expected = set(init_network(self.spec, 0))
-        if set(self.params) != expected:
+        expected = network_shapes(self.spec)
+        if set(self.params) != set(expected):
             raise ShapeError(
                 f"parameter store does not match spec {self.spec}: "
-                f"missing {sorted(expected - set(self.params))}, "
-                f"unexpected {sorted(set(self.params) - expected)}"
+                f"missing {sorted(set(expected) - set(self.params))}, "
+                f"unexpected {sorted(set(self.params) - set(expected))}"
             )
         for name, arr in self.params.items():
             if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
                 raise TypeError(f"parameter '{name}' must be a float64 ndarray")
+            if arr.shape != expected[name]:
+                raise ShapeError(f"parameter '{name}' has shape {arr.shape}, spec {self.spec} needs {expected[name]}")
 
     def layer_params(self, i: int) -> StanLayerParams:
         p = self.params

@@ -184,6 +184,39 @@ class PlateauScheduler:
         return self.lr
 
 
+class _FlatParams:
+    """``model.params`` re-homed as reshaped views into one contiguous vector.
+
+    The current values are copied in, and each store entry is replaced by a
+    view of its slice, so forward and backward read the vector and one Adam
+    update (elementwise, hence bit-identical to one update per array) moves
+    every parameter. Gradients are gathered into a second vector of the same
+    layout.
+    """
+
+    def __init__(self, model):
+        params = model.params
+        self.names = list(params)
+        self.values = np.empty(sum(arr.size for arr in params.values()))
+        self.grad = np.empty_like(self.values)
+        offset = 0
+        for name in self.names:
+            arr = params[name]
+            view = self.values[offset: offset + arr.size].reshape(arr.shape)
+            view[...] = arr
+            params[name] = view
+            offset += arr.size
+
+    def step(self, grads, state: AdamState) -> None:
+        """One Adam update of every parameter from the ``grads`` store."""
+        np.concatenate([np.ravel(grads[name]) for name in self.names], out=self.grad)
+        try:
+            adam_step(self.values, self.grad, state)
+        except NonFiniteError:
+            name = next(name for name in self.names if not np.isfinite(grads[name]).all())
+            raise NonFiniteError(f"non-finite gradient for parameter '{name}'") from None
+
+
 def _loss_and_grads(model, inputs, targets):
     pred, cache = model.forward(inputs)
     loss, dpred = mse_loss(pred, targets)
@@ -205,27 +238,29 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     each epoch, the full validation loss is computed after every epoch, and
     the weights of the best validation epoch are restored before returning.
     Identical inputs, seed and config reproduce the identical history.
+
+    Training first re-homes ``model.params`` into one contiguous float64
+    buffer: every entry of the store is replaced by a view into it, and one
+    Adam step per batch updates them all. Arrays taken from ``model.params``
+    before the call keep their old values and no longer alias the model;
+    read the store again afterwards.
     """
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    states = {
-        name: AdamState.for_param(param, lr=config.lr, beta1=config.beta1,
-                                  beta2=config.beta2, epsilon=config.epsilon)
-        for name, param in model.params.items()
-    }
+    flat = _FlatParams(model)
+    state = AdamState.for_param(flat.values, lr=config.lr, beta1=config.beta1,
+                                beta2=config.beta2, epsilon=config.epsilon)
     stopper = EarlyStopper(config.es_patience, config.es_start_epoch, config.es_min_delta)
     scheduler = PlateauScheduler(config.lr, config.plateau_factor, config.plateau_patience,
                                  config.lr_min, config.es_min_delta)
     history = TrainHistory()
-    best_params = {name: param.copy() for name, param in model.params.items()}
+    best_values = flat.values.copy()
     n = len(train_set.inputs)
 
     for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
-        epoch_lr = scheduler.lr
-        for state in states.values():
-            state.lr = epoch_lr
+        epoch_lr = state.lr = scheduler.lr
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, config.batch_size):
@@ -234,8 +269,7 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
                 loss, grads = _loss_and_grads(model, train_set.inputs[batch], train_set.targets[batch])
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"training loss is {loss!r}")
-                for name, param in model.params.items():
-                    adam_step(param, grads[name], states[name], name=name)
+                flat.step(grads, state)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch}, batch starting at {start}: {exc}"
@@ -252,15 +286,14 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
         if improved:
-            best_params = {name: param.copy() for name, param in model.params.items()}
+            np.copyto(best_values, flat.values)
         scheduler.update(val_loss)
         logger.debug("epoch %d: train %.6f val %.6f lr %.2e", epoch, history.records[-1].train_loss, val_loss, epoch_lr)
         if stop:
             history.stopped_early = True
             break
 
-    for name, param in model.params.items():
-        np.copyto(param, best_params[name])
+    np.copyto(flat.values, best_values)
     history.best_epoch = stopper.best_epoch
     history.best_val_loss = stopper.best
     history.final_lr = scheduler.lr
@@ -271,12 +304,12 @@ def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float
     """Full-batch Adam on a tiny dataset; returns the final training loss.
 
     A capacity smoke test: a healthy network should be able to memorize a
-    handful of windows. Raises DivergenceError if the loss exceeds 1e6.
+    handful of windows. Raises DivergenceError if the loss exceeds 1e6. Like
+    ``train``, it re-homes ``model.params`` into one contiguous buffer, so
+    arrays taken from the store beforehand no longer alias the model.
     """
-    states = {
-        name: AdamState.for_param(param, lr=lr)
-        for name, param in model.params.items()
-    }
+    flat = _FlatParams(model)
+    state = AdamState.for_param(flat.values, lr=lr)
     loss, _ = _loss_and_grads(model, dataset.inputs, dataset.targets)
     for step in range(steps):
         loss, grads = _loss_and_grads(model, dataset.inputs, dataset.targets)
@@ -284,8 +317,7 @@ def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float
             raise NonFiniteError(f"probe step {step}: loss is {loss!r}")
         if loss > 1e6:
             raise DivergenceError(f"probe step {step}: loss {loss:.3e} exceeds 1e6")
-        for name, param in model.params.items():
-            adam_step(param, grads[name], states[name], name=name)
+        flat.step(grads, state)
     final, _ = _loss_and_grads(model, dataset.inputs, dataset.targets)
     if not np.isfinite(final):
         raise NonFiniteError(f"probe final loss is {final!r}")

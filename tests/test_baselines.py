@@ -216,6 +216,7 @@ def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
     fresh = entry.build(6, 2, 5, 2, seed=3)
     assert fresh.kind == kind
     assert fresh.num_params() == sum(arr.size for arr in fresh.params.values())
+    assert [(n, a.shape) for n, a in fresh.params.items()] == list(entry.shapes(6, 2, 5, 2).items())
     rebuilt = entry.build(6, 2, 5, 2, params={n: a.copy() for n, a in fresh.params.items()})
     x = np.random.default_rng(0).standard_normal((4, 6))
     assert np.array_equal(rebuilt.predict(x), fresh.predict(x))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,3 +149,22 @@ def test_failed_write_leaves_earlier_file_and_no_temp(tmp_path, monkeypatch):
         save_checkpoint(path, _random_model("linear", seed=2))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_oversized_spec_is_refused_without_building_the_model(tmp_path):
+    # 1500 units at depth 2 would be two 18 MB weight matrices per fresh build
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format": "stanforge-checkpoint", "version": 1, "kind": "stan",
+        "spec": {"lookback": 24, "units": 1500, "depth": 2, "horizon": 1},
+        "params": {}, "scaler": None,
+    }))
+    assert path.stat().st_size == 161
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="params must be an object"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import stan_fd_problem
 from stanforge.numerics import ShapeError, finite_diff_check, mse_loss
@@ -70,6 +73,51 @@ def test_gate_monotone_in_z(seed):
 
 def test_gate_scalar_in_scalar_out():
     assert isinstance(transition_g(1.0, 2.0, 0.0), float)
+
+
+def _two_branch_gate(z, gamma, c):
+    """The gate as it was first written, one branch per sign of t: the
+    reference the branch-free evaluation must reproduce bit for bit."""
+    t = np.asarray(
+        np.asarray(gamma, dtype=np.float64)
+        * (np.asarray(z, dtype=np.float64) - np.asarray(c, dtype=np.float64))
+    )
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
+    return float(out[0]) if scalar else out
+
+
+# exp under- and overflow, subnormal results, saturation and both zeros
+_GATE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 37.5, -37.5, 709.78, -709.78,
+               745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e6, -1e6, np.inf, -np.inf]
+_gate_values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_GATE_EDGES))
+# gamma != 0 keeps gamma * (z - c) free of 0 * inf = NaN, whose bits carry no meaning
+_gate_gammas = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3), st.sampled_from([1.0, -1.0]))
+_gate_centres = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_gate_values, gamma=_gate_gammas, c=_gate_centres)
+def test_gate_scalar_is_bit_identical_to_two_branch_form(z, gamma, c):
+    assert repr(transition_g(z, gamma, c)) == repr(_two_branch_gate(z, gamma, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), cols=st.integers(1, 12), broadcast=st.booleans())
+def test_gate_array_is_bit_identical_to_two_branch_form(data, rows, cols, broadcast):
+    z = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_gate_values))
+    if broadcast:  # per-unit gamma and c, broadcast over the rows as in a layer
+        gamma = data.draw(hnp.arrays(np.float64, cols, elements=_gate_gammas))
+        c = data.draw(hnp.arrays(np.float64, cols, elements=_gate_centres))
+    else:
+        gamma, c = data.draw(_gate_gammas), data.draw(_gate_centres)
+    assert transition_g(z, gamma, c).tobytes() == _two_branch_gate(z, gamma, c).tobytes()
 
 
 # ------------------------------------------------------------------ unit ----

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from stanforge.baselines import LinearNetwork, fit_linear_regression
+from stanforge.baselines import LinearNetwork, MlpNetwork, fit_linear_regression
 from stanforge.data import WindowedDataset
-from stanforge.numerics import NonFiniteError
+from stanforge.numerics import AdamState, NonFiniteError, adam_step, mse_loss
 from stanforge.stan_core import NetworkSpec, StanNetwork
 from stanforge.training import (
     EarlyStopper,
@@ -201,6 +203,100 @@ def test_train_aborts_with_context_on_nonfinite_loss():
     ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
     with pytest.raises(NonFiniteError, match="epoch 1"):
         train(BrokenModel(), ds, ds, TrainConfig())
+
+
+def _switching_problem(n=120, q=5, seed=11):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, q))
+    y = np.where(x[:, :1] > 0.3, -0.8 * x[:, :1], 0.5 * x[:, 1:2]) + 0.1 * rng.standard_normal((n, 1))
+    cut = int(0.75 * n)
+    return _dataset(x[:cut], y[:cut]), _dataset(x[cut:], y[cut:])
+
+
+def _per_array_reference(model, train_set, val_set, config):
+    """The training loop with one Adam state and one ``adam_step`` per
+    parameter array; returns its (train_loss, val_loss) per epoch. Only
+    valid for budgets too short for the plateau schedule or early stopping."""
+    rng = np.random.default_rng(config.seed)
+    states = {name: AdamState.for_param(p, lr=config.lr, beta1=config.beta1,
+                                        beta2=config.beta2, epsilon=config.epsilon)
+              for name, p in model.params.items()}
+    best_val, best = float("inf"), {name: p.copy() for name, p in model.params.items()}
+    n, losses = len(train_set.inputs), []
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            batch = order[start: start + config.batch_size]
+            pred, cache = model.forward(train_set.inputs[batch])
+            loss, dpred = mse_loss(pred, train_set.targets[batch])
+            grads = model.backward(cache, dpred)
+            for name, param in model.params.items():
+                adam_step(param, grads[name], states[name], name=name)
+            batch_losses.append(loss)
+        val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
+        losses.append((float(np.mean(batch_losses)), val_loss))
+        if val_loss < best_val:
+            best_val, best = val_loss, {name: p.copy() for name, p in model.params.items()}
+    for name, param in model.params.items():
+        np.copyto(param, best[name])
+    return losses
+
+
+def _params_sha256(model) -> str:
+    return hashlib.sha256(b"".join(model.params[name].tobytes() for name in sorted(model.params))).hexdigest()
+
+
+# Final-parameter digests of the runs below, recorded with one Adam update per array.
+FUSED_UPDATE_GOLDEN = {
+    "STAN-5-4-3": "164f3044d53bb1413426a4c0ad04c77d53ff012e218ca978fecd2224c78572f5",
+    "MLP-5-4-2": "ebb397aaf9c141683ba98b4ff15c6b7cc2a21b19bda98da463c94f0b184d12b8",
+}
+
+
+@pytest.mark.parametrize("name,build", [
+    ("STAN-5-4-3", lambda: StanNetwork(NetworkSpec(5, 4, 3, 1), seed=5)),
+    ("MLP-5-4-2", lambda: MlpNetwork(NetworkSpec(5, 4, 2, 1), seed=5)),
+], ids=["stan", "mlp"])
+def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
+    train_set, val_set = _switching_problem()
+    config = TrainConfig(max_epochs=3, batch_size=32, lr=0.01, seed=4)
+    reference = build()
+    want = _per_array_reference(reference, train_set, val_set, config)
+    model = build()
+    before = model.params["proj.W"]
+    _, hist = train(model, train_set, val_set, config)
+    assert [(r.train_loss, r.val_loss) for r in hist.records] == want
+    for param in model.params:
+        assert model.params[param].tobytes() == reference.params[param].tobytes()
+    assert _params_sha256(model) == FUSED_UPDATE_GOLDEN[name]
+    # the store was re-homed into one buffer; an array taken before no longer aliases it
+    assert not np.shares_memory(before, model.params["proj.W"])
+    assert model.params["proj.W"].base is not None
+    assert len({id(arr.base) for arr in model.params.values()}) == 1
+
+
+def test_train_names_epoch_batch_and_parameter_of_a_non_finite_gradient():
+    class PoisonedStan(StanNetwork):
+        """Puts a NaN in layers.1.gamma's gradient on the 5th batch: epoch 2, start 32."""
+
+        batches = 0
+
+        def backward(self, cache, dpred):
+            grads = super().backward(cache, dpred)
+            self.batches += 1
+            if self.batches == 5:
+                grads["layers.1.gamma"][2] = np.nan
+            return grads
+
+    train_set, val_set = _switching_problem()
+    model = PoisonedStan(NetworkSpec(5, 4, 2, 1), seed=0)
+    with pytest.raises(NonFiniteError) as info:
+        train(model, train_set, val_set, TrainConfig(max_epochs=3, batch_size=32))
+    message = str(info.value)
+    assert "epoch 2," in message
+    assert "batch starting at 32:" in message
+    assert "'layers.1.gamma'" in message
 
 
 def test_history_csv_round_trip(tmp_path):
