@@ -1,9 +1,10 @@
 """Reference models the smooth-transition network is benchmarked against,
 and ``MODEL_KINDS``, the one registry of model kinds.
 
-Three baselines share the training contract from ``stan_core``: a single
-affine map trained by gradient descent, a plain relu MLP of matching width
-and depth, and closed-form multi-output linear regression (fit once, no
+Three baselines share the training contract from ``stan_core``: a plain relu
+MLP of matching width and depth and a single affine map trained by gradient
+descent, which are ``stan_core.LayerStack`` without gates (the linear one at
+depth 0), and closed-form multi-output linear regression (fit once, no
 gradient descent). The CLI, the benchmark matrix and checkpoints name, size,
 build and fit every kind through the registry; a new kind is one entry there.
 """
@@ -16,17 +17,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import ShapeError, affine_backward, affine_forward, as_matrix, relu, relu_grad
+from .numerics import ShapeError, affine_forward, as_matrix
 from .stan_core import (
-    GradStore,
+    LayerStack,
     NetworkSpec,
     ParamStore,
     StanNetwork,
-    dense_stack_count,
-    dense_stack_shapes,
-    glorot_uniform,
-    init_dense_stack,
+    count_parameters,
+    init_params,
     network_shapes,
+    stack_shapes,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ class LinearRegressionModel:
         x = as_matrix(x, "x")
         if x.shape[1] + 1 != self.weights.shape[0]:
             raise ShapeError(f"input has {x.shape[1]} columns, model expects {self.weights.shape[0] - 1}")
-        return self.weights[0] + x @ self.weights[1:]
+        return affine_forward(x, self.weights[1:], self.weights[0])
 
     @property
     def params(self) -> ParamStore:
@@ -117,9 +117,14 @@ class LinearRegressionModel:
         return int(self.weights.shape[1])
 
 
-# A relu MLP is the smooth-transition network's dense stack without the gates.
-mlp_count_parameters = dense_stack_count
-init_mlp = init_dense_stack
+# A relu MLP is the smooth-transition network without the gates, and the
+# linear network is the same stack at depth 0.
+def mlp_count_parameters(spec: NetworkSpec) -> int:
+    return count_parameters(spec, gated=False)
+
+
+def init_mlp(spec: NetworkSpec, seed: int) -> ParamStore:
+    return init_params(network_shapes(spec, gated=False), seed)
 
 
 def linear_count_parameters(lookback: int, horizon: int) -> int:
@@ -127,96 +132,31 @@ def linear_count_parameters(lookback: int, horizon: int) -> int:
 
 
 def init_linear(lookback: int, horizon: int, seed: int) -> ParamStore:
-    rng = np.random.default_rng(seed)
-    return {
-        "proj.W": glorot_uniform(rng, lookback, horizon),
-        "proj.b": np.zeros(horizon),
-    }
+    return init_params(stack_shapes(lookback, horizon), seed)
 
 
-@dataclass
-class MlpLayerCache:
-    x: np.ndarray
-    pre: np.ndarray
-
-
-@dataclass
-class MlpCache:
-    layers: list[MlpLayerCache]
-    proj_input: np.ndarray
-
-
-class MlpNetwork:
-    """Plain relu MLP sharing the forecaster contract."""
+class MlpNetwork(LayerStack):
+    """Plain relu MLP: a ``LayerStack`` without gates."""
 
     kind = "mlp"
+    gated = False
+    # the benchmark's tracer wraps only methods in the class's own __dict__
+    forward, backward, predict = LayerStack.forward, LayerStack.backward, LayerStack.predict
 
     def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
-        self.spec = spec
-        self.params = init_mlp(spec, seed) if params is None else params
-
-    def forward(self, x) -> tuple[np.ndarray, MlpCache]:
-        x = as_matrix(x, "x")
-        if x.shape[1] != self.spec.lookback:
-            raise ShapeError(f"input has {x.shape[1]} columns, network expects lookback {self.spec.lookback}")
-        h = x
-        caches: list[MlpLayerCache] = []
-        for i in range(self.spec.depth):
-            pre = affine_forward(h, self.params[f"layers.{i}.W"], self.params[f"layers.{i}.b"])
-            caches.append(MlpLayerCache(x=h, pre=pre))
-            h = relu(pre)
-        pred = affine_forward(h, self.params["proj.W"], self.params["proj.b"])
-        return pred, MlpCache(layers=caches, proj_input=h)
-
-    def backward(self, cache: MlpCache, dpred) -> GradStore:
-        dpred = as_matrix(dpred, "dpred")
-        grads: GradStore = {}
-        dh, grads["proj.W"], grads["proj.b"] = affine_backward(
-            cache.proj_input, self.params["proj.W"], dpred
-        )
-        for i in reversed(range(self.spec.depth)):
-            layer = cache.layers[i]
-            dpre = dh * relu_grad(layer.pre)
-            dh, grads[f"layers.{i}.W"], grads[f"layers.{i}.b"] = affine_backward(
-                layer.x, self.params[f"layers.{i}.W"], dpre
-            )
-        return grads
-
-    def predict(self, x) -> np.ndarray:
-        pred, _ = self.forward(x)
-        return pred
-
-    def num_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
+        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed)
 
 
-class LinearNetwork:
-    """Single affine map trained by gradient descent; the sanity-floor baseline."""
+class LinearNetwork(LayerStack):
+    """Single affine map trained by gradient descent (the depth-0 stack); the sanity floor."""
 
     kind = "linear"
+    gated = False
+    # the benchmark's tracer wraps only methods in the class's own __dict__
+    forward, backward, predict = LayerStack.forward, LayerStack.backward, LayerStack.predict
 
     def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
-        self.lookback = int(lookback)
-        self.horizon = int(horizon)
-        self.params = init_linear(self.lookback, self.horizon, seed) if params is None else params
-
-    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = as_matrix(x, "x")
-        if x.shape[1] != self.lookback:
-            raise ShapeError(f"input has {x.shape[1]} columns, network expects lookback {self.lookback}")
-        pred = affine_forward(x, self.params["proj.W"], self.params["proj.b"])
-        return pred, x
-
-    def backward(self, cache: np.ndarray, dpred) -> GradStore:
-        _, dw, db = affine_backward(cache, self.params["proj.W"], as_matrix(dpred, "dpred"))
-        return {"proj.W": dw, "proj.b": db}
-
-    def predict(self, x) -> np.ndarray:
-        pred, _ = self.forward(x)
-        return pred
-
-    def num_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
+        super().__init__(int(lookback), int(horizon), 0, 0, params, seed)
 
 
 @dataclass(frozen=True)
@@ -239,21 +179,20 @@ class ModelKind:
 
 
 def _network(cls):
-    return lambda lookback, horizon, units, depth, params=None, seed=0: \
-        cls(NetworkSpec(lookback, units, depth, horizon), params, seed)
-
-
-def _network_shapes(shapes):
-    return lambda lookback, horizon, units, depth: shapes(NetworkSpec(lookback, units, depth, horizon))
+    """``build`` and ``shapes`` of a sized ``LayerStack`` kind; its ``NetworkSpec`` rejects depth 0."""
+    def spec(lookback, horizon, units, depth):
+        return NetworkSpec(lookback, units, depth, horizon)
+    return (lambda lookback, horizon, units, depth, params=None, seed=0:
+            cls(spec(lookback, horizon, units, depth), params, seed),
+            lambda lookback, horizon, units, depth: network_shapes(spec(lookback, horizon, units, depth), cls.gated))
 
 
 MODEL_KINDS: dict[str, ModelKind] = {
-    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), _network_shapes(network_shapes), sized=True),
-    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), _network_shapes(dense_stack_shapes), sized=True),
+    "stan": ModelKind("STAN-{units}-{depth}", *_network(StanNetwork), sized=True),
+    "mlp": ModelKind("MLP-{units}-{depth}", *_network(MlpNetwork), sized=True),
     "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
                         LinearNetwork(lookback, horizon, params, seed),
-                        lambda lookback, horizon, units=None, depth=None:
-                        {"proj.W": (lookback, horizon), "proj.b": (horizon,)}),
+                        lambda lookback, horizon, units=None, depth=None: stack_shapes(lookback, horizon)),
     "linreg": ModelKind("LinReg", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
                         LinearRegressionModel(np.zeros((lookback + 1, horizon)) if params is None
                                               else params["weights"]),

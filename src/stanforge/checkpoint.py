@@ -35,13 +35,12 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
     if getattr(model, "kind", None) not in MODEL_KINDS:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
     kind, params = MODEL_KINDS[model.kind], model.params
-    sizes = model.spec if kind.sized else model  # unsized kinds carry lookback/horizon themselves
     order = sorted(params)
     doc = {
         "format": FORMAT,
         "version": VERSION,
         "kind": model.kind,
-        "spec": {key: getattr(sizes, key) for key in kind.spec_keys},
+        "spec": {key: getattr(model, key) for key in kind.spec_keys},
         "param_order": order,
         "params": {
             name: {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}

@@ -7,16 +7,18 @@ logistic gate that reads the unit's own pre-activation:
     g(u) = 1 / (1 + exp(-gamma * (u - c)))
 
 so a layer degenerates to a plain affine map when every theta is zero and to
-a rectifier-style layer when the gates saturate. A network stacks ``depth``
-such layers and finishes with an affine projection onto the forecast horizon.
-Backward passes are derived by hand; the finite-difference checker in
-``numerics`` referees them in the test suite.
+a rectifier-style layer when the gates saturate. ``LayerStack`` stacks
+``depth`` such layers (relu layers when not gated) and finishes with an affine
+projection onto the forecast horizon; the STAN, MLP and linear networks are
+all layer stacks. Backward passes are derived by hand; the finite-difference
+checker in ``numerics`` referees them in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,16 +38,16 @@ __all__ = [
     "StanLayerParams",
     "StanLayerCache",
     "NetworkCache",
+    "LayerStack",
     "StanNetwork",
     "transition_g",
     "stan_unit_forward",
     "stan_layer_forward",
     "stan_layer_backward",
     "count_parameters",
-    "dense_stack_count",
-    "dense_stack_shapes",
+    "stack_shapes",
     "network_shapes",
-    "init_dense_stack",
+    "init_params",
     "init_network",
     "glorot_uniform",
 ]
@@ -136,7 +138,7 @@ class StanLayerCache:
     x: np.ndarray     # (m, p) layer input
     pre: np.ndarray   # (m, d) affine pre-activation
     act: np.ndarray   # (m, d) relu(pre)
-    gate: np.ndarray  # (m, d) transition values
+    gate: np.ndarray | None  # (m, d) transition values; None in a relu layer
 
 
 @dataclass
@@ -186,9 +188,10 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> t
         raise ShapeError(f"cache input {cache.x.shape} does not match params w {params.w.shape}")
     pre, act, gate = cache.pre, cache.act, cache.gate
     slope = gate * (1.0 - gate)
-    weighted = dy * act * slope
+    dy_act = dy * act
+    weighted = dy_act * slope
     dphi = np.sum(dy * pre, axis=0)
-    dtheta = np.sum(dy * act * gate, axis=0)
+    dtheta = np.sum(dy_act * gate, axis=0)
     dgamma = params.theta * np.sum(weighted * (pre - params.c), axis=0)
     dc = -params.theta * params.gamma * np.sum(weighted, axis=0)
     dpre = dy * (params.phi + params.theta * (relu_grad(pre) * gate + act * slope * params.gamma))
@@ -196,40 +199,38 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> t
     return dx, StanLayerParams(w=dw, b=db, phi=dphi, theta=dtheta, gamma=dgamma, c=dc)
 
 
-def dense_stack_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of the dense maps and biases of ``spec``: q -> d, then
-    d -> d for every later layer, then the d -> horizon projection."""
+def stack_shapes(lookback: int, horizon: int, units: int = 0, depth: int = 0,
+                 gated: bool = False) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a layer stack, in ``init_params``
+    order: the dense maps and biases q -> d, then d -> d for every later layer,
+    the projection onto the horizon (q -> horizon at depth 0), then, when
+    ``gated``, the four per-unit coefficient vectors of each layer. Draws no
+    weights."""
     shapes: dict[str, tuple[int, ...]] = {}
-    fan_in = spec.lookback
-    for i in range(spec.depth):
-        shapes[f"layers.{i}.W"] = (fan_in, spec.units)
-        shapes[f"layers.{i}.b"] = (spec.units,)
-        fan_in = spec.units
-    shapes["proj.W"] = (fan_in, spec.horizon)
-    shapes["proj.b"] = (spec.horizon,)
-    return shapes
-
-
-def network_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter of a network built from ``spec``, in
-    ``init_network`` order: the dense stack, then the four per-unit
-    coefficient vectors of each layer. Draws no weights."""
-    shapes = dense_stack_shapes(spec)
-    for i in range(spec.depth):
+    fan_in = lookback
+    for i in range(depth):
+        shapes[f"layers.{i}.W"] = (fan_in, units)
+        shapes[f"layers.{i}.b"] = (units,)
+        fan_in = units
+    shapes["proj.W"] = (fan_in, horizon)
+    shapes["proj.b"] = (horizon,)
+    for i in range(depth if gated else 0):
         for field_name in LAYER_FIELDS[2:]:
-            shapes[f"layers.{i}.{field_name}"] = (spec.units,)
+            shapes[f"layers.{i}.{field_name}"] = (units,)
     return shapes
 
 
-def dense_stack_count(spec: NetworkSpec) -> int:
-    """Trainable scalars in the dense maps and biases of ``spec``."""
-    return sum(math.prod(shape) for shape in dense_stack_shapes(spec).values())
+def network_shapes(spec: NetworkSpec, gated: bool = True) -> dict[str, tuple[int, ...]]:
+    """``stack_shapes`` of the network ``spec`` describes; ``gated=False``
+    gives the relu MLP of the same spec."""
+    return stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth, gated)
 
 
-def count_parameters(spec: NetworkSpec) -> int:
+def count_parameters(spec: NetworkSpec, gated: bool = True) -> int:
     """Exact number of trainable scalars in a network built from ``spec``:
-    the dense stack plus four per-unit coefficient vectors in each layer."""
-    return sum(math.prod(shape) for shape in network_shapes(spec).values())
+    the dense stack plus, when ``gated``, four per-unit coefficient vectors in
+    each layer."""
+    return sum(math.prod(shape) for shape in network_shapes(spec, gated).values())
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -237,55 +238,56 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_dense_stack(spec: NetworkSpec, seed: int) -> ParamStore:
-    """Glorot-uniform dense maps with zero biases, deterministic per seed
-    (PCG64 generator), drawn layer by layer and then the projection."""
+# Start values of the per-unit coefficients: with theta=0 an untrained layer is
+# a well-conditioned affine map, and gamma=1, c=0 put its gates in the middle
+# of their sensitive range for standardized inputs.
+_UNIT_START = {"phi": 1.0, "theta": 0.0, "gamma": 1.0, "c": 0.0}
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
+    """Fresh parameters of the given names and shapes, deterministic per seed
+    (PCG64 generator): Glorot-uniform dense maps drawn in ``shapes`` order,
+    zero biases, and per-unit coefficients at their start values."""
     rng = np.random.default_rng(seed)
     return {
-        name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-        for name, shape in dense_stack_shapes(spec).items()
+        name: glorot_uniform(rng, *shape) if len(shape) == 2
+        else np.full(shape, _UNIT_START.get(name.rsplit(".", 1)[1], 0.0))
+        for name, shape in shapes.items()
     }
 
 
 def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
-    """Fresh parameters, deterministic for a given seed.
-
-    The dense maps are ``init_dense_stack``'s, so they equal a relu MLP's at
-    the same spec and seed. The unit coefficients start at phi=1, theta=0,
-    gamma=1, c=0, so an untrained network is a well-conditioned affine map
-    whose gates sit in the middle of their sensitive range for standardized
-    inputs.
-    """
-    store = init_dense_stack(spec, seed)
-    d = spec.units
-    for i in range(spec.depth):
-        store[f"layers.{i}.phi"] = np.ones(d)
-        store[f"layers.{i}.theta"] = np.zeros(d)
-        store[f"layers.{i}.gamma"] = np.ones(d)
-        store[f"layers.{i}.c"] = np.zeros(d)
-    return store
+    """Fresh parameters, deterministic for a given seed. The dense maps are
+    drawn before the coefficient vectors, so they equal a relu MLP's at the
+    same spec and seed; phi=1, theta=0, gamma=1, c=0."""
+    return init_params(network_shapes(spec), seed)
 
 
-class StanNetwork:
-    """Stacked smooth-transition forecaster.
+class LayerStack:
+    """``depth`` hidden layers of ``units`` each, then an affine projection
+    onto the forecast horizon.
 
-    Exposes the contract shared by every trainable model in this package:
-    ``params`` (flat name -> array store), ``forward(x) -> (pred, cache)``,
-    ``backward(cache, dpred) -> grads``, ``predict(x)`` and ``num_params()``.
+    A hidden layer is a smooth-transition layer when the class is ``gated``
+    and an affine map followed by ``relu`` otherwise; at depth 0 the stack is
+    the projection alone. Exposes the contract shared by every trainable model
+    in this package: ``params`` (flat name -> array store), ``forward(x) ->
+    (pred, cache)``, ``backward(cache, dpred) -> grads``, ``predict(x)`` and
+    ``num_params()``. A given store is checked against ``stack_shapes`` when
+    the stack is built.
     """
 
-    kind = "stan"
+    kind: ClassVar[str]
+    gated: ClassVar[bool]
 
-    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
-        self.spec = spec
-        self.params = init_network(spec, seed) if params is None else params
-        self._check_store()
-
-    def _check_store(self) -> None:
-        expected = network_shapes(self.spec)
+    def __init__(self, lookback: int, horizon: int, units: int, depth: int,
+                 params: ParamStore | None, seed: int):
+        self.lookback, self.horizon, self.units, self.depth = lookback, horizon, units, depth
+        expected = stack_shapes(lookback, horizon, units, depth, self.gated)
+        self.params = init_params(expected, seed) if params is None else params
+        sizes = f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})"
         if set(self.params) != set(expected):
             raise ShapeError(
-                f"parameter store does not match spec {self.spec}: "
+                f"parameter store does not match {sizes}: "
                 f"missing {sorted(set(expected) - set(self.params))}, "
                 f"unexpected {sorted(set(self.params) - set(expected))}"
             )
@@ -293,46 +295,47 @@ class StanNetwork:
             if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
                 raise TypeError(f"parameter '{name}' must be a float64 ndarray")
             if arr.shape != expected[name]:
-                raise ShapeError(f"parameter '{name}' has shape {arr.shape}, spec {self.spec} needs {expected[name]}")
+                raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {sizes} needs {expected[name]}")
 
     def layer_params(self, i: int) -> StanLayerParams:
-        p = self.params
-        return StanLayerParams(
-            w=p[f"layers.{i}.W"], b=p[f"layers.{i}.b"], phi=p[f"layers.{i}.phi"],
-            theta=p[f"layers.{i}.theta"], gamma=p[f"layers.{i}.gamma"], c=p[f"layers.{i}.c"],
-        )
+        return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))
 
     def forward(self, x) -> tuple[np.ndarray, NetworkCache]:
         x = as_matrix(x, "x")
-        if x.shape[1] != self.spec.lookback:
-            raise ShapeError(f"input has {x.shape[1]} columns, network expects lookback {self.spec.lookback}")
-        h = x
+        if x.shape[1] != self.lookback:
+            raise ShapeError(f"input has {x.shape[1]} columns, network expects lookback {self.lookback}")
+        p, h = self.params, x
         caches: list[StanLayerCache] = []
-        for i in range(self.spec.depth):
-            h, cache = stan_layer_forward(h, self.layer_params(i))
+        for i in range(self.depth):
+            if self.gated:
+                h, cache = stan_layer_forward(h, self.layer_params(i))
+            else:
+                pre = affine_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"])
+                cache = StanLayerCache(x=h, pre=pre, act=relu(pre), gate=None)
+                h = cache.act
             caches.append(cache)
-        pred = affine_forward(h, self.params["proj.W"], self.params["proj.b"])
+        pred = affine_forward(h, p["proj.W"], p["proj.b"])
         return pred, NetworkCache(layers=caches, proj_input=h)
 
     def backward(self, cache: NetworkCache, dpred) -> GradStore:
         dpred = as_matrix(dpred, "dpred")
-        if dpred.shape != (cache.proj_input.shape[0], self.spec.horizon):
+        if dpred.shape != (cache.proj_input.shape[0], self.horizon):
             raise ShapeError(
                 f"dpred shape {dpred.shape} does not match batch {cache.proj_input.shape[0]} "
-                f"and horizon {self.spec.horizon}"
+                f"and horizon {self.horizon}"
             )
-        grads: GradStore = {}
-        dh, grads["proj.W"], grads["proj.b"] = affine_backward(
-            cache.proj_input, self.params["proj.W"], dpred
-        )
-        for i in reversed(range(self.spec.depth)):
-            dh, layer_grads = stan_layer_backward(cache.layers[i], self.layer_params(i), dh)
-            grads[f"layers.{i}.W"] = layer_grads.w
-            grads[f"layers.{i}.b"] = layer_grads.b
-            grads[f"layers.{i}.phi"] = layer_grads.phi
-            grads[f"layers.{i}.theta"] = layer_grads.theta
-            grads[f"layers.{i}.gamma"] = layer_grads.gamma
-            grads[f"layers.{i}.c"] = layer_grads.c
+        p, grads = self.params, {}
+        dh, grads["proj.W"], grads["proj.b"] = affine_backward(cache.proj_input, p["proj.W"], dpred)
+        for i in reversed(range(self.depth)):
+            layer = cache.layers[i]
+            if self.gated:
+                dh, layer_grads = stan_layer_backward(layer, self.layer_params(i), dh)
+                for field_name, grad in zip(LAYER_FIELDS, vars(layer_grads).values()):
+                    grads[f"layers.{i}.{field_name}"] = grad
+            else:
+                dh, grads[f"layers.{i}.W"], grads[f"layers.{i}.b"] = affine_backward(
+                    layer.x, p[f"layers.{i}.W"], dh * relu_grad(layer.pre)
+                )
         return grads
 
     def predict(self, x) -> np.ndarray:
@@ -341,3 +344,15 @@ class StanNetwork:
 
     def num_params(self) -> int:
         return sum(arr.size for arr in self.params.values())
+
+
+class StanNetwork(LayerStack):
+    """Stacked smooth-transition forecaster: a gated ``LayerStack``."""
+
+    kind = "stan"
+    gated = True
+    # the benchmark's tracer wraps only methods in the class's own __dict__
+    forward, backward = LayerStack.forward, LayerStack.backward
+
+    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
+        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed)

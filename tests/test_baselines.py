@@ -220,3 +220,14 @@ def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
     rebuilt = entry.build(6, 2, 5, 2, params={n: a.copy() for n, a in fresh.params.items()})
     x = np.random.default_rng(0).standard_normal((4, 6))
     assert np.array_equal(rebuilt.predict(x), fresh.predict(x))
+    if entry.fit is not None:
+        return  # a closed-form kind is rebuilt from its fitted weights alone
+    # every network checks the store it is given when it is built
+    store, first = fresh.params, next(iter(fresh.params))
+    for bad, named in (({n: a for n, a in store.items() if n != first}, first),
+                       ({**store, "extra": np.zeros(2)}, "extra"),
+                       ({**store, first: np.zeros(store[first].shape + (1,))}, first)):
+        with pytest.raises(ShapeError, match=named):
+            entry.build(6, 2, 5, 2, params=bad)
+    with pytest.raises(TypeError, match=first):
+        entry.build(6, 2, 5, 2, params={**store, first: store[first].astype(np.float32)})

@@ -251,13 +251,15 @@ def _params_sha256(model) -> str:
 FUSED_UPDATE_GOLDEN = {
     "STAN-5-4-3": "164f3044d53bb1413426a4c0ad04c77d53ff012e218ca978fecd2224c78572f5",
     "MLP-5-4-2": "ebb397aaf9c141683ba98b4ff15c6b7cc2a21b19bda98da463c94f0b184d12b8",
+    "LinearNN-5-1": "8d2fd40631e8fd0388572c0785132cff492940a41647c28c949bd0a05df5ab97",
 }
 
 
 @pytest.mark.parametrize("name,build", [
     ("STAN-5-4-3", lambda: StanNetwork(NetworkSpec(5, 4, 3, 1), seed=5)),
     ("MLP-5-4-2", lambda: MlpNetwork(NetworkSpec(5, 4, 2, 1), seed=5)),
-], ids=["stan", "mlp"])
+    ("LinearNN-5-1", lambda: LinearNetwork(5, 1, seed=5)),
+], ids=["stan", "mlp", "linear"])
 def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
     train_set, val_set = _switching_problem()
     config = TrainConfig(max_epochs=3, batch_size=32, lr=0.01, seed=4)
