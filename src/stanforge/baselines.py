@@ -23,6 +23,7 @@ from .stan_core import (
     NetworkSpec,
     ParamStore,
     StanNetwork,
+    check_store,
     count_parameters,
     init_params,
     network_shapes,
@@ -187,15 +188,24 @@ def _network(cls):
             lambda lookback, horizon, units, depth: network_shapes(spec(lookback, horizon, units, depth), cls.gated))
 
 
+def _linreg_shapes(lookback, horizon, units=None, depth=None):
+    return {"weights": (lookback + 1, horizon)}
+
+
+def _build_linreg(lookback, horizon, units=None, depth=None, params=None, seed=0):
+    """Zero weights, or the given store after ``check_store``; nothing is drawn."""
+    shapes = _linreg_shapes(lookback, horizon)
+    if params is None:
+        return LinearRegressionModel(np.zeros(shapes["weights"]))
+    owner = f"LinearRegressionModel(lookback={lookback}, horizon={horizon})"
+    return LinearRegressionModel(check_store(params, shapes, owner)["weights"])
+
+
 MODEL_KINDS: dict[str, ModelKind] = {
     "stan": ModelKind("STAN-{units}-{depth}", *_network(StanNetwork), sized=True),
     "mlp": ModelKind("MLP-{units}-{depth}", *_network(MlpNetwork), sized=True),
     "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
                         LinearNetwork(lookback, horizon, params, seed),
                         lambda lookback, horizon, units=None, depth=None: stack_shapes(lookback, horizon)),
-    "linreg": ModelKind("LinReg", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
-                        LinearRegressionModel(np.zeros((lookback + 1, horizon)) if params is None
-                                              else params["weights"]),
-                        lambda lookback, horizon, units=None, depth=None: {"weights": (lookback + 1, horizon)},
-                        fit=LinearRegressionModel.fit),
+    "linreg": ModelKind("LinReg", _build_linreg, _linreg_shapes, fit=LinearRegressionModel.fit),
 }

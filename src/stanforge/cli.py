@@ -88,13 +88,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CliContext:
-    """Resolved shared settings: where outputs go and how chatty to be."""
+    """Resolved shared settings: the run directory, the seed and the config file."""
 
-    subcommand: str
-    out_dir: Path
     run_dir: Path
     seed: int
-    verbosity: int
     config: dict
 
 
@@ -126,17 +123,9 @@ def _make_context(args, default_seed: int = 0) -> CliContext:
     config = _load_config(getattr(args, "config", None))
     seed = int(_pick(args.seed, config, "seed", default_seed))
     out = _pick(args.out, config, "out", None) or os.environ.get("STANFORGE_OUT") or "runs"
-    out_dir = Path(out)
-    run_dir = out_dir / f"{args.subcommand}-seed{seed}"
+    run_dir = Path(out) / f"{args.subcommand}-seed{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    return CliContext(
-        subcommand=args.subcommand,
-        out_dir=out_dir,
-        run_dir=run_dir,
-        seed=seed,
-        verbosity=args.verbose,
-        config=config,
-    )
+    return CliContext(run_dir=run_dir, seed=seed, config=config)
 
 
 def _echo_config(ctx: CliContext, effective: dict) -> None:
@@ -371,7 +360,7 @@ def cmd_gradcheck(args) -> int:
 # --------------------------------------------------------------- benchmark
 
 
-def _plan_from_args(args, cfg: dict, base_seed: int) -> tuple[BenchmarkPlan, int, bool]:
+def _plan_from_args(args, cfg: dict, base_seed: int) -> BenchmarkPlan:
     desk_scale = bool(args.desk_scale or cfg.get("desk_scale", False))
     default_units = DESK_SCALE_UNITS if desk_scale else 64
     preset_epochs = DESK_SCALE_EPOCHS if desk_scale else None
@@ -416,15 +405,13 @@ def _plan_from_args(args, cfg: dict, base_seed: int) -> tuple[BenchmarkPlan, int
     runs = int(_pick(args.runs, cfg, "runs", 5))
     split = str(_pick(args.split, cfg, "split", "random"))
     train_cfg = _train_config(args, cfg, preset_epochs=preset_epochs)
-    jobs = int(_pick(args.jobs, cfg, "jobs", os.cpu_count() or 1))
-    plan = BenchmarkPlan(datasets=datasets, horizons=horizons, models=models,
+    return BenchmarkPlan(datasets=datasets, horizons=horizons, models=models,
                          runs=runs, base_seed=base_seed, split=split, train=train_cfg)
-    return plan, jobs, desk_scale
 
 
 def cmd_benchmark(args) -> int:
     ctx = _make_context(args)
-    plan, jobs, _ = _plan_from_args(args, ctx.config, base_seed=ctx.seed)
+    plan = _plan_from_args(args, ctx.config, base_seed=ctx.seed)
     try:
         plan.validate()
     except PlanError as exc:
@@ -439,10 +426,9 @@ def cmd_benchmark(args) -> int:
         "seed": plan.base_seed,
         "split": plan.split,
         "train": asdict(plan.train),
-        "jobs": jobs,
     }
     _echo_config(ctx, effective)
-    results = run_benchmark(plan, jobs=jobs)
+    results = run_benchmark(plan)
     table = aggregate(results)
     written = write_report(table, results, ctx.run_dir)
     failed = sum(1 for r in results if r.failed)
@@ -563,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--depth", type=int, default=None)
     bm.add_argument("--runs", type=int, default=None, help="runs per cell (default 5)")
     bm.add_argument("--split", default=None, choices=["random", "contiguous"])
-    bm.add_argument("--jobs", type=int, default=None, help="worker pool size (default: cores)")
     bm.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     bm.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     bm.add_argument("--lr", type=float, default=None)

@@ -3,9 +3,11 @@
 A plan fully specifies every cell up front. Each run derives its seed as
 ``base_seed + run_index`` and uses it for the split, the weight init, and
 the batch shuffling, so results are reproducible and independent of the
-order (or concurrency) in which cells execute. A run that hits a data or
-numeric error is recorded as failed in the results instead of aborting the
-matrix; any other exception propagates.
+order in which cells execute. Cells run one after another in plan order: a
+thread pool was tried and was slower, since the many small numpy calls of a
+short fit hold the GIL. A run that hits a data or numeric error is recorded
+as failed in the results instead of aborting the matrix; any other exception
+propagates.
 
 Report files: ``results_rmse_mean.csv``, ``results_rmse_std.csv``,
 ``results_time.csv``, ``results.json``, ``report.md``. Wall-clock seconds
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,29 +211,24 @@ def load_plan_series(plan: BenchmarkPlan) -> dict[str, TimeSeries]:
     return series
 
 
-def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> list[RunResult]:
-    """Execute every (horizon, dataset, model, run) cell of the plan.
+def run_benchmark(plan: BenchmarkPlan) -> list[RunResult]:
+    """Execute every (horizon, dataset, model, run) cell of the plan, one
+    after another.
 
     Results come back in plan order (horizons outermost, then datasets,
-    models, run index) regardless of ``jobs``; per-cell failures are recorded
-    in the RunResult rather than raised.
+    models, run index); per-cell failures are recorded in the RunResult
+    rather than raised.
     """
     plan.validate()
     series = load_plan_series(plan)
-    cells = [
-        (series[ref.name], model, int(horizon), plan.base_seed + run)
+    logger.info("benchmark: %d cells", len(plan.horizons) * len(plan.datasets) * len(plan.models) * plan.runs)
+    return [
+        _run_cell(series[ref.name], model, int(horizon), plan.base_seed + run, plan.split, plan.train)
         for horizon in plan.horizons
         for ref in plan.datasets
         for model in plan.models
         for run in range(plan.runs)
     ]
-    logger.info("benchmark: %d cells, %d worker(s)", len(cells), max(1, jobs))
-    if jobs <= 1:
-        return [_run_cell(s, m, h, seed, plan.split, plan.train) for s, m, h, seed in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_cell, s, m, h, seed, plan.split, plan.train)
-                   for s, m, h, seed in cells]
-        return [f.result() for f in futures]
 
 
 @dataclass
@@ -317,20 +313,24 @@ def aggregate(results: list[RunResult]) -> ReportTable:
     return table
 
 
-def _csv_grid(table: ReportTable, value) -> list[list[str]]:
-    rows = [["horizon", "dataset", *table.models]]
-    for h, ds in table.rows():
-        row = [str(h), ds]
-        for m in table.models:
-            stats = table.cells.get((h, ds, m))
-            if stats is None:
-                row.append("")
-            elif stats.failed:
-                row.append("FAILED")
-            else:
-                row.append(f"{value(stats):.3f}")
-        rows.append(row)
-    return rows
+def _cell_text(stats: CellStats | None, value, bold_best: bool = False) -> str:
+    """One report cell: blank when the cell was not run, FAILED when no run
+    succeeded, else ``value(stats)`` to three decimals (bold when asked and
+    the cell is its row's best)."""
+    if stats is None:
+        return ""
+    if stats.failed:
+        return "FAILED"
+    text = f"{value(stats):.3f}"
+    return f"**{text}**" if bold_best and stats.best else text
+
+
+def _grid(table: ReportTable, value, bold_best: bool = False) -> list[list[str]]:
+    """Header row, then one row per (horizon, dataset) with a cell per model."""
+    return [["horizon", "dataset", *table.models]] + [
+        [str(h), ds, *(_cell_text(table.cells.get((h, ds, m)), value, bold_best) for m in table.models)]
+        for h, ds in table.rows()
+    ]
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
@@ -340,46 +340,25 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
         csv.writer(handle).writerows(rows)
 
 
+def _markdown_table(table: ReportTable, value, bold_best: bool = False) -> list[str]:
+    header, *rows = _grid(table, value, bold_best)
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(row) + " |" for row in rows)]
+
+
 def _markdown_report(table: ReportTable) -> str:
-    lines = [
+    return "\n".join([
         "# Benchmark report",
         "",
         "Test RMSE in standardized units, mean over runs; best model per row in bold.",
         "",
-        "| horizon | dataset | " + " | ".join(table.models) + " |",
-        "|" + "---|" * (2 + len(table.models)),
-    ]
-    for h, ds in table.rows():
-        cells = []
-        for m in table.models:
-            stats = table.cells.get((h, ds, m))
-            if stats is None:
-                cells.append("")
-            elif stats.failed:
-                cells.append("FAILED")
-            elif stats.best:
-                cells.append(f"**{stats.mean_rmse:.3f}**")
-            else:
-                cells.append(f"{stats.mean_rmse:.3f}")
-        lines.append(f"| {h} | {ds} | " + " | ".join(cells) + " |")
-    lines += [
+        *_markdown_table(table, lambda s: s.mean_rmse, bold_best=True),
         "",
         "Standard deviation of RMSE over runs, multiplied by 100:",
         "",
-        "| horizon | dataset | " + " | ".join(table.models) + " |",
-        "|" + "---|" * (2 + len(table.models)),
-    ]
-    for h, ds in table.rows():
-        cells = []
-        for m in table.models:
-            stats = table.cells.get((h, ds, m))
-            if stats is None or stats.failed:
-                cells.append("" if stats is None else "FAILED")
-            else:
-                cells.append(f"{stats.std_x100:.3f}")
-        lines.append(f"| {h} | {ds} | " + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)
+        *_markdown_table(table, lambda s: s.std_x100),
+        "",
+    ])
 
 
 def write_report(table: ReportTable, results: list[RunResult], out_dir) -> list[Path]:
@@ -399,7 +378,7 @@ def write_report(table: ReportTable, results: list[RunResult], out_dir) -> list[
         "results_time.csv": lambda s: s.mean_seconds,
     }
     for name, value in grids.items():
-        _write_csv(out / name, _csv_grid(table, value))
+        _write_csv(out / name, _grid(table, value))
     with open(out / "results.json", "w") as handle:
         json.dump({"results": [r.to_json_dict() for r in results]}, handle, indent=2)
         handle.write("\n")

@@ -47,6 +47,7 @@ __all__ = [
     "count_parameters",
     "stack_shapes",
     "network_shapes",
+    "check_store",
     "init_params",
     "init_network",
     "glorot_uniform",
@@ -263,6 +264,25 @@ def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
     return init_params(network_shapes(spec), seed)
 
 
+def check_store(params: ParamStore, expected: dict[str, tuple[int, ...]], owner: str) -> ParamStore:
+    """Return ``params`` after checking that it holds exactly the names of
+    ``expected``, each a float64 ndarray of the expected shape; ``owner``
+    names the model in the messages. A missing, extra or wrong-shaped array
+    raises ShapeError, any other array type or dtype TypeError."""
+    if set(params) != set(expected):
+        raise ShapeError(
+            f"parameter store does not match {owner}: "
+            f"missing {sorted(set(expected) - set(params))}, "
+            f"unexpected {sorted(set(params) - set(expected))}"
+        )
+    for name, arr in params.items():
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise TypeError(f"parameter '{name}' must be a float64 ndarray")
+        if arr.shape != expected[name]:
+            raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {owner} needs {expected[name]}")
+    return params
+
+
 class LayerStack:
     """``depth`` hidden layers of ``units`` each, then an affine projection
     onto the forecast horizon.
@@ -283,19 +303,9 @@ class LayerStack:
                  params: ParamStore | None, seed: int):
         self.lookback, self.horizon, self.units, self.depth = lookback, horizon, units, depth
         expected = stack_shapes(lookback, horizon, units, depth, self.gated)
-        self.params = init_params(expected, seed) if params is None else params
-        sizes = f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})"
-        if set(self.params) != set(expected):
-            raise ShapeError(
-                f"parameter store does not match {sizes}: "
-                f"missing {sorted(set(expected) - set(self.params))}, "
-                f"unexpected {sorted(set(self.params) - set(expected))}"
-            )
-        for name, arr in self.params.items():
-            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
-                raise TypeError(f"parameter '{name}' must be a float64 ndarray")
-            if arr.shape != expected[name]:
-                raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {sizes} needs {expected[name]}")
+        self.params = init_params(expected, seed) if params is None else check_store(
+            params, expected,
+            f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})")
 
     def layer_params(self, i: int) -> StanLayerParams:
         return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))

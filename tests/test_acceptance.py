@@ -190,7 +190,7 @@ def test_benchmark_rerun_is_byte_identical(advantage_series, tmp_path):
     )
     blobs = []
     for attempt in ("a", "b"):
-        results = run_benchmark(plan, jobs=2)
+        results = run_benchmark(plan)
         write_report(aggregate(results), results, tmp_path / attempt)
         blobs.append((tmp_path / attempt / "results.json").read_bytes())
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0

@@ -220,9 +220,7 @@ def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
     rebuilt = entry.build(6, 2, 5, 2, params={n: a.copy() for n, a in fresh.params.items()})
     x = np.random.default_rng(0).standard_normal((4, 6))
     assert np.array_equal(rebuilt.predict(x), fresh.predict(x))
-    if entry.fit is not None:
-        return  # a closed-form kind is rebuilt from its fitted weights alone
-    # every network checks the store it is given when it is built
+    # every kind checks the store it is given when it is built
     store, first = fresh.params, next(iter(fresh.params))
     for bad, named in (({n: a for n, a in store.items() if n != first}, first),
                        ({**store, "extra": np.zeros(2)}, "extra"),

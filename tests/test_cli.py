@@ -179,7 +179,7 @@ def test_benchmark_desk_scale_smoke(tmp_path):
     data = _dataset_csv(tmp_path, n=400)
     code = main(["benchmark", "--data", str(data), "--column", "EAST_MW",
                  "--models", "linreg,linear", "--horizons", "1", "--runs", "2",
-                 "--jobs", "2", "--max-epochs", "2", "--desk-scale",
+                 "--max-epochs", "2", "--desk-scale",
                  "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
     run_dir = tmp_path / "benchmark-seed3"
@@ -190,6 +190,7 @@ def test_benchmark_desk_scale_smoke(tmp_path):
     assert config["lookbacks"] == [45]
     assert config["train"]["max_epochs"] == 2  # explicit flag beats the preset
     assert all(m["units"] == 32 for m in config["models"])
+    assert "jobs" not in config
     results = _read_json(run_dir / "results.json")["results"]
     assert len(results) == 4
     assert all(r["error"] is None and r["rmse"] is not None for r in results)
@@ -200,10 +201,20 @@ def test_benchmark_echoes_lookback_per_horizon(tmp_path):
     data = _dataset_csv(tmp_path, n=600)
     code = main(["benchmark", "--data", str(data), "--column", "EAST_MW",
                  "--models", "linreg", "--horizons", "1,6,12", "--runs", "1",
-                 "--jobs", "1", "--out", str(tmp_path)])
+                 "--out", str(tmp_path)])
     assert code == 0
     config = _read_json(tmp_path / "benchmark-seed0" / "config.json")
     assert config["lookbacks"] == [45, 45, 60]
+    assert "jobs" not in config
+
+
+def test_benchmark_has_no_jobs_flag(tmp_path, capsys):
+    data = _dataset_csv(tmp_path, n=400)
+    code = main(["benchmark", "--data", str(data), "--column", "EAST_MW",
+                 "--models", "linreg", "--horizons", "1", "--runs", "1",
+                 "--jobs", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_benchmark_replays_exactly_from_config(tmp_path):
@@ -212,6 +223,9 @@ def test_benchmark_replays_exactly_from_config(tmp_path):
           "--models", "linreg", "--horizons", "1,6", "--runs", "2",
           "--seed", "5", "--out", str(tmp_path / "first")])
     first_dir = tmp_path / "first" / "benchmark-seed5"
+    # configs echoed before the matrix became serial carry a "jobs" key
+    config = _read_json(first_dir / "config.json")
+    (first_dir / "config.json").write_text(json.dumps({**config, "jobs": 2}))
     code = main(["benchmark", "--config", str(first_dir / "config.json"),
                  "--out", str(tmp_path / "second")])
     assert code == 0
