@@ -18,17 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .numerics import ShapeError, affine_forward, as_matrix
-from .stan_core import (
-    LayerStack,
-    NetworkSpec,
-    ParamStore,
-    StanNetwork,
-    check_store,
-    count_parameters,
-    init_params,
-    network_shapes,
-    stack_shapes,
-)
+from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_store
 
 __all__ = [
     "MODEL_KINDS",
@@ -38,10 +28,6 @@ __all__ = [
     "LinearRegressionModel",
     "LinearNetwork",
     "MlpNetwork",
-    "mlp_count_parameters",
-    "linear_count_parameters",
-    "init_mlp",
-    "init_linear",
 ]
 
 
@@ -118,24 +104,6 @@ class LinearRegressionModel:
         return int(self.weights.shape[1])
 
 
-# A relu MLP is the smooth-transition network without the gates, and the
-# linear network is the same stack at depth 0.
-def mlp_count_parameters(spec: NetworkSpec) -> int:
-    return count_parameters(spec, gated=False)
-
-
-def init_mlp(spec: NetworkSpec, seed: int) -> ParamStore:
-    return init_params(network_shapes(spec, gated=False), seed)
-
-
-def linear_count_parameters(lookback: int, horizon: int) -> int:
-    return lookback * horizon + horizon
-
-
-def init_linear(lookback: int, horizon: int, seed: int) -> ParamStore:
-    return init_params(stack_shapes(lookback, horizon), seed)
-
-
 class MlpNetwork(LayerStack):
     """Plain relu MLP: a ``LayerStack`` without gates."""
 
@@ -166,11 +134,9 @@ class ModelKind:
 
     column: str  # benchmark column name; sized kinds fill in {units} and {depth}
     # (lookback, horizon, units, depth, params=None, seed=0) -> model, rebuilt
-    # from ``params`` or drawn fresh from ``seed``; unsized kinds ignore units and depth
+    # from ``params`` after a name and shape check or drawn fresh from ``seed``;
+    # unsized kinds ignore units and depth
     build: Callable[..., object]
-    # (lookback, horizon, units, depth) -> {name: shape} of the parameters
-    # ``build`` makes at those sizes, derived without drawing any weights
-    shapes: Callable[..., dict[str, tuple[int, ...]]]
     sized: bool = False
     fit: Callable[..., object] | None = None  # closed-form fit(x, y), no gradient descent
 
@@ -180,21 +146,14 @@ class ModelKind:
 
 
 def _network(cls):
-    """``build`` and ``shapes`` of a sized ``LayerStack`` kind; its ``NetworkSpec`` rejects depth 0."""
-    def spec(lookback, horizon, units, depth):
-        return NetworkSpec(lookback, units, depth, horizon)
+    """``build`` of a sized ``LayerStack`` kind; its ``NetworkSpec`` rejects depth 0."""
     return (lambda lookback, horizon, units, depth, params=None, seed=0:
-            cls(spec(lookback, horizon, units, depth), params, seed),
-            lambda lookback, horizon, units, depth: network_shapes(spec(lookback, horizon, units, depth), cls.gated))
-
-
-def _linreg_shapes(lookback, horizon, units=None, depth=None):
-    return {"weights": (lookback + 1, horizon)}
+            cls(NetworkSpec(lookback, units, depth, horizon), params, seed))
 
 
 def _build_linreg(lookback, horizon, units=None, depth=None, params=None, seed=0):
     """Zero weights, or the given store after ``check_store``; nothing is drawn."""
-    shapes = _linreg_shapes(lookback, horizon)
+    shapes = {"weights": (lookback + 1, horizon)}
     if params is None:
         return LinearRegressionModel(np.zeros(shapes["weights"]))
     owner = f"LinearRegressionModel(lookback={lookback}, horizon={horizon})"
@@ -202,10 +161,9 @@ def _build_linreg(lookback, horizon, units=None, depth=None, params=None, seed=0
 
 
 MODEL_KINDS: dict[str, ModelKind] = {
-    "stan": ModelKind("STAN-{units}-{depth}", *_network(StanNetwork), sized=True),
-    "mlp": ModelKind("MLP-{units}-{depth}", *_network(MlpNetwork), sized=True),
+    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True),
+    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), sized=True),
     "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
-                        LinearNetwork(lookback, horizon, params, seed),
-                        lambda lookback, horizon, units=None, depth=None: stack_shapes(lookback, horizon)),
-    "linreg": ModelKind("LinReg", _build_linreg, _linreg_shapes, fit=LinearRegressionModel.fit),
+                        LinearNetwork(lookback, horizon, params, seed)),
+    "linreg": ModelKind("LinReg", _build_linreg, fit=LinearRegressionModel.fit),
 }

@@ -3,9 +3,10 @@
 A checkpoint holds the kind, its ``spec`` (the sizes the registry builds it
 from) and the named parameter arrays. Floats serialize through ``repr``
 (shortest round-trip form), so a saved model reloads bit-identically. Saving
-refuses non-finite values and replaces the file atomically; loading checks
-every parameter's name and shape against the shapes the kind derives from
-the ``spec``, without building or drawing a fresh model.
+refuses non-finite values and replaces the file atomically. Loading checks
+the document's structure and each array's data, then rebuilds the model
+through the registry, whose store check rejects a missing, extra or
+wrong-shaped parameter before any weights are allocated.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .baselines import MODEL_KINDS
 from .data import ScalerParams
+from .numerics import ShapeError
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -61,10 +63,11 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
     return path
 
 
-def _load_array(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
+def _load_array(name: str, entry) -> np.ndarray:
     try:
-        if entry["shape"] != list(shape):
-            raise ValueError(f"shape {entry['shape']!r} does not match spec shape {list(shape)}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
@@ -86,10 +89,12 @@ def _parse(doc):
     if not isinstance(spec, dict) or sorted(spec) != sorted(kind.spec_keys) \
             or not all(type(v) is int and v >= 1 for v in spec.values()):
         raise CheckpointError(f"spec must map {list(kind.spec_keys)} to positive integers, got {spec!r}")
-    shapes = kind.shapes(**spec)
-    if not isinstance(raw, dict) or set(raw) != set(shapes):
-        raise CheckpointError(f"params must be an object of the arrays {sorted(shapes)}")
-    model = kind.build(**spec, params={name: _load_array(name, raw[name], shape) for name, shape in shapes.items()})
+    if not isinstance(raw, dict):
+        raise CheckpointError("params must be an object of named arrays")
+    try:
+        model = kind.build(**spec, params={name: _load_array(name, entry) for name, entry in raw.items()})
+    except ShapeError as exc:
+        raise CheckpointError(str(exc)) from None
     try:
         return model, None if scaler is None else ScalerParams(mean=scaler["mean"], std=scaler["std"])
     except (TypeError, KeyError, ValueError) as exc:

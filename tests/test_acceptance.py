@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ConstantModel, stan_fd_problem
-from stanforge.baselines import (
-    LinearRegressionModel,
-    MlpNetwork,
-    linear_count_parameters,
-    mlp_count_parameters,
-)
+from stanforge.baselines import LinearNetwork, LinearRegressionModel, MlpNetwork
 from stanforge.data import (
     TimeSeries,
     WindowedDataset,
@@ -75,7 +70,7 @@ def test_published_parameter_counts():
                         for h in horizons],
         "stan-3000-4": [millions(count_parameters(NetworkSpec(lookback_for(h), 3000, 4, h)))
                         for h in horizons],
-        "mlp-3000-3": [millions(mlp_count_parameters(NetworkSpec(lookback_for(h), 3000, 3, h)))
+        "mlp-3000-3": [millions(count_parameters(NetworkSpec(lookback_for(h), 3000, 3, h), gated=False))
                        for h in horizons],
     }
     want = {
@@ -84,7 +79,7 @@ def test_published_parameter_counts():
         "mlp-3000-3": [18.1, 18.2, 18.2],
     }
     lookbacks = [lookback_for(h) for h in horizons]
-    linear_count = linear_count_parameters(45, 1)
+    linear_count = LinearNetwork(45, 1).num_params()
     ok = got == want and lookbacks == [45, 45, 60] and linear_count == 46
     _report("parameter-counts", ok,
             f"{got} vs {want}, lookbacks {lookbacks}, linear {linear_count}")

@@ -162,7 +162,7 @@ def test_oversized_spec_is_refused_without_building_the_model(tmp_path):
     assert path.stat().st_size == 161
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="params must be an object"):
+        with pytest.raises(CheckpointError, match="parameter store does not match StanNetwork"):
             load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -6,15 +6,20 @@ so nothing here shells out and nothing leaks into ./runs.
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sine_series
 from stanforge.checkpoint import load_checkpoint
-from stanforge.cli import main
+from stanforge.cli import _plan_from_args, build_parser, main
 from stanforge.data import TimeSeries, load_pjm_csv, prepare_splits, write_pjm_csv
 from stanforge.eval_bench import rmse
+from stanforge.training import TrainConfig
 
 
 def _dataset_csv(tmp_path, n=400, name="EAST"):
@@ -300,3 +305,124 @@ def test_broken_config_files_exit_1(tmp_path, capsys, content, problem):
 def test_missing_config_file_exits_1(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path)]) == 1
+
+
+# ---------------------------------------------------- config and replays
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pjm-layout", "--phi", "0.5,0.2", "--theta=-1,0.3", "--delay", "2"],
+    ["fixtures", "--regions", "A,B", "--n", "120"],
+    ["train", "--model", "mlp", "--max-epochs", "2", "--units", "4", "--depth", "1"],
+    ["gradcheck", "--corrupt", "theta"],
+], ids=lambda argv: argv[0])
+def test_replay_from_echoed_config_is_byte_identical(tmp_path, argv):
+    if argv[0] == "train":
+        argv = argv + ["--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW"]
+    code = main(argv + ["--out", str(tmp_path / "first")])
+    first = tmp_path / "first" / f"{argv[0]}-seed0"
+    replay = main([argv[0], "--config", str(first / "config.json"), "--out", str(tmp_path / "second")])
+    second = tmp_path / "second" / f"{argv[0]}-seed0"
+    assert replay == code
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        if name != "history.csv":  # carries wall-clock seconds
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("subcommand,config", [
+    ("simulate", {"n": 1.7}),
+    ("simulate", {"n": [3]}),
+    ("simulate", {"n": True}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"phi": "a,b"}),
+    ("gradcheck", {"units": {"a": 1}}),
+    ("gradcheck", {"corrupt": "bogus"}),
+    ("benchmark", {"horizons": "1,,x"}),
+])
+def test_malformed_config_value_exits_1_naming_the_key(tmp_path, capsys, subcommand, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    key = next(iter(config))
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["benchmark"], None),
+    (["train"], None),
+    (["simulate"], {"burn_in": {"steps": 3}}),
+])
+def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_null_means_unset(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": None, "regions": None, "jobs": 2}))
+    assert main(["fixtures", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "fixtures-seed0" / "config.json") == {"regions": ["EAST", "WEST"], "n": 4000, "seed": 0}
+
+
+@pytest.mark.parametrize("config,n", [({"n": 3.0}, 3), ({"n": 1e2}, 100)])
+def test_config_whole_numbers_count_as_integers(tmp_path, config, n):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "simulate-seed0" / "config.json")["n"] == n
+
+
+def test_train_overrides_are_flags_not_config_keys(tmp_path):
+    data = _dataset_csv(tmp_path, n=260)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"data": str(data), "column": "EAST_MW", "model": "mlp", "units": 4, "depth": 1,
+                                  "max_epochs": 5, "batch_size": 8, "lr": 0.5, "train": {"max_epochs": 1}}))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    echoed = _read_json(tmp_path / "train-seed0" / "config.json")
+    assert not {"max_epochs", "batch_size", "lr"} & set(echoed)
+    assert echoed["train"]["max_epochs"] == 1  # the top-level 5 is ignored
+    assert echoed["train"]["batch_size"] == TrainConfig().batch_size
+    assert echoed["train"]["lr"] == TrainConfig().lr
+    assert _read_json(tmp_path / "train-seed0" / "summary.json")["epochs"] == 1
+
+
+def test_benchmark_reads_data_and_overrides_only_from_flags_and_train(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"desk_scale": True, "max_epochs": 5, "data": "elsewhere.csv", "column": "X",
+                                  "datasets": [{"path": "east.csv", "column": "EAST_MW"}]}))
+    plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)]))
+    assert [(d.path, d.column) for d in plan.datasets] == [("east.csv", "EAST_MW")]
+    assert plan.train.max_epochs == 40  # the desk-scale preset, not the top-level key
+    plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config), "--max-epochs", "3"]))
+    assert plan.train.max_epochs == 3
+
+
+_coefficients = st.lists(st.floats(-0.45, 0.45, allow_subnormal=False), min_size=2, max_size=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 30), burn_in=st.integers(0, 5), seed=st.integers(0, 3),
+    phi0=st.floats(-1.0, 1.0), phi=_coefficients, theta=_coefficients,
+    gamma=st.floats(0.5, 30.0), c=st.floats(-1.0, 1.0), delay=st.integers(1, 2),
+    sigma=st.floats(0.0, 0.5), name=st.sampled_from(["SIM", "RIDGE"]), pjm_layout=st.booleans(),
+)
+def test_simulate_flags_and_config_mean_the_same(n, burn_in, seed, phi0, phi, theta, gamma, c, delay,
+                                                 sigma, name, pjm_layout):
+    values = dict(n=n, burn_in=burn_in, seed=seed, phi0=phi0, phi=phi, theta=theta, gamma=gamma, c=c,
+                  delay=delay, sigma=sigma, name=name, pjm_layout=pjm_layout)
+    flags = [f"--{key.replace('_', '-')}={','.join(map(str, value)) if isinstance(value, list) else value}"
+             for key, value in values.items() if key != "pjm_layout"] + ["--pjm-layout"] * pjm_layout
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(values))
+        assert main(["simulate", *flags, "--out", str(tmp / "flags")]) == 0
+        assert main(["simulate", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "config")]) == 0
+        by_flags, by_config = tmp / "flags" / f"simulate-seed{seed}", tmp / "config" / f"simulate-seed{seed}"
+        assert _read_json(by_flags / "config.json") == _read_json(by_config / "config.json") == values
+        assert (by_flags / "series.csv").read_bytes() == (by_config / "series.csv").read_bytes()
