@@ -19,7 +19,10 @@ as a flag, a JSON list means its comma-joined text, ``3.0`` counts as an
 integer and ``null`` leaves the option unset. Flags beat config values, which
 beat the defaults. ``train`` (TrainConfig fields, overridden only by flags)
 and, for ``benchmark``, ``datasets`` and ``models`` have their own handlers;
-other keys, ``benchmark``'s ``data``/``column`` among them, are ignored.
+other keys, ``benchmark``'s ``data``/``column`` among them, are ignored. Their
+integer fields (a ``train`` field whose default is an integer, a model
+entry's ``units`` and ``depth``) take JSON integers or whole-number floats,
+and ``train``'s other fields take numbers; ``true``/``false`` is neither.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric failure.
 """
@@ -192,6 +195,21 @@ def _write_json(path: Path, doc: dict) -> None:
         handle.write("\n")
 
 
+def _whole(value, where: str) -> int:
+    """A JSON integer; a whole-number float such as ``3.0`` counts as one."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, where: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{where} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
     merged = asdict(TrainConfig())
     file_train = args.config.get("train", {})
@@ -200,7 +218,10 @@ def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
     unknown = set(file_train) - set(merged)
     if unknown:
         raise UsageError(f"unknown train config key(s): {sorted(unknown)}")
-    merged.update(file_train)
+    for key, value in file_train.items():
+        # a field is an integer field when its default is one
+        check = _whole if isinstance(merged[key], int) else _number
+        merged[key] = check(value, f"config key 'train.{key}'")
     if preset_epochs is not None and args.max_epochs is None and "max_epochs" not in file_train:
         merged["max_epochs"] = preset_epochs
     for key in ("max_epochs", "batch_size", "lr"):
@@ -344,9 +365,10 @@ def _plan_from_args(args) -> BenchmarkPlan:
         models = [ModelEntry(kind=k, units=units, depth=args.depth) for k in args.models]
     elif cfg.get("models") is not None:
         try:
-            models = [ModelEntry(kind=entry["kind"], units=int(entry.get("units", units)),
-                                 depth=int(entry.get("depth", args.depth)), name=entry.get("name", ""))
-                      for entry in cfg["models"]]
+            models = [ModelEntry(kind=entry["kind"], name=entry.get("name", ""),
+                                 units=_whole(entry.get("units", units), f"config key 'models' entry {i} 'units'"),
+                                 depth=_whole(entry.get("depth", args.depth), f"config key 'models' entry {i} 'depth'"))
+                      for i, entry in enumerate(cfg["models"])]
         except (TypeError, KeyError, AttributeError, ValueError) as exc:
             raise UsageError(f"each model entry needs at least a 'kind': {exc!r}") from None
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -39,6 +40,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+# the one stamp shape the loader takes; NumPy alone would also take looser ones
+_STAMP_SHAPE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+# rows per block that the CSV reader parses and the writer formats at once
+_BLOCK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -83,50 +88,101 @@ def hourly_timestamps(n: int, start: str = "2015-01-01 00:00:00") -> np.ndarray:
     return first + np.arange(n) * np.timedelta64(3600, "s")
 
 
+def _column_at(fields: list[str], name: str) -> int:
+    """Index of the last ``name`` column, the one ``csv.DictReader`` keeps."""
+    return len(fields) - 1 - fields[::-1].index(name)
+
+
+def _check_row(path: Path, lineno: int, raw_stamp: str, raw_value: str) -> None:
+    """Raise DataFormatError naming ``lineno`` if its stamp or value does not parse."""
+    try:
+        if not _STAMP_SHAPE.fullmatch(raw_stamp):
+            raise ValueError(raw_stamp)
+        np.datetime64(raw_stamp, "s")
+    except ValueError:
+        raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
+    try:
+        float(raw_value)
+    except ValueError:
+        raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
+
+
+def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stamps and values of the rows that have a value, in file order, and
+    the count of rows whose value cell is blank.
+
+    Rows are parsed a block at a time, so no list of every row's text is
+    held. A blank row is skipped without being counted as a line, as
+    ``csv.DictReader`` skips it. With ``careful`` every row is parsed on its
+    own and the first bad one raises DataFormatError naming its line; without
+    it a bad row raises a plain ValueError.
+    """
+    stamps: list[str] = []
+    values: list[float] = []
+    stamp_blocks: list[np.ndarray] = []
+    value_blocks: list[np.ndarray] = []
+
+    def flush():
+        stamp_blocks.append(np.array(stamps, dtype="datetime64[s]"))
+        value_blocks.append(np.array(values, dtype=np.float64))
+        stamps.clear()
+        values.clear()
+
+    missing = 0
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        fields = next(reader, [])
+        if "Datetime" not in fields or column_name not in fields:
+            raise DataFormatError(
+                f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
+            )
+        stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            raw_value = row[value_at] if value_at < len(row) else ""
+            if raw_value.strip() == "":
+                missing += 1
+                continue
+            raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
+            if careful:
+                _check_row(path, lineno, raw_stamp, raw_value)
+            elif not _STAMP_SHAPE.fullmatch(raw_stamp):
+                raise ValueError(f"timestamp {raw_stamp!r}")
+            stamps.append(raw_stamp)
+            values.append(float(raw_value))
+            if len(stamps) == _BLOCK_ROWS:
+                flush()
+    flush()
+    return np.concatenate(stamp_blocks), np.concatenate(value_blocks), missing
+
+
 def load_pjm_csv(path, column_name: str) -> TimeSeries:
     """Load one region's series from an hourly-consumption CSV.
 
-    The header must contain ``Datetime`` and ``column_name``. Rows are sorted
-    by timestamp; among duplicate timestamps the first row in file order is
+    The header must contain ``Datetime`` and ``column_name``. Every stamp
+    must have exactly the shape ``YYYY-MM-DD HH:MM:SS`` (zero-padded, one
+    space, no zone, year 0001 or later) and name a real calendar time;
+    looser forms that NumPy's parser would take, such as a date alone, a
+    ``T`` separator or missing seconds, are rejected. Rows are sorted by
+    timestamp; among duplicate timestamps the first row in file order is
     kept; rows with an empty value cell are dropped. Drops are logged as
     warnings. Unparseable timestamps or values raise DataFormatError naming
     the offending line.
     """
     path = Path(path)
-    stamps: list[datetime] = []
-    values: list[float] = []
-    missing = 0
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        if "Datetime" not in fields or column_name not in fields:
-            raise DataFormatError(
-                f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            raw_value = row.get(column_name)
-            if raw_value is None or raw_value.strip() == "":
-                missing += 1
-                continue
-            raw_stamp = row.get("Datetime") or ""
-            try:
-                stamp = datetime.strptime(raw_stamp, TIMESTAMP_FORMAT)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}"
-                ) from None
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path.name} line {lineno}: unparseable value {raw_value!r}"
-                ) from None
-            stamps.append(stamp)
-            values.append(value)
-    if not stamps:
+    try:
+        stamp_arr, value_arr, missing = _read_rows(path, column_name, careful=False)
+    except DataFormatError:
+        raise
+    except ValueError:
+        # a bad row: read again, row by row, so the error names its line
+        _read_rows(path, column_name, careful=True)
+        raise
+    if not value_arr.size:
         raise DataFormatError(f"{path.name}: no usable rows for column {column_name!r}")
-    stamp_arr = np.array(stamps, dtype="datetime64[s]")
-    value_arr = np.array(values, dtype=np.float64)
     order = np.argsort(stamp_arr, kind="stable")
     stamp_arr = stamp_arr[order]
     value_arr = value_arr[order]
@@ -144,16 +200,18 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
 def write_pjm_csv(series: TimeSeries, path) -> Path:
     """Write ``series`` in the same layout ``load_pjm_csv`` reads.
 
-    Values are written with ``repr`` so a load round-trips bit-exactly.
+    Stamps are written ``YYYY-MM-DD HH:MM:SS``, formatted by NumPy a block of
+    rows at a time, and values with ``repr`` so a load round-trips bit-exactly.
     """
     path = Path(path)
     stamps = series.timestamps.astype("datetime64[s]")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["Datetime", f"{series.name}_MW"])
-        for stamp, value in zip(stamps, series.values):
-            text = stamp.item().strftime(TIMESTAMP_FORMAT)
-            writer.writerow([text, repr(float(value))])
+        for start in range(0, len(stamps), _BLOCK_ROWS):
+            block = np.datetime_as_string(stamps[start: start + _BLOCK_ROWS], unit="s")
+            texts = [text.replace("T", " ") for text in block.tolist()]
+            writer.writerows(zip(texts, map(repr, series.values[start: start + _BLOCK_ROWS].tolist())))
     return path
 
 

@@ -13,7 +13,7 @@ estimator stays an independent oracle for the layer code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,14 +135,6 @@ def default_c_grid(values, count: int = 15) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=np.float64), probs)
 
 
-@dataclass
-class _Candidate:
-    sse: float = np.inf
-    gamma: float = np.nan
-    c: float = np.nan
-    coef: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
 def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=None) -> tuple[LstarParams, float]:
     """Fit a logistic STAR by concentrated least squares over a (gamma, c) grid.
 
@@ -153,6 +145,17 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     to the smallest gamma, then the smallest c. Grid points whose regressor
     matrix is numerically rank deficient are skipped; if every point is
     skipped, EstimationError is raised.
+
+    The search factors the fixed block ``[1, lags]`` once, as Q1 R1. By
+    Frisch-Waugh-Lovell a grid point then needs only the gated block
+    residualized on Q1, next to the target residualized the same way, and
+    the R factor of that narrow matrix: its last diagonal entry is the
+    residual norm, so the SSE is its square (Teräsvirta 1994, JASA 89:208).
+    The points are then refit by ``np.linalg.lstsq`` on the full design in
+    order of that SSE, and the first one lstsq finds full rank, by its
+    default ``rcond = eps * max(M, N)`` rule, wins. Usually that is the
+    first point; the rank rule and the returned coefficients and SSE are
+    exactly those of a full lstsq search whenever the SSE order agrees.
 
     Parameters
     ----------
@@ -188,39 +191,52 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         raise ValueError("gamma candidates must be positive")
 
     target = values[q:]
-    lags = np.column_stack([values[q - i: n - i] for i in range(1, q + 1)])
+    # column-major like ``aug`` below, so the per-point product streams
+    lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
     z = values[q - int(delay): n - int(delay)]
-    ones = np.ones(n - q)
-    ncols = 1 + 2 * q
+    m, ncols = n - q, 1 + 2 * q  # rows and columns of the full design
 
-    best = _Candidate()
-    skipped = 0
-    for gamma in gamma_candidates:
-        for c in c_candidates:
-            gate = _logistic(gamma * (z - c))
-            design = np.column_stack([ones, lags, lags * gate[:, None]])
-            coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-            if rank < ncols:
-                skipped += 1
-                continue
-            resid = target - design @ coef
-            sse = float(resid @ resid)
-            # strict < keeps the first (smallest gamma, then c) among exact ties
-            if sse < best.sse:
-                best = _Candidate(sse=sse, gamma=gamma, c=c, coef=coef)
-    if not np.isfinite(best.sse):
+    basis = np.linalg.qr(np.column_stack([np.ones(m), lags]))[0]
+    # columns: the residualized gated block, then the residualized target
+    aug = np.empty((m, q + 1), order="F")
+    aug[:, q] = target - basis @ (basis.T @ target)
+    gated = aug[:, :q]
+    tmp = np.empty_like(gated)
+    sse = np.empty((len(gamma_candidates), len(c_candidates)))
+    for i, gamma in enumerate(gamma_candidates):
+        for j, c in enumerate(c_candidates):
+            np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=gated)
+            gated -= np.matmul(basis, basis.T @ gated, out=tmp)
+            sse[i, j] = np.linalg.qr(aug, mode="r")[q, q] ** 2
+    del basis, aug, gated, tmp
+
+    # from the smallest SSE on, the first point whose design lstsq finds full
+    # rank wins; the stable sort keeps exact ties on the smallest gamma, then c
+    for flat in np.argsort(sse, axis=None, kind="stable"):
+        gamma, c = gamma_candidates[flat // len(c_candidates)], c_candidates[flat % len(c_candidates)]
+        gate = _logistic(gamma * (z - c))
+        # row-major, as column_stack of row-major lags makes it: the layout moves lstsq's bits
+        design = np.empty((m, ncols))
+        design[:, 0] = 1.0
+        design[:, 1: q + 1] = lags
+        np.multiply(lags, gate[:, None], out=design[:, q + 1:])
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank == ncols:
+            break
+    else:
         raise EstimationError(
-            f"regressor matrix was rank deficient at all {skipped} grid points; "
+            f"regressor matrix was rank deficient at all {sse.size} grid points; "
             "the series may not excite both regimes"
         )
-    sigma = float(np.sqrt(best.sse / (n - q)))
+    resid = target - design @ coef
+    best_sse = float(resid @ resid)
     params = LstarParams(
-        phi0=float(best.coef[0]),
-        phi=best.coef[1: q + 1].copy(),
-        theta=best.coef[q + 1:].copy(),
-        gamma=best.gamma,
-        c=best.c,
+        phi0=float(coef[0]),
+        phi=coef[1: q + 1].copy(),
+        theta=coef[q + 1:].copy(),
+        gamma=gamma,
+        c=c,
         delay=int(delay),
-        sigma=sigma,
+        sigma=float(np.sqrt(best_sse / m)),
     )
-    return params, best.sse
+    return params, best_sse

@@ -156,6 +156,31 @@ def test_train_rejects_unknown_train_config_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_epochs", 2.5), ("batch_size", 64.5), ("es_patience", 1.5), ("plateau_patience", 0.5),
+    ("es_start_epoch", "6"), ("seed", None), ("max_epochs", True), ("lr", True), ("es_min_delta", False),
+    ("lr", "0.01"), ("beta1", [0.9]),
+])
+def test_train_config_fields_are_type_checked(tmp_path, capsys, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {key: value}}))
+    data = _dataset_csv(tmp_path, n=260)
+    code = main(["train", "--data", str(data), "--column", "EAST_MW",
+                 "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"config key 'train.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_config_whole_numbers_count_as_integers(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
+                                  "train": {"max_epochs": 3.0, "batch_size": 1e1, "lr": 1}}))
+    train = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)])).train
+    assert (train.max_epochs, train.batch_size, train.lr) == (3, 10, 1)
+    assert isinstance(train.max_epochs, int) and isinstance(train.batch_size, int)
+
+
 # --------------------------------------------------------------- gradcheck
 
 
@@ -361,6 +386,29 @@ def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, confi
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry,key", [
+    ({"kind": "mlp", "units": 1.7, "depth": 2}, "units"),
+    ({"kind": "mlp", "units": 4, "depth": 2.9}, "depth"),
+    ({"kind": "stan", "units": True}, "units"),
+    ({"kind": "stan", "depth": "3"}, "depth"),
+])
+def test_benchmark_model_entry_sizes_must_be_integers(tmp_path, capsys, entry, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
+                                  "models": [{"kind": "linreg"}, entry]}))
+    assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert f"config key 'models' entry 1 {key!r} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_model_entry_whole_number_sizes_are_accepted(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
+                                  "models": [{"kind": "mlp", "units": 4.0, "depth": 2e0}]}))
+    plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)]))
+    assert [(m.name, m.units, m.depth) for m in plan.models] == [("MLP-4-2", 4, 2)]
 
 
 def test_config_null_means_unset(tmp_path):

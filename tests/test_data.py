@@ -1,7 +1,13 @@
+import csv
 import logging
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sine_series
 from stanforge.data import (
@@ -123,6 +129,165 @@ def test_write_then_load_round_trips_bit_exactly(tmp_path):
     assert back.name == "WEST"
     assert np.array_equal(back.values, series.values)
     assert np.array_equal(back.timestamps, series.timestamps.astype("datetime64[s]"))
+
+
+# ------------------------------------------------- stamp shape and parsing ---
+
+REFERENCE_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+
+def _reference_load(path, column_name):
+    """The row-by-row ``strptime`` loader this package used to ship, kept as
+    the referee: (stamps, values, warning counts), or DataFormatError."""
+    stamps, values, missing = [], [], 0
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        fields = reader.fieldnames or []
+        if "Datetime" not in fields or column_name not in fields:
+            raise DataFormatError("columns")
+        for lineno, row in enumerate(reader, start=2):
+            raw_value = row.get(column_name)
+            if raw_value is None or raw_value.strip() == "":
+                missing += 1
+                continue
+            try:
+                stamp = datetime.strptime(row.get("Datetime") or "", REFERENCE_FORMAT)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}") from None
+            stamps.append(stamp)
+            values.append(float(raw_value))
+    if not stamps:
+        raise DataFormatError("no usable rows")
+    stamp_arr = np.array(stamps, dtype="datetime64[s]")
+    value_arr = np.array(values, dtype=np.float64)
+    order = np.argsort(stamp_arr, kind="stable")
+    stamp_arr, value_arr = stamp_arr[order], value_arr[order]
+    keep = np.ones(len(stamp_arr), dtype=bool)
+    keep[1:] = stamp_arr[1:] != stamp_arr[:-1]
+    counts = {"missing": missing, "duplicate": int((~keep).sum())}
+    return stamp_arr[keep], value_arr[keep], {k: v for k, v in counts.items() if v}
+
+
+def _reference_write(series, path):
+    """The row-by-row ``strftime`` writer this package used to ship."""
+    stamps = series.timestamps.astype("datetime64[s]")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["Datetime", f"{series.name}_MW"])
+        for stamp, value in zip(stamps, series.values):
+            writer.writerow([stamp.item().strftime(REFERENCE_FORMAT), repr(float(value))])
+
+
+class _WarningCounts(logging.Handler):
+    """Collects the drop counts ``load_pjm_csv`` logs."""
+
+    def __init__(self):
+        super().__init__(level=logging.WARNING)
+        self.counts = {}
+
+    def emit(self, record):
+        self.counts["missing" if "missing" in record.msg else "duplicate"] = record.args[1]
+
+
+@pytest.mark.parametrize("stamp", [
+    "2015-01-01",            # date alone
+    "2015-01-01T00:00:00",   # ISO separator
+    "2015-01-01 00:00",      # no seconds
+    "2015-1-1 00:00:00",     # not zero-padded
+    " 2015-01-01 00:00:00",  # leading space
+    "2015-02-30 00:00:00",   # no such day
+    "2015-01-01 24:00:00",
+    "0000-01-01 00:00:00",   # year 0
+])
+def test_load_rejects_any_other_stamp_shape_naming_its_line(tmp_path, stamp):
+    path = tmp_path / "stamp.csv"
+    path.write_text(f"Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n{stamp},2.0\n2015-01-01 02:00:00,3.0\n")
+    with pytest.raises(DataFormatError, match=f"line 3: unparseable timestamp {stamp!r}"):
+        load_pjm_csv(path, "AEP_MW")
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["2015-02-30 00:00:00,1.0", "2015-01-01 01:00:00,oops"], "line 2: unparseable timestamp"),
+    (["2015-01-01 00:00:00,oops", "2015-02-30 01:00:00,1.0"], "line 2: unparseable value"),
+])
+def test_load_reports_the_first_bad_line(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("Datetime,AEP_MW\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError, match=message):
+        load_pjm_csv(path, "AEP_MW")
+
+
+_starts = st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9000, 1, 1)).map(
+    lambda d: d.replace(microsecond=0))
+_cells = st.one_of(st.sampled_from(["", " "]), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=_starts, rows=st.lists(st.tuples(st.integers(0, 900), _cells), min_size=1, max_size=600))
+def test_load_matches_strptime_reference(start, rows):
+    # offsets in file order: repeats are duplicate stamps, holes are gaps,
+    # and the order is shuffled; blank cells are missing values
+    text = "Datetime,AEP_MW\n" + "".join(
+        f"{(start + timedelta(hours=h)).strftime(REFERENCE_FORMAT)},{cell}\n" for h, cell in rows)
+    handler = _WarningCounts()
+    logger = logging.getLogger("stanforge.data")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "aep.csv"
+        path.write_text(text)
+        logger.addHandler(handler)
+        try:
+            try:
+                series = load_pjm_csv(path, "AEP_MW")
+            except DataFormatError:
+                with pytest.raises(DataFormatError, match="no usable rows"):
+                    _reference_load(path, "AEP_MW")
+                return
+        finally:
+            logger.removeHandler(handler)
+        stamps, values, counts = _reference_load(path, "AEP_MW")
+    assert np.array_equal(series.timestamps, stamps)
+    assert series.values.tobytes() == values.tobytes()
+    assert handler.counts == counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=_starts,
+    steps=st.lists(st.integers(1, 5000), min_size=1, max_size=600),
+    seconds=st.booleans(),
+    name=st.sampled_from(["WEST", "A,B", 'Q"T']),
+    data=st.data(),
+)
+def test_write_matches_strftime_reference(start, steps, seconds, name, data):
+    offsets = np.cumsum(steps)
+    if seconds:  # plain integer stamps, as simulate_lstar makes them
+        stamps = offsets.astype(np.int64)
+    else:
+        stamps = np.datetime64(start, "s") + offsets * np.timedelta64(3600, "s")
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(steps), max_size=len(steps)))
+    series = TimeSeries(name=name, timestamps=stamps, values=values)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_pjm_csv(series, Path(tmp) / "new.csv")
+        _reference_write(series, Path(tmp) / "old.csv")
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()
+
+
+def test_csv_io_matches_references_across_blocks(tmp_path):
+    n = 5000  # many blocks of rows
+    series = TimeSeries(name="LONG", timestamps=hourly_timestamps(n),
+                        values=np.random.default_rng(1).standard_normal(n))
+    write_pjm_csv(series, tmp_path / "new.csv")
+    _reference_write(series, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = load_pjm_csv(tmp_path / "new.csv", "LONG_MW")
+    stamps, values, _ = _reference_load(tmp_path / "new.csv", "LONG_MW")
+    assert np.array_equal(back.timestamps, stamps) and back.values.tobytes() == values.tobytes()
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    lines[2999] = "2015-02-30 00:00:00,1.0"  # line 3000, well past the first block
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="line 3000: unparseable timestamp"):
+        load_pjm_csv(tmp_path / "bad.csv", "LONG_MW")
 
 
 # ------------------------------------------------------------- TimeSeries ---

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stanforge.star_classic import (
     DEFAULT_GAMMA_GRID,
     EstimationError,
     ExplosiveDynamicsError,
     LstarParams,
+    _logistic,
     default_c_grid,
     estimate_lstar,
     simulate_lstar,
@@ -190,3 +193,96 @@ def test_estimate_accepts_plain_arrays():
     est_arr, sse_arr = estimate_lstar(series.values, order=1, gamma_grid=(20.0,), c_grid=(0.0,))
     assert sse_ts == sse_arr
     assert est_ts.phi[0] == est_arr.phi[0]
+
+
+# ------------------------------------------- fixed-block search vs lstsq ---
+
+def _reference_search(values, order, gamma_grid, c_grid):
+    """The full-design lstsq grid search this package used to ship, kept as
+    the referee: (gamma, c, coef, sse) of the winner and the sorted SSEs of
+    every full-rank grid point, or EstimationError."""
+    n, q = len(values), order
+    target = values[q:]
+    lags = np.column_stack([values[q - i: n - i] for i in range(1, q + 1)])
+    z = values[q - 1: n - 1]
+    ones = np.ones(n - q)
+    best, sses = None, []
+    for gamma in sorted(gamma_grid):
+        for c in sorted(c_grid):
+            design = np.column_stack([ones, lags, lags * _logistic(gamma * (z - c))[:, None]])
+            coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            if rank < 1 + 2 * q:
+                continue
+            resid = target - design @ coef
+            sse = float(resid @ resid)
+            sses.append(sse)
+            if best is None or sse < best[3]:
+                best = (gamma, c, coef, sse)
+    if best is None:
+        raise EstimationError("rank deficient")
+    return best, sorted(sses)
+
+
+def _same_as_reference(values, order, gamma_grid, c_grid):
+    """Assert estimate_lstar picks the reference's winner, bit for bit, unless
+    the reference's best two SSEs are a near-tie."""
+    try:
+        (gamma, c, coef, sse), sses = _reference_search(values, order, gamma_grid, c_grid)
+    except EstimationError:
+        with pytest.raises(EstimationError, match="rank deficient"):
+            estimate_lstar(values, order=order, gamma_grid=gamma_grid, c_grid=c_grid)
+        return
+    est, est_sse = estimate_lstar(values, order=order, gamma_grid=gamma_grid, c_grid=c_grid)
+    if (est.gamma, est.c) != (gamma, c):
+        # only a near-tie may swap the winner, and only for a point as good
+        assert len(sses) > 1 and sses[1] - sses[0] <= 1e-10 * sses[0]
+        assert est_sse - sse <= 1e-10 * sse
+        return
+    assert est_sse == sse
+    fitted = np.concatenate([[est.phi0], est.phi, est.theta])
+    assert fitted.tobytes() == coef.tobytes()
+
+
+_grid_gammas = st.lists(st.sampled_from(DEFAULT_GAMMA_GRID), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(1, 3),
+    n=st.integers(60, 600),
+    seed=st.integers(0, 2**16),
+    phi=st.floats(-0.6, 0.6),
+    theta=st.floats(-1.2, 1.2),
+    gamma=st.sampled_from([1.0, 5.0, 20.0]),
+    sigma=st.sampled_from([0.01, 0.1, 0.5]),
+    gamma_grid=_grid_gammas,
+    c_count=st.integers(1, 6),
+)
+def test_fixed_block_search_matches_lstsq_reference(order, n, seed, phi, theta, gamma, sigma, gamma_grid, c_count):
+    truth = LstarParams(phi0=0.1, phi=[phi] + [0.05] * (order - 1), theta=[theta] + [0.0] * (order - 1),
+                        gamma=gamma, c=0.0, sigma=sigma)
+    try:
+        values = simulate_lstar(truth, n=n, burn_in=50, seed=seed).values
+    except ExplosiveDynamicsError:
+        assume(False)
+    _same_as_reference(values, order, gamma_grid, default_c_grid(values, count=c_count))
+
+
+def test_saturated_gates_are_skipped_like_lstsq():
+    """Below every observation a steep gate is exactly 1 (the gated block
+    repeats the lags); far above it underflows to exactly 0. Both make the
+    design rank deficient, so both searches skip those points."""
+    truth = LstarParams(phi0=0.1, phi=[0.6, 0.1], theta=[-0.9, 0.0], gamma=10.0, c=0.0, sigma=0.2)
+    values = simulate_lstar(truth, n=500, seed=4).values
+    low, high = values.min(), values.max()
+    saturated = (low - 10.0, low - 5.0, high + 20.0)
+    for gamma in (10.0, 50.0):
+        for c in saturated:
+            with pytest.raises(EstimationError, match="rank deficient at all 1 grid points"):
+                estimate_lstar(values, order=2, gamma_grid=(gamma,), c_grid=(c,))
+    with pytest.raises(EstimationError, match="rank deficient at all 6 grid points"):
+        estimate_lstar(values, order=2, gamma_grid=(10.0, 50.0), c_grid=saturated)
+    mixed = saturated + tuple(default_c_grid(values, count=3))
+    _same_as_reference(values, 2, (10.0, 50.0), mixed)
+    est, _ = estimate_lstar(values, order=2, gamma_grid=(10.0, 50.0), c_grid=mixed)
+    assert low < est.c < high
