@@ -69,7 +69,7 @@ def _load_array(name: str, entry) -> np.ndarray:
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
     if not np.isfinite(arr).all():
         raise CheckpointError(f"parameter {name!r} has non-finite values")
@@ -107,7 +107,7 @@ def load_checkpoint(path):
     try:
         with open(path) as handle:
             return _parse(json.load(handle))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a damaged byte may break the UTF-8 too
         raise CheckpointError(f"{path.name}: not valid JSON: {exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path.name}: {exc}") from None

@@ -112,10 +112,11 @@ def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray,
     the count of rows whose value cell is blank.
 
     Rows are parsed a block at a time, so no list of every row's text is
-    held. A blank row is skipped without being counted as a line, as
-    ``csv.DictReader`` skips it. With ``careful`` every row is parsed on its
-    own and the first bad one raises DataFormatError naming its line; without
-    it a bad row raises a plain ValueError.
+    held. A blank row is skipped, as ``csv.DictReader`` skips it. With
+    ``careful`` every row is parsed on its own and the first bad one raises
+    DataFormatError naming the file line its record starts on, blank lines
+    and lines inside quoted cells counted; without it a bad row raises a
+    plain ValueError.
     """
     stamps: list[str] = []
     values: list[float] = []
@@ -137,11 +138,12 @@ def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray,
                 f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
             )
         stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
-        lineno = 1
+        next_line = reader.line_num + 1
         for row in reader:
+            # the file line the record starts on; a quoted cell may span lines
+            lineno, next_line = next_line, reader.line_num + 1
             if not row:
                 continue
-            lineno += 1
             raw_value = row[value_at] if value_at < len(row) else ""
             if raw_value.strip() == "":
                 missing += 1
@@ -170,7 +172,7 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     timestamp; among duplicate timestamps the first row in file order is
     kept; rows with an empty value cell are dropped. Drops are logged as
     warnings. Unparseable timestamps or values raise DataFormatError naming
-    the offending line.
+    the file line the offending record starts on.
     """
     path = Path(path)
     try:
@@ -202,16 +204,23 @@ def write_pjm_csv(series: TimeSeries, path) -> Path:
 
     Stamps are written ``YYYY-MM-DD HH:MM:SS``, formatted by NumPy a block of
     rows at a time, and values with ``repr`` so a load round-trips bit-exactly.
+
+    The header goes through ``csv.writer``, so a column name that needs
+    quoting is quoted. Each block of data rows is built as one string,
+    ``stamp,repr(value)`` and ``\\r\\n`` per row, and written with one call;
+    one replacement over the block turns the ``T`` of NumPy's ISO stamps into
+    a space, and touches the stamps alone, since a float repr holds no ``T``.
+    The bytes are those ``csv.writer`` would write: a stamp or the repr of a
+    finite float holds no comma, quote or line break, so no field is quoted.
     """
     path = Path(path)
     stamps = series.timestamps.astype("datetime64[s]")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["Datetime", f"{series.name}_MW"])
+        csv.writer(handle).writerow(["Datetime", f"{series.name}_MW"])
         for start in range(0, len(stamps), _BLOCK_ROWS):
-            block = np.datetime_as_string(stamps[start: start + _BLOCK_ROWS], unit="s")
-            texts = [text.replace("T", " ") for text in block.tolist()]
-            writer.writerows(zip(texts, map(repr, series.values[start: start + _BLOCK_ROWS].tolist())))
+            texts = np.datetime_as_string(stamps[start: start + _BLOCK_ROWS], unit="s").tolist()
+            values = series.values[start: start + _BLOCK_ROWS].tolist()
+            handle.write("".join([f"{text},{value!r}\r\n" for text, value in zip(texts, values)]).replace("T", " "))
     return path
 
 

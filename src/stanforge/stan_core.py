@@ -302,10 +302,13 @@ class LayerStack:
     def __init__(self, lookback: int, horizon: int, units: int, depth: int,
                  params: ParamStore | None, seed: int):
         self.lookback, self.horizon, self.units, self.depth = lookback, horizon, units, depth
+        owner = f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})"
+        if params is not None and depth > len(params):
+            # every layer stores its own arrays; refused here, a depth read from a
+            # file never makes ``stack_shapes`` list more names than the store holds
+            raise ShapeError(f"parameter store does not match {owner}: {len(params)} arrays cannot hold {depth} layers")
         expected = stack_shapes(lookback, horizon, units, depth, self.gated)
-        self.params = init_params(expected, seed) if params is None else check_store(
-            params, expected,
-            f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})")
+        self.params = init_params(expected, seed) if params is None else check_store(params, expected, owner)
 
     def layer_params(self, i: int) -> StanLayerParams:
         return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))

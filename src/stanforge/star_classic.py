@@ -33,6 +33,9 @@ DIVERGENCE_LIMIT = 1e12
 
 DEFAULT_GAMMA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
+# simulation steps whose noise is converted to floats, and values stored, at once
+_SIM_BLOCK = 256
+
 
 class ExplosiveDynamicsError(RuntimeError):
     """Simulated series exceeded the divergence limit."""
@@ -43,13 +46,24 @@ class EstimationError(RuntimeError):
 
 
 def _logistic(t):
-    """Overflow-safe logistic, evaluated without exponentiating positive arguments."""
+    """Overflow-safe logistic, evaluated without exponentiating positive arguments.
+
+    Computes ``exp(min(t, 0)) / (1 + exp(-|t|))`` over the whole array, with
+    no mask and no clip. For t >= 0 the numerator is exp(0) = 1 and the
+    denominator is 1 + exp(-t); for t < 0 the numerator is exp(t) and the
+    denominator 1 + exp(t). Each side is therefore the same sequence of
+    rounded operations as the two-branch form ``1 / (1 + exp(-t))`` and
+    ``e / (1 + e)``, so every value, and every grid SSE built on it, keeps
+    its bits.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = np.minimum(t, 0.0)
+    np.exp(out, out=out)
+    den = np.abs(t)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
     return out
 
 
@@ -105,28 +119,49 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
     Noise is drawn from numpy's PCG64 generator, so the same seed always
     yields the same series. Raises ExplosiveDynamicsError as soon as a value
     exceeds 1e12 in magnitude.
+
+    The recursion runs on Python floats: the lag window, the coefficients,
+    ``phi0``, ``gamma`` and ``c``. Each AR sum starts from 0.0 and adds the
+    products lag 1 first, and y_t adds ``phi0``, the AR sum, the gated sum
+    and the noise in that order. That is the order of the float64 array form
+    ``phi0 + lags @ phi + gate * (lags @ theta) + eps``, where ``lags`` is
+    the reversed view ``y[t-q:t][::-1]`` and NumPy sums a dot product over a
+    view with a negative stride element by element from 0.0, so the series
+    is the same bit for bit.
+
+    The noise is converted to floats and the values written back a block of
+    steps at a time, so no full-length list is held.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-    q = params.order
     total = n + burn_in
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
-    y = np.zeros(total + q)
-    for t in range(q, total + q):
-        lags = y[t - q: t][::-1]  # y_{t-1}, ..., y_{t-q}
-        z = y[t - params.delay]
-        gate = _logistic_scalar(params.gamma * (z - params.c))
-        value = params.phi0 + lags @ params.phi + gate * (lags @ params.theta) + noise[t - q]
-        if abs(value) > DIVERGENCE_LIMIT:
-            raise ExplosiveDynamicsError(
-                f"series diverged at step {t - q}: |y| = {abs(value):.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
-            )
-        y[t] = value
-    values = y[q + burn_in:]
-    return TimeSeries(name=name, timestamps=np.arange(n, dtype=np.int64), values=values.copy())
+    # the noise buffer becomes the series: step t reads its draw, then writes y_t
+    y = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
+    phi0, gamma, c = float(params.phi0), float(params.gamma), float(params.c)
+    phi, theta = params.phi.tolist(), params.theta.tolist()
+    at = int(params.delay) - 1
+    lags = [0.0] * params.order  # y_{t-1}, ..., y_{t-q}
+    for start in range(0, total, _SIM_BLOCK):
+        block = y[start: start + _SIM_BLOCK].tolist()
+        for i, eps in enumerate(block):
+            linear = nonlinear = 0.0
+            for lag, p, th in zip(lags, phi, theta):
+                linear += lag * p
+                nonlinear += lag * th
+            value = phi0 + linear + _logistic_scalar(gamma * (lags[at] - c)) * nonlinear + eps
+            if abs(value) > DIVERGENCE_LIMIT:
+                raise ExplosiveDynamicsError(
+                    f"series diverged at step {start + i}: |y| = {abs(value):.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
+                )
+            block[i] = value
+            lags.pop()
+            lags.insert(0, value)
+        y[start: start + len(block)] = block
+    values = y[burn_in:].copy() if burn_in else y
+    return TimeSeries(name=name, timestamps=np.arange(n, dtype=np.int64), values=values)
 
 
 def default_c_grid(values, count: int = 15) -> np.ndarray:

@@ -1,8 +1,12 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stanforge import checkpoint
 from stanforge.baselines import MODEL_KINDS, LinearNetwork
@@ -70,6 +74,9 @@ def test_load_rejects_non_checkpoints(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(bad)
+    bad.write_bytes(b'{"format": "\xff"}')  # not UTF-8
+    with pytest.raises(CheckpointError, match="JSON"):
+        load_checkpoint(bad)
     other = tmp_path / "other.json"
     other.write_text('{"format": "something-else"}')
     with pytest.raises(CheckpointError, match="stanforge-checkpoint"):
@@ -102,6 +109,7 @@ MALFORMED = {
     "missing-spec-lookback": ("stan", lambda d: d["spec"].pop("lookback")),
     "spec-not-positive": ("mlp", lambda d: d["spec"].update(units=0)),
     "spec-of-another-kind": ("linear", lambda d: d["spec"].update(units=5, depth=2)),
+    "depth-past-the-stored-arrays": ("mlp", lambda d: d["spec"].update(depth=10**30)),
     "params-as-list": ("mlp", lambda d: d.update(params=list(d["params"].values()))),
     "missing-param": ("mlp", lambda d: d["params"].pop("layers.1.b")),
     "unexpected-param": ("linear", lambda d: d["params"].update(extra={"shape": [1], "data": [0.0]})),
@@ -109,6 +117,7 @@ MALFORMED = {
     "data-does-not-fill-shape": ("linear", lambda d: d["params"]["proj.W"]["data"].pop()),
     "non-numeric-data": ("mlp", lambda d: d["params"]["proj.b"].update(data=["x", "y"])),
     "nan-in-data": ("stan", lambda d: d["params"]["proj.b"]["data"].__setitem__(0, float("nan"))),
+    "integer-past-float-range": ("linear", lambda d: d["params"]["proj.W"]["data"].__setitem__(0, 10**400)),
     "linreg-without-weights": ("linreg", lambda d: d["params"].pop("weights")),
     "scaler-without-std": ("linear", lambda d: d["scaler"].pop("std")),
     "scaler-as-list": ("linreg", lambda d: d.update(scaler=[1.0, 2.0])),
@@ -168,3 +177,60 @@ def test_oversized_spec_is_refused_without_building_the_model(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# ------------------------------------------------------------------ fuzzing --
+
+_REPLACEMENTS = [None, "x", [], [1.0, 2.0], True, False, 1e308, -1e308, 10**30, 10**400]
+
+
+def _json_paths(node, prefix=()):
+    """Every key path into a decoded checkpoint; of a list, its first three items."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:3])
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(MODEL_KINDS)),
+    scaled=st.booleans(),
+    how=st.sampled_from(["flip", "truncate", "replace"]),
+    edits=st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 255)), min_size=1, max_size=4),
+    value=st.sampled_from(_REPLACEMENTS),
+)
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(kind, scaled, how, edits, value):
+    """Flipped bytes, a truncated file or any value replaced by a value of
+    another type or range: the load raises CheckpointError or returns a
+    model, never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_checkpoint(Path(tmp) / "m.json", _random_model(kind),
+                               ScalerParams(mean=1.5, std=2.5) if scaled else None)
+        raw = path.read_bytes()
+        if how == "flip":
+            damaged = bytearray(raw)
+            for at, mask in edits:
+                damaged[at % len(raw)] ^= mask
+        elif how == "truncate":
+            damaged = raw[: edits[0][0] % len(raw)]
+        else:
+            doc = json.loads(raw)
+            paths = list(_json_paths(doc))
+            where = paths[edits[0][0] % len(paths)]
+            node = doc
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = value
+            damaged = json.dumps(doc).encode()
+        path.write_bytes(bytes(damaged))
+        try:
+            model, _ = load_checkpoint(path)
+        except CheckpointError:
+            return
+    assert model.kind in MODEL_KINDS

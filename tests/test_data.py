@@ -217,6 +217,29 @@ def test_load_reports_the_first_bad_line(tmp_path, rows, message):
         load_pjm_csv(path, "AEP_MW")
 
 
+@pytest.mark.parametrize("text,message", [
+    # a bad value on file line 4, after one blank line
+    ("Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n\n2015-01-01 02:00:00,oops\n",
+     "line 4: unparseable value 'oops'"),
+    # a bad date on file line 8, after two blank lines
+    ("Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n\n2015-01-01 02:00:00,2.0\n\n"
+     "2015-01-01 03:00:00,2.0\n2015-01-01 04:00:00,2.0\n2015-02-30 05:00:00,2.0\n",
+     "line 8: unparseable timestamp '2015-02-30 05:00:00'"),
+    # a quoted cell over lines 2-3 puts the bad value on line 4
+    ('Datetime,AEP_MW,note\n2015-01-01 00:00:00,1.0,"two\nlines"\n2015-01-01 01:00:00,oops,\n',
+     "line 4: unparseable value 'oops'"),
+    # a quoted bad value over lines 3-4 is named by the line it starts on
+    ('Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n2015-01-01 01:00:00,"1.0\n2.0"\n',
+     "line 3: unparseable value '1.0\\n2.0'"),
+], ids=["blank-line", "two-blank-lines", "quoted-cell-before", "quoted-bad-value"])
+def test_load_names_the_file_line_the_record_starts_on(tmp_path, text, message):
+    path = tmp_path / "lines.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as raised:
+        load_pjm_csv(path, "AEP_MW")
+    assert str(raised.value) == f"lines.csv {message}"
+
+
 _starts = st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9000, 1, 1)).map(
     lambda d: d.replace(microsecond=0))
 _cells = st.one_of(st.sampled_from(["", " "]), st.floats(allow_nan=False, allow_infinity=False).map(repr))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from stanforge.star_classic import (
     DEFAULT_GAMMA_GRID,
+    DIVERGENCE_LIMIT,
     EstimationError,
     ExplosiveDynamicsError,
     LstarParams,
@@ -13,6 +17,48 @@ from stanforge.star_classic import (
     estimate_lstar,
     simulate_lstar,
 )
+
+
+# -------------------------------------------------------------- referees ---
+
+def _two_branch_logistic(t):
+    """The masked two-branch logistic this package used to ship, kept as the
+    referee of ``_logistic`` and of the lstsq grid search below."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _scalar_logistic(t):
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def _reference_simulate(params, n, burn_in=0, seed=0):
+    """The float64-array simulation loop this package used to ship, kept as
+    the referee of ``simulate_lstar``: the values, or ExplosiveDynamicsError."""
+    q = params.order
+    total = n + burn_in
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
+    y = np.zeros(total + q)
+    for t in range(q, total + q):
+        lags = y[t - q: t][::-1]  # y_{t-1}, ..., y_{t-q}
+        z = y[t - params.delay]
+        gate = _scalar_logistic(params.gamma * (z - params.c))
+        value = params.phi0 + lags @ params.phi + gate * (lags @ params.theta) + noise[t - q]
+        if abs(value) > DIVERGENCE_LIMIT:
+            raise ExplosiveDynamicsError(
+                f"series diverged at step {t - q}: |y| = {abs(value):.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
+            )
+        y[t] = value
+    return y[q + burn_in:].copy()
 
 
 # -------------------------------------------------------------- simulation --
@@ -92,6 +138,71 @@ def test_sharp_gate_approaches_hard_threshold_switch():
     gate = 1.0 / (1.0 + np.exp(-np.clip(sharp.gamma * prev[away_from_c], -700, 700)))
     assert away_from_c.mean() > 0.9
     assert np.all(np.minimum(gate, 1.0 - gate) < 1e-6)
+
+
+_coefficients = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _lstar_params(draw):
+    q = draw(st.integers(1, 8))
+    return LstarParams(
+        phi0=draw(_coefficients),
+        phi=draw(st.lists(_coefficients, min_size=q, max_size=q)),
+        theta=draw(st.lists(_coefficients, min_size=q, max_size=q)),
+        gamma=draw(st.one_of(st.sampled_from([0.0, 1e300]), st.floats(0.0, 1e300))),
+        c=draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))),
+        delay=draw(st.integers(1, q)),
+        sigma=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_lstar_params(), n=st.integers(1, 300), burn_in=st.integers(0, 100), seed=st.integers(0, 2**16))
+def test_simulation_matches_array_loop_reference(params, n, burn_in, seed):
+    try:
+        with np.errstate(over="ignore"):  # gamma * (z - c) may overflow to +-inf, as a float does
+            expected = _reference_simulate(params, n, burn_in, seed)
+    except ExplosiveDynamicsError as exc:
+        with pytest.raises(ExplosiveDynamicsError) as raised:
+            simulate_lstar(params, n=n, burn_in=burn_in, seed=seed)
+        assert str(raised.value) == str(exc)
+        return
+    assert simulate_lstar(params, n=n, burn_in=burn_in, seed=seed).values.tobytes() == expected.tobytes()
+
+
+def test_simulation_peak_memory_stays_bounded():
+    """At 20k points the simulator holds the noise buffer that becomes the
+    series and one block of floats, never a full-length list of them."""
+    params = LstarParams(phi0=0.4, phi=[0.35, 0.12, 0.10, 0.08, 0.06, 0.05, 0.04, 0.03],
+                         theta=[-1.5, 0, 0, 0, 0, 0, 0, 0], gamma=10.0, c=0.7, sigma=0.05)
+    simulate_lstar(params, n=300, seed=0)  # lazy set-up, such as the generator's, is not the loop's
+    tracemalloc.start()
+    try:
+        series = simulate_lstar(params, n=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 20_000
+    assert peak <= 1_000_000, f"tracemalloc peak {peak} bytes"
+
+
+_logistic_inputs = st.lists(
+    st.one_of(
+        st.floats(-1e6, 1e6),
+        st.floats(-40.0, 40.0),  # where 1 + exp(-|t|) still differs from 1
+        st.sampled_from([745.0, -745.0, 0.0, -0.0, math.inf, -math.inf]),
+        st.floats(-2.3e-308, 2.3e-308),  # subnormals and the smallest normals
+    ),
+    max_size=70,  # past every SIMD width, with a remainder
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_logistic_inputs)
+def test_logistic_matches_two_branch_form(values):
+    t = np.array(values, dtype=np.float64)
+    assert _logistic(t).tobytes() == _two_branch_logistic(t).tobytes()
 
 
 # -------------------------------------------------------------- estimation --
@@ -209,7 +320,7 @@ def _reference_search(values, order, gamma_grid, c_grid):
     best, sses = None, []
     for gamma in sorted(gamma_grid):
         for c in sorted(c_grid):
-            design = np.column_stack([ones, lags, lags * _logistic(gamma * (z - c))[:, None]])
+            design = np.column_stack([ones, lags, lags * _two_branch_logistic(gamma * (z - c))[:, None]])
             coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
             if rank < 1 + 2 * q:
                 continue
