@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .numerics import ShapeError, affine_forward, as_matrix
-from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_store
+from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_size, check_store
 
 __all__ = [
     "MODEL_KINDS",
@@ -139,6 +139,13 @@ class ModelKind:
     build: Callable[..., object]
     sized: bool = False
     fit: Callable[..., object] | None = None  # closed-form fit(x, y), no gradient descent
+    gated: bool = False  # sized kinds: smooth-transition layers, which ``check_size`` counts
+
+    def check_size(self, lookback: int, horizon: int, units: int, depth: int) -> None:
+        """For a sized kind, ``stan_core.check_size`` of the network it would
+        build, computed in closed form before anything is allocated."""
+        if self.sized:
+            check_size(NetworkSpec(lookback, units, depth, horizon), self.gated)
 
     @property
     def spec_keys(self) -> tuple[str, ...]:  # the checkpoint ``spec``, in saved order
@@ -161,7 +168,7 @@ def _build_linreg(lookback, horizon, units=None, depth=None, params=None, seed=0
 
 
 MODEL_KINDS: dict[str, ModelKind] = {
-    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True),
+    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True, gated=True),
     "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), sized=True),
     "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
                         LinearNetwork(lookback, horizon, params, seed)),

@@ -68,7 +68,7 @@ from .numerics import (
     finite_diff_errors,
     mse_loss,
 )
-from .stan_core import NetworkSpec, StanNetwork
+from .stan_core import NetworkSpec, StanNetwork, check_size
 from .star_classic import (
     EstimationError,
     ExplosiveDynamicsError,
@@ -262,6 +262,8 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     if args.data is None or args.column is None:
         raise UsageError("train needs --data and --column (or config keys 'data'/'column')")
+    lookback = lookback_for(args.horizon) if args.lookback is None else args.lookback
+    MODEL_KINDS[args.model].check_size(lookback, args.horizon, args.units, args.depth)
     train_cfg = _train_config(args).with_seed(args.seed)
     series = load_pjm_csv(args.data, args.column)
     prep = prepare_splits(series, args.horizon, lookback=args.lookback, mode=args.split, seed=args.seed)
@@ -302,6 +304,7 @@ def _group_of(name: str) -> str:
 
 def cmd_gradcheck(args) -> int:
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
+    check_size(spec)
     rng = np.random.default_rng(args.seed)
     model = StanNetwork(spec, seed=args.seed)
     # make every gradient path active: nonzero theta, varied gates

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MODEL_KINDS
-from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, prepare_splits
+from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
 from .numerics import mse_loss
 from .training import DivergenceError, TrainConfig, TrainHistory, train
 
@@ -117,11 +117,19 @@ class BenchmarkPlan:
         for h in self.horizons:
             if int(h) < 1:
                 problems.append(f"horizon must be positive, got {h}")
+        valid_horizons = [int(h) for h in self.horizons if int(h) >= 1]
         for m in self.models:
             if m.kind not in MODEL_KINDS:
                 problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
             elif MODEL_KINDS[m.kind].sized and (m.units < 1 or m.depth < 1):
                 problems.append(f"model {m.name!r} needs positive units and depth")
+            elif valid_horizons:
+                # the largest horizon and its lookback make the largest network
+                h = max(valid_horizons)
+                try:
+                    MODEL_KINDS[m.kind].check_size(lookback_for(h), h, m.units, m.depth)
+                except ValueError as exc:
+                    problems.append(f"model {m.name!r}: {exc}")
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             problems.append(f"duplicate model names: {names}")

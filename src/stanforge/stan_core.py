@@ -44,7 +44,9 @@ __all__ = [
     "stan_unit_forward",
     "stan_layer_forward",
     "stan_layer_backward",
+    "MAX_PARAMETERS",
     "count_parameters",
+    "check_size",
     "stack_shapes",
     "network_shapes",
     "check_store",
@@ -59,6 +61,9 @@ ParamStore = dict[str, np.ndarray]
 GradStore = dict[str, np.ndarray]
 
 LAYER_FIELDS = ("W", "b", "phi", "theta", "gamma", "c")
+
+# The most trainable scalars a network may hold: 1 GiB as float64.
+MAX_PARAMETERS = 2 ** 27
 
 # Hard bounds on logistic output keep downstream g*(1-g) factors well defined
 # while staying within one ulp of the ideal saturated value.
@@ -228,10 +233,23 @@ def network_shapes(spec: NetworkSpec, gated: bool = True) -> dict[str, tuple[int
 
 
 def count_parameters(spec: NetworkSpec, gated: bool = True) -> int:
-    """Exact number of trainable scalars in a network built from ``spec``:
-    the dense stack plus, when ``gated``, four per-unit coefficient vectors in
-    each layer."""
-    return sum(math.prod(shape) for shape in network_shapes(spec, gated).values())
+    """Exact number of trainable scalars in a network built from ``spec``, in
+    closed form: the dense stack (q -> d, then d -> d for every later layer,
+    then d -> horizon, each with its bias) plus, when ``gated``, four
+    per-unit coefficient vectors in each layer."""
+    q, d, depth, h = spec.lookback, spec.units, spec.depth, spec.horizon
+    return (q + 1) * d + (depth - 1) * (d + 1) * d + (d + 1) * h + (4 * d * depth if gated else 0)
+
+
+def check_size(spec: NetworkSpec, gated: bool = True) -> None:
+    """Refuse, before anything is allocated, a network of more than
+    MAX_PARAMETERS trainable scalars; the ValueError names units and depth."""
+    size = count_parameters(spec, gated)
+    if size > MAX_PARAMETERS:
+        raise ValueError(
+            f"units {spec.units} and depth {spec.depth} make {size} parameters, "
+            f"above the limit of {MAX_PARAMETERS} (1 GiB as float64)"
+        )
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -36,6 +36,13 @@ DEFAULT_GAMMA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 # simulation steps whose noise is converted to floats, and values stored, at once
 _SIM_BLOCK = 256
 
+# rows of the grid screen handled at once, for every grid point together
+_SCREEN_BLOCK = 256
+# safety factors of the screen: its resolution test and its SSE error bound
+_SCREEN_RESOLVE = 64.0
+_SCREEN_BOUND = 32.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 class ExplosiveDynamicsError(RuntimeError):
     """Simulated series exceeded the divergence limit."""
@@ -103,6 +110,12 @@ class LstarParams:
             raise ValueError("order must be at least 1")
         if not 1 <= int(self.delay) <= self.phi.size:
             raise ValueError(f"delay must lie in [1, {self.phi.size}], got {self.delay}")
+        for name in ("phi0", "gamma", "c", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("phi", "theta"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} entries must be finite, got {getattr(self, name).tolist()}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
@@ -170,6 +183,104 @@ def default_c_grid(values, count: int = 15) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=np.float64), probs)
 
 
+def _gamma_n(count: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of a sum
+    of n rounded products in float64."""
+    nu = count * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+def _screen_grid(lags, target, z, gammas, cs):
+    """Bounds ``(lower, upper)`` on the SSE of every grid point ``(gammas[p],
+    cs[p])`` from its normal equations; ``(-inf, inf)`` where the screen
+    cannot resolve the point. ``estimate_lstar`` explains the bounds."""
+    m, q = lags.shape
+    k = 2 * q + 2  # columns of a point's design, here ordered [lags, 1, y, lags * gate]
+    fixed = q + 2
+    pair_i, pair_j = np.triu_indices(q)  # the lag pairs i <= j
+    pairs = len(pair_i)
+    # per row t: l_ti l_tj for each pair, then l_t, then y_t l_t
+    rows = np.empty((_SCREEN_BLOCK, pairs + 2 * q))
+    cross = np.zeros((len(gammas), pairs + 2 * q))  # sum_t G_t of each
+    gated = np.zeros((len(gammas), pairs))  # sum_t G_t^2 l_ti l_tj
+    for start in range(0, m, _SCREEN_BLOCK):
+        block = lags[start: start + _SCREEN_BLOCK]
+        b = len(block)
+        row = rows[:b]
+        np.multiply(block[:, pair_i], block[:, pair_j], out=row[:, :pairs])
+        row[:, pairs: pairs + q] = block
+        np.multiply(block, target[start: start + b, None], out=row[:, pairs + q:])
+        # the same elementwise operations as the verifier's gamma * (z - c)
+        gate = np.subtract(z[start: start + b], cs[:, None])
+        gate *= gammas[:, None]
+        gate = _logistic(gate)
+        cross += gate @ row
+        gate *= gate
+        gated += gate @ row[:, :pairs]
+
+    # the fixed block [lags, 1, y], from lags and target themselves
+    fixed_gram = np.empty((fixed, fixed))
+    fixed_gram[:q, :q] = lags.T @ lags
+    fixed_gram[:q, q] = fixed_gram[q, :q] = lags.sum(axis=0)
+    fixed_gram[:q, q + 1] = fixed_gram[q + 1, :q] = target @ lags
+    fixed_gram[q, q] = m
+    fixed_gram[q, q + 1] = fixed_gram[q + 1, q] = target.sum()
+    fixed_gram[q + 1, q + 1] = target @ target
+    gram = np.empty((len(gammas), k, k))
+    gram[:, :fixed, :fixed] = fixed_gram
+    # the gated block against the fixed block and itself
+    gram[:, pair_i, fixed + pair_j] = gram[:, pair_j, fixed + pair_i] = cross[:, :pairs]
+    gram[:, q, fixed:] = cross[:, pairs: pairs + q]
+    gram[:, q + 1, fixed:] = cross[:, pairs + q:]
+    gram[:, fixed:, :fixed] = gram[:, :fixed, fixed:].transpose(0, 2, 1)
+    gram[:, fixed + pair_i, fixed + pair_j] = gram[:, fixed + pair_j, fixed + pair_i] = gated
+
+    reg = np.r_[0: q + 1, q + 2: k]  # the regressors; y is column q + 1
+    # below this squared column norm, products that underflow could carry
+    # more error than the bound allows
+    floor = 2.0 ** -1000 * max(1.0, lags.max(), -lags.min(), target.max(), -target.min()) ** 2
+    with np.errstate(all="ignore"):
+        squares = np.diagonal(gram, axis1=1, axis2=2)
+        norms = np.sqrt(squares)
+        scaled = gram / norms[:, :, None] / norms[:, None, :]
+        unresolved = ~(np.all(np.isfinite(scaled), axis=(1, 2)) & (squares.min(axis=1) >= floor))
+        n11 = scaled[:, reg[:, None], reg]
+        n12 = scaled[:, reg, q + 1]
+        n11[unresolved] = np.eye(k - 1)
+        eig = np.linalg.eigvalsh(n11)
+        unresolved |= ~(eig[:, 0] > _SCREEN_RESOLVE * k * _gamma_n(m) * eig[:, -1])
+        n11[unresolved] = np.eye(k - 1)
+        x = np.linalg.solve(n11, n12[:, :, None])[:, :, 0]
+        y_norm = norms[:, q + 1]
+        estimate = y_norm * y_norm * (scaled[:, q + 1, q + 1] - np.einsum("pi,pi->p", n12, x))
+        weight = y_norm * (1.0 + np.abs(x).sum(axis=1))  # sum_i |w_i| ||a_i||
+        bound = _SCREEN_BOUND * _gamma_n(m + k) * weight * weight
+        lower, upper = estimate - bound, estimate + bound
+    unresolved |= ~(np.isfinite(lower) & np.isfinite(upper))
+    lower[unresolved], upper[unresolved] = -np.inf, np.inf
+    return lower, upper
+
+
+def _qr_sse(lags, target, z, points) -> np.ndarray:
+    """The SSE of each ``(gamma, c)`` in ``points`` by the fixed-block QR:
+    the gated block residualized on the orthonormal basis of ``[1, lags]``,
+    next to the residualized target, and the square of the last diagonal
+    entry of that narrow matrix's R factor."""
+    m, q = lags.shape
+    basis = np.linalg.qr(np.column_stack([np.ones(m), lags]))[0]
+    # columns: the residualized gated block, then the residualized target
+    aug = np.empty((m, q + 1), order="F")
+    aug[:, q] = target - basis @ (basis.T @ target)
+    gated = aug[:, :q]
+    tmp = np.empty_like(gated)
+    sse = np.empty(len(points))
+    for i, (gamma, c) in enumerate(points):
+        np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=gated)
+        gated -= np.matmul(basis, basis.T @ gated, out=tmp)
+        sse[i] = np.linalg.qr(aug, mode="r")[q, q] ** 2
+    return sse
+
+
 def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=None) -> tuple[LstarParams, float]:
     """Fit a logistic STAR by concentrated least squares over a (gamma, c) grid.
 
@@ -181,16 +292,54 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     matrix is numerically rank deficient are skipped; if every point is
     skipped, EstimationError is raised.
 
-    The search factors the fixed block ``[1, lags]`` once, as Q1 R1. By
-    Frisch-Waugh-Lovell a grid point then needs only the gated block
-    residualized on Q1, next to the target residualized the same way, and
-    the R factor of that narrow matrix: its last diagonal entry is the
-    residual norm, so the SSE is its square (Teräsvirta 1994, JASA 89:208).
-    The points are then refit by ``np.linalg.lstsq`` on the full design in
-    order of that SSE, and the first one lstsq finds full rank, by its
-    default ``rcond = eps * max(M, N)`` rule, wins. Usually that is the
-    first point; the rank rule and the returned coefficients and SSE are
-    exactly those of a full lstsq search whenever the SSE order agrees.
+    The SSE of a point is taken by a fixed-block QR (Teräsvirta 1994, JASA
+    89:208): the fixed block ``[1, lags]`` is factored once, as Q1 R1, and by
+    Frisch-Waugh-Lovell a point needs only its gated block residualized on
+    Q1, next to the target residualized the same way, and the R factor of
+    that narrow matrix, whose last diagonal entry is the residual norm.
+
+    Only the points that can win are factored. A screen first bounds every
+    point's SSE by its normal equations, all points at once: one pass over
+    blocks of rows accumulates ``sum_t G_t l_t f_t^T`` and ``sum_t G_t^2 l_t
+    l_t^T`` for every point with two matrix products, where ``G_t`` is the
+    point's gate at row t, ``l_t`` holds the lags of row t and ``f_t = [lags,
+    1, y]`` its fixed columns. With the fixed block's own products, taken
+    once, each point has the Gram matrix ``N = A^T A`` of its full design
+    ``A = [1, lags, lags * gate, y]`` (k = 2q + 2 columns ``a_i`` over m
+    rows), split as ``[[N11, n12], [n12^T, n22]]`` with y last. Scaled to
+    unit diagonal, one batched solve gives ``x = N11^-1 n12`` and the
+    estimate ``est = n22 - n12 . x``.
+
+    The bound: with ``w = [-x; 1]``, the SSE is ``w^T N w`` at the minimum.
+    Forming N rounds each entry by ``|dN_ij| <= gamma_m ||a_i|| ||a_j||``
+    (``gamma_n = n u / (1 - n u)``, u the unit roundoff, ``||a_i|| =
+    sqrt(N_ii)``); the solve's backward error is a perturbation of N of the
+    same form; and the QR SSE is the exact SSE of a design perturbed column
+    by column by ``gamma ||a_i||``. Each moves the SSE by about ``w^T dN w
+    <= gamma (sum_i |w_i| ||a_i||)^2``, so the screen takes ``|est - SSE| <=
+    F gamma_{m+k} (sum_i |w_i| ||a_i||)^2``, with the safety factor F = 32.
+
+    The resolution test: the bound presumes a well-posed solve and no
+    underflow, so a point stays unresolved, with bounds (-inf, inf), when a
+    design column has zero or non-finite norm (a saturated gate underflows
+    to exactly 0), when a squared column norm falls below 2^-1000 times the
+    largest squared observation (where underflowed products could outgrow
+    the bound), when its unit-diagonal N11 has ``lambda_min <= C k gamma_m
+    lambda_max`` with C = 64, or when its bounds are not finite.
+
+    The verification order: let U be the least upper bound of all points.
+    The QR SSE is taken for every point whose lower bound is at most U,
+    which includes every unresolved point. The factored points are then
+    walked in (SSE, gamma, c) order and refit by ``np.linalg.lstsq`` on the
+    full design; the first one lstsq finds full rank, by its default
+    ``rcond = eps * max(m, 2q + 1)`` rule, wins. Before a point of SSE s is
+    refit, every point not yet factored whose lower bound is at most s (or
+    at most the least upper bound of the points not yet factored, if that is
+    smaller) is factored and joins the walk, so no point outside the walk
+    can precede the one refit. Whenever the bounds hold, this takes the
+    points in the order, with the tie rule, of a QR search over the whole
+    grid, and its winner, coefficients and SSE are those of that search; at
+    worst it factors every point. Usually one point is factored and refit.
 
     Parameters
     ----------
@@ -226,29 +375,34 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         raise ValueError("gamma candidates must be positive")
 
     target = values[q:]
-    # column-major like ``aug`` below, so the per-point product streams
+    # column-major, so the verifier's per-point product streams
     lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
     z = values[q - int(delay): n - int(delay)]
     m, ncols = n - q, 1 + 2 * q  # rows and columns of the full design
+    # grid points in flat order: gamma major, then c
+    points = [(gamma, c) for gamma in gamma_candidates for c in c_candidates]
+    lower, upper = _screen_grid(lags, target, z, np.repeat(gamma_candidates, len(c_candidates)),
+                                np.tile(c_candidates, len(gamma_candidates)))
 
-    basis = np.linalg.qr(np.column_stack([np.ones(m), lags]))[0]
-    # columns: the residualized gated block, then the residualized target
-    aug = np.empty((m, q + 1), order="F")
-    aug[:, q] = target - basis @ (basis.T @ target)
-    gated = aug[:, :q]
-    tmp = np.empty_like(gated)
-    sse = np.empty((len(gamma_candidates), len(c_candidates)))
-    for i, gamma in enumerate(gamma_candidates):
-        for j, c in enumerate(c_candidates):
-            np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=gated)
-            gated -= np.matmul(basis, basis.T @ gated, out=tmp)
-            sse[i, j] = np.linalg.qr(aug, mode="r")[q, q] ** 2
-    del basis, aug, gated, tmp
-
-    # from the smallest SSE on, the first point whose design lstsq finds full
-    # rank wins; the stable sort keeps exact ties on the smallest gamma, then c
-    for flat in np.argsort(sse, axis=None, kind="stable"):
-        gamma, c = gamma_candidates[flat // len(c_candidates)], c_candidates[flat % len(c_candidates)]
+    sse = np.full(len(points), np.nan)
+    factored = np.zeros(len(points), dtype=bool)
+    refused = np.zeros(len(points), dtype=bool)
+    while True:
+        walk = np.flatnonzero(factored & ~refused)
+        # the next point of the walk: least SSE, then least flat index; NaN last
+        flat = walk[np.argsort(sse[walk], kind="stable")[0]] if walk.size else None
+        reach = np.fmin(np.inf if flat is None else sse[flat], upper[~factored].min(initial=np.inf))
+        due = np.flatnonzero(~factored & (lower <= reach))
+        if due.size:
+            sse[due] = _qr_sse(lags, target, z, [points[i] for i in due])
+            factored[due] = True
+            continue
+        if flat is None:
+            raise EstimationError(
+                f"regressor matrix was rank deficient at all {len(points)} grid points; "
+                "the series may not excite both regimes"
+            )
+        gamma, c = points[flat]
         gate = _logistic(gamma * (z - c))
         # row-major, as column_stack of row-major lags makes it: the layout moves lstsq's bits
         design = np.empty((m, ncols))
@@ -258,11 +412,7 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank == ncols:
             break
-    else:
-        raise EstimationError(
-            f"regressor matrix was rank deficient at all {sse.size} grid points; "
-            "the series may not excite both regimes"
-        )
+        refused[flat] = True
     resid = target - design @ coef
     best_sse = float(resid @ resid)
     params = LstarParams(

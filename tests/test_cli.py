@@ -7,6 +7,7 @@ so nothing here shells out and nothing leaks into ./runs.
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,43 @@ def test_fixtures_writes_loadable_regions(tmp_path):
         series = load_pjm_csv(run_dir / f"{region}.csv", f"{region}_MW")
         assert len(series.values) == 200
     assert _read_json(run_dir / "config.json")["regions"] == ["A", "B"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sigma", "nan"), ("--c", "inf"), ("--gamma", "nan"), ("--phi0", "-inf"),
+    ("--phi", "0.5,nan"), ("--theta", "inf"),
+])
+def test_simulate_refuses_non_finite_parameters(tmp_path, capsys, flag, value):
+    argv = ["simulate", f"{flag}={value}", "--out", str(tmp_path / "out")]
+    if flag == "--phi":
+        argv.append("--theta=0,0")
+    assert main(argv) == 1
+    assert f"{flag[2:]} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--data", "east.csv", "--column", "EAST_MW", "--model", "stan", "--depth", "100000000"],
+     "units 64 and depth 100000000"),
+    (["train", "--data", "east.csv", "--column", "EAST_MW", "--model", "mlp", "--units", "100000"],
+     "units 100000 and depth 3"),
+    (["benchmark", "--data", "east.csv", "--column", "EAST_MW", "--models", "stan", "--depth", "100000000"],
+     "units 64 and depth 100000000"),
+    (["gradcheck", "--depth", "100000000"], "units 4 and depth 100000000"),
+])
+def test_huge_networks_are_refused_before_anything_is_allocated(tmp_path, capsys, argv, named):
+    """The parameter count is taken in closed form, ahead of reading the data
+    (``east.csv`` does not exist), building a model or making a run directory."""
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"{named} make" in capsys.readouterr().err
+    assert peak < 1_000_000, f"tracemalloc peak {peak} bytes"
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------- shared plumbing

@@ -99,6 +99,19 @@ def test_plan_rejects_duplicate_model_names():
         plan.validate()
 
 
+@pytest.mark.parametrize("entry,horizons", [
+    (ModelEntry(kind="stan", units=64, depth=100_000_000), [1]),
+    (ModelEntry(kind="mlp", units=100_000, depth=3), [1]),
+    # 8000 units at depth 2 fit at horizon 1; horizon 12000 widens the projection past the limit
+    (ModelEntry(kind="mlp", units=8000, depth=2), [1, 12_000]),
+])
+def test_plan_refuses_networks_past_the_parameter_limit(entry, horizons):
+    plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=horizons,
+                         models=[ModelEntry(kind="linreg"), entry])
+    with pytest.raises(PlanError, match=f"units {entry.units} and depth {entry.depth} make"):
+        plan.validate()
+
+
 def test_model_entry_default_names():
     assert ModelEntry(kind="stan", units=3000, depth=3).name == "STAN-3000-3"
     assert ModelEntry(kind="mlp", units=128, depth=4).name == "MLP-128-4"

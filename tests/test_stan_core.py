@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 from conftest import stan_fd_problem
 from stanforge.numerics import ShapeError, finite_diff_check, mse_loss
 from stanforge.stan_core import (
+    MAX_PARAMETERS,
     NetworkSpec,
     StanLayerParams,
     StanNetwork,
+    check_size,
     count_parameters,
     init_network,
     stan_layer_backward,
@@ -316,6 +318,21 @@ def test_network_theta_zero_keeps_gate_gradients_zero():
 ])
 def test_count_parameters_large_architectures(spec, expected):
     assert count_parameters(spec) == expected
+
+
+def test_check_size_refuses_past_the_limit_only():
+    # (45 + 1) * d + (d + 1) * d + (d + 1) + 8 * d at depth 2, horizon 1
+    allowed, refused = NetworkSpec(45, 11_500, 2, 1), NetworkSpec(45, 11_600, 2, 1)
+    assert count_parameters(allowed) <= MAX_PARAMETERS == 2 ** 27 < count_parameters(refused)
+    check_size(allowed)
+    with pytest.raises(ValueError, match="units 11600 and depth 2 make"):
+        check_size(refused)
+    past_gated_only = NetworkSpec(45, 11_560, 2, 1)  # the gates add 4 * 11560 * 2 scalars
+    check_size(past_gated_only, gated=False)
+    with pytest.raises(ValueError, match="units 11560 and depth 2 make 134280961 parameters"):
+        check_size(past_gated_only)
+    with pytest.raises(ValueError, match="units 64 and depth 100000000"):
+        check_size(NetworkSpec(45, 64, 100_000_000, 1))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -128,6 +128,17 @@ def test_params_validation():
         LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, sigma=-0.1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("phi0", math.nan), ("gamma", math.nan), ("gamma", math.inf), ("c", -math.inf),
+    ("sigma", math.nan), ("sigma", math.inf), ("phi", [0.5, math.nan]), ("theta", [math.inf, 0.0]),
+])
+def test_params_refuse_non_finite_values(field, value):
+    fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} .*must be finite"):
+        LstarParams(**fields)
+
+
 def test_sharp_gate_approaches_hard_threshold_switch():
     """As gamma grows the smooth gate becomes a two-regime switch."""
     sharp = LstarParams(phi0=0.0, phi=[0.9], theta=[-1.4], gamma=1e4, c=0.0, sigma=0.05)
@@ -397,3 +408,167 @@ def test_saturated_gates_are_skipped_like_lstsq():
     _same_as_reference(values, 2, (10.0, 50.0), mixed)
     est, _ = estimate_lstar(values, order=2, gamma_grid=(10.0, 50.0), c_grid=mixed)
     assert low < est.c < high
+
+
+# ------------------------------------------ screened search vs full QR search ---
+
+def _full_qr_search(values, order, delay, gamma_grid, c_grid):
+    """The fixed-block QR search over the whole grid that this package shipped
+    before the normal-equation screen, kept as the referee of the screened
+    search: ``(gamma, c, coef, sse, refused)`` of the winner, where
+    ``refused`` counts the points of smaller SSE that lstsq found rank
+    deficient, or EstimationError with the estimator's text."""
+    n, q = len(values), order
+    gammas = sorted(float(g) for g in gamma_grid)
+    cs = sorted(float(c) for c in c_grid)
+    target = values[q:]
+    lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
+    z = values[q - delay: n - delay]
+    m, ncols = n - q, 1 + 2 * q
+    basis = np.linalg.qr(np.column_stack([np.ones(m), lags]))[0]
+    aug = np.empty((m, q + 1), order="F")
+    aug[:, q] = target - basis @ (basis.T @ target)
+    gated = aug[:, :q]
+    tmp = np.empty_like(gated)
+    sse = np.empty((len(gammas), len(cs)))
+    for i, gamma in enumerate(gammas):
+        for j, c in enumerate(cs):
+            np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=gated)
+            gated -= np.matmul(basis, basis.T @ gated, out=tmp)
+            sse[i, j] = np.linalg.qr(aug, mode="r")[q, q] ** 2
+    for refused, flat in enumerate(np.argsort(sse, axis=None, kind="stable")):
+        gamma, c = gammas[flat // len(cs)], cs[flat % len(cs)]
+        design = np.empty((m, ncols))
+        design[:, 0] = 1.0
+        design[:, 1: q + 1] = lags
+        np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=design[:, q + 1:])
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank == ncols:
+            break
+    else:
+        raise EstimationError(
+            f"regressor matrix was rank deficient at all {sse.size} grid points; "
+            "the series may not excite both regimes"
+        )
+    resid = target - design @ coef
+    return gamma, c, coef, float(resid @ resid), refused
+
+
+def _same_as_full_search(values, order, delay, gamma_grid, c_grid):
+    """Assert estimate_lstar returns the full search's winner, SSE and
+    coefficients byte for byte, or raises its EstimationError text; returns
+    the full search's ``refused`` count, or None after an EstimationError."""
+    try:
+        gamma, c, coef, sse, refused = _full_qr_search(values, order, delay, gamma_grid, c_grid)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError) as raised:
+            estimate_lstar(values, order=order, delay=delay, gamma_grid=gamma_grid, c_grid=c_grid)
+        assert str(raised.value) == str(exc)
+        return None
+    est, est_sse = estimate_lstar(values, order=order, delay=delay, gamma_grid=gamma_grid, c_grid=c_grid)
+    assert (est.gamma, est.c) == (gamma, c)
+    assert np.float64(est_sse).tobytes() == np.float64(sse).tobytes()
+    assert np.concatenate([[est.phi0], est.phi, est.theta]).tobytes() == coef.tobytes()
+    return refused
+
+
+@st.composite
+def _screen_cases(draw):
+    q = draw(st.integers(1, 8))
+    truth = LstarParams(
+        phi0=draw(st.floats(-0.5, 0.5)),
+        phi=[draw(st.floats(-0.6, 0.6))] + draw(st.lists(st.floats(-0.1, 0.1), min_size=q - 1, max_size=q - 1)),
+        theta=[draw(st.floats(-1.5, 1.5))] + [0.0] * (q - 1),
+        gamma=draw(st.sampled_from([1.0, 5.0, 20.0])),
+        c=draw(st.floats(-0.5, 0.5)),
+        delay=draw(st.integers(1, q)),
+        sigma=draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.1, 0.5])),
+    )
+    n = draw(st.integers(60, 800))
+    seed = draw(st.integers(0, 2**16))
+    delay = draw(st.integers(1, q))
+    gamma_grid = draw(st.lists(st.sampled_from(DEFAULT_GAMMA_GRID + (0.1, 200.0)), min_size=1, max_size=7, unique=True))
+    c_count = draw(st.integers(1, 12))
+    # midpoints beyond the data: gates saturate to exactly 1, underflow to 0, or nearly so
+    saturated = draw(st.lists(st.sampled_from([-40.0, -8.0, -3.0, 3.0, 8.0, 40.0]), max_size=3, unique=True))
+    # near twins of interior midpoints: SSEs that differ by rounding alone
+    twins = draw(st.lists(st.sampled_from([1e-15, 1e-12, 1e-9]), min_size=1, max_size=3))
+    return truth, n, seed, delay, gamma_grid, c_count, saturated, twins
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_screen_cases())
+def test_screened_search_matches_full_qr_search(case):
+    truth, n, seed, delay, gamma_grid, c_count, saturated, twins = case
+    try:
+        values = simulate_lstar(truth, n=n, burn_in=20, seed=seed).values
+    except ExplosiveDynamicsError:
+        assume(False)
+    low, high = values.min(), values.max()
+    c_grid = list(default_c_grid(values, count=c_count))
+    c_grid += [c + step * (high - low) for c, step in zip(c_grid, twins)]
+    c_grid += [low + s if s < 0 else high + s for s in saturated]
+    _same_as_full_search(values, truth.order, delay, gamma_grid, c_grid)
+
+
+def test_near_twin_midpoints_keep_the_full_search_order():
+    """Each midpoint has a twin 1e-15 of the data's range above it, so the two
+    SSEs differ by rounding alone, below what the normal equations resolve:
+    the bound keeps both twins in the walk, and the QR SSE orders them."""
+    truth = LstarParams(phi0=0.1, phi=[0.5, 0.1], theta=[-0.9, 0.0], gamma=5.0, c=0.2, sigma=0.1)
+    for seed in range(10):
+        values = simulate_lstar(truth, n=600, seed=seed).values
+        c_grid = list(default_c_grid(values, count=6))
+        c_grid += [c + 1e-15 * (values.max() - values.min()) for c in c_grid]
+        _same_as_full_search(values, 2, 1, DEFAULT_GAMMA_GRID, c_grid)
+
+
+_BENCHMARK_GENERATOR = LstarParams(phi0=0.4, phi=[0.35, 0.12, 0.10, 0.08, 0.06, 0.05, 0.04, 0.03],
+                                   theta=[-1.5, 0, 0, 0, 0, 0, 0, 0], gamma=10.0, c=0.7, sigma=0.05)
+
+
+def test_screen_factors_few_grid_points_at_benchmark_scale(monkeypatch):
+    """On 20k points of the benchmark's generator, the screen leaves at most
+    3 of the 105 default grid points to the QR."""
+    values = simulate_lstar(_BENCHMARK_GENERATOR, n=20_000, seed=1).values
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        if mode == "r":  # one R factor per factored grid point
+            calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    est, _ = estimate_lstar(values, order=8)
+    assert est.gamma == 10.0 and abs(est.c - 0.7) < 0.05
+    assert 1 <= len(calls) <= 3, f"{len(calls)} grid points factored"
+
+
+def test_rank_deficient_screen_winner_widens_the_walk_exactly():
+    """Midpoints far above the data give gates near 1e-20: the screen resolves
+    those points, and ranks them best, but lstsq finds their designs rank
+    deficient. Points the screen first ruled out must then be factored, ahead
+    of unresolved points of larger SSE (midpoints below the data)."""
+    truth = LstarParams(phi0=0.0, phi=[0.5], theta=[-0.3 * math.exp(20.0)], gamma=2.0, c=10.0, sigma=0.2)
+    values = simulate_lstar(truth, n=400, seed=0).values
+    low, high = values.min(), values.max()
+    c_grid = [high + 23.0, low - 6.0, low - 7.0] + list(default_c_grid(values, count=3))
+    refused = _same_as_full_search(values, 1, 1, (2.0,), c_grid)
+    assert refused == 1
+    est, _ = estimate_lstar(values, order=1, gamma_grid=(2.0,), c_grid=c_grid)
+    assert low < est.c < high
+
+
+def test_estimate_peak_memory_stays_bounded():
+    """At 20k points the screen adds at most 0.5 MB to the 6.88 MB peak that
+    the full QR search reached, measured the same way: the screen holds
+    blocks of rows, never a full-length copy of [1, lags, y]."""
+    values = simulate_lstar(_BENCHMARK_GENERATOR, n=20_000, seed=1).values
+    estimate_lstar(values[:2_000], order=8)  # lazy set-up, such as LAPACK's, is not the estimate's
+    tracemalloc.start()
+    try:
+        estimate_lstar(values, order=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_883_481 + 500_000, f"tracemalloc peak {peak} bytes"
