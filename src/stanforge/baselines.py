@@ -1,23 +1,24 @@
 """Reference models the smooth-transition network is benchmarked against,
 and ``MODEL_KINDS``, the one registry of model kinds.
 
-Three baselines share the training contract from ``stan_core``: a plain relu
-MLP of matching width and depth and a single affine map trained by gradient
-descent, which are ``stan_core.LayerStack`` without gates (the linear one at
-depth 0), and closed-form multi-output linear regression (fit once, no
-gradient descent). The CLI, the benchmark matrix and checkpoints name, size,
-build and fit every kind through the registry; a new kind is one entry there.
+Every baseline is a ``stan_core.LayerStack`` without gates: a plain relu MLP
+of matching width and depth, a single affine map trained by gradient descent
+(the depth-0 stack), and closed-form multi-output linear regression, the same
+depth-0 stack solved once by least squares instead of trained. The CLI, the
+benchmark matrix and checkpoints name, size, build and fit every kind through
+the registry; a new kind is one entry there.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from .numerics import ShapeError, affine_forward, as_matrix
+# ``affine_forward`` is unused here but kept as a module binding: the perfbench
+# tracer test checks that it wraps ``stanforge.baselines.affine_forward``.
+from .numerics import ShapeError, affine_forward, as_matrix  # noqa: F401
 from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_size, check_store
 
 __all__ = [
@@ -70,40 +71,6 @@ def fit_linear_regression(x, y, ridge: float = 1e-8, cond_limit: float = 1e12) -
     return np.linalg.solve(gram, a.T @ y)
 
 
-@dataclass
-class LinearRegressionModel:
-    """Closed-form linear forecaster; one independent regression per horizon step."""
-
-    weights: np.ndarray  # (q + 1, tau), row 0 is the intercept
-
-    kind: ClassVar[str] = "linreg"
-
-    @classmethod
-    def fit(cls, x, y, ridge: float = 1e-8, cond_limit: float = 1e12) -> "LinearRegressionModel":
-        return cls(weights=fit_linear_regression(x, y, ridge=ridge, cond_limit=cond_limit))
-
-    def predict(self, x) -> np.ndarray:
-        x = as_matrix(x, "x")
-        if x.shape[1] + 1 != self.weights.shape[0]:
-            raise ShapeError(f"input has {x.shape[1]} columns, model expects {self.weights.shape[0] - 1}")
-        return affine_forward(x, self.weights[1:], self.weights[0])
-
-    @property
-    def params(self) -> ParamStore:
-        return {"weights": self.weights}
-
-    def num_params(self) -> int:
-        return int(self.weights.size)
-
-    @property
-    def lookback(self) -> int:
-        return int(self.weights.shape[0] - 1)
-
-    @property
-    def horizon(self) -> int:
-        return int(self.weights.shape[1])
-
-
 class MlpNetwork(LayerStack):
     """Plain relu MLP: a ``LayerStack`` without gates."""
 
@@ -128,49 +95,59 @@ class LinearNetwork(LayerStack):
         super().__init__(int(lookback), int(horizon), 0, 0, params, seed)
 
 
+class LinearRegressionModel(LinearNetwork):
+    """Closed-form linear forecaster: the depth-0 stack, its ``proj.W`` and
+    ``proj.b`` solved by ``fit_linear_regression``. A format-v1 store
+    ``{"weights": (q + 1, tau)}``, intercept in row 0, is checked and mapped
+    to the views ``proj.W = weights[1:]``, ``proj.b = weights[0]``; ``fit``
+    builds through the same mapping."""
+
+    kind = "linreg"
+
+    def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
+        if params is not None and "weights" in params:
+            owner = f"{type(self).__name__}(lookback={lookback}, horizon={horizon})"
+            weights = check_store(params, {"weights": (lookback + 1, horizon)}, owner)["weights"]
+            params = {"proj.W": weights[1:], "proj.b": weights[0]}
+        super().__init__(lookback, horizon, params, seed)
+
+    @classmethod
+    def fit(cls, x, y) -> "LinearRegressionModel":
+        weights = fit_linear_regression(x, y)
+        return cls(weights.shape[0] - 1, weights.shape[1], {"weights": weights})
+
+
 @dataclass(frozen=True)
 class ModelKind:
     """How one model kind is named, sized, built and fit."""
 
     column: str  # benchmark column name; sized kinds fill in {units} and {depth}
-    # (lookback, horizon, units, depth, params=None, seed=0) -> model, rebuilt
-    # from ``params`` after a name and shape check or drawn fresh from ``seed``;
-    # unsized kinds ignore units and depth
-    build: Callable[..., object]
-    sized: bool = False
-    fit: Callable[..., object] | None = None  # closed-form fit(x, y), no gradient descent
-    gated: bool = False  # sized kinds: smooth-transition layers, which ``check_size`` counts
+    cls: type[LayerStack]
+    sized: bool = False  # built from a ``NetworkSpec``, so it takes units and depth
+    fit: Callable[..., LayerStack] | None = None  # closed-form fit(x, y), no gradient descent
+
+    def build(self, lookback: int, horizon: int, units: int | None = None, depth: int | None = None,
+              params: ParamStore | None = None, seed: int = 0) -> LayerStack:
+        """The model rebuilt from ``params`` after its store check, or drawn from
+        ``seed``; unsized kinds ignore units and depth, sized ones reject depth 0."""
+        if self.sized:
+            return self.cls(NetworkSpec(lookback, units, depth, horizon), params, seed)
+        return self.cls(lookback, horizon, params, seed)
 
     def check_size(self, lookback: int, horizon: int, units: int, depth: int) -> None:
         """For a sized kind, ``stan_core.check_size`` of the network it would
         build, computed in closed form before anything is allocated."""
         if self.sized:
-            check_size(NetworkSpec(lookback, units, depth, horizon), self.gated)
+            check_size(NetworkSpec(lookback, units, depth, horizon), self.cls.gated)
 
     @property
     def spec_keys(self) -> tuple[str, ...]:  # the checkpoint ``spec``, in saved order
         return ("lookback", "units", "depth", "horizon") if self.sized else ("lookback", "horizon")
 
 
-def _network(cls):
-    """``build`` of a sized ``LayerStack`` kind; its ``NetworkSpec`` rejects depth 0."""
-    return (lambda lookback, horizon, units, depth, params=None, seed=0:
-            cls(NetworkSpec(lookback, units, depth, horizon), params, seed))
-
-
-def _build_linreg(lookback, horizon, units=None, depth=None, params=None, seed=0):
-    """Zero weights, or the given store after ``check_store``; nothing is drawn."""
-    shapes = {"weights": (lookback + 1, horizon)}
-    if params is None:
-        return LinearRegressionModel(np.zeros(shapes["weights"]))
-    owner = f"LinearRegressionModel(lookback={lookback}, horizon={horizon})"
-    return LinearRegressionModel(check_store(params, shapes, owner)["weights"])
-
-
 MODEL_KINDS: dict[str, ModelKind] = {
-    "stan": ModelKind("STAN-{units}-{depth}", _network(StanNetwork), sized=True, gated=True),
-    "mlp": ModelKind("MLP-{units}-{depth}", _network(MlpNetwork), sized=True),
-    "linear": ModelKind("LinearNN", lambda lookback, horizon, units=None, depth=None, params=None, seed=0:
-                        LinearNetwork(lookback, horizon, params, seed)),
-    "linreg": ModelKind("LinReg", _build_linreg, fit=LinearRegressionModel.fit),
+    "stan": ModelKind("STAN-{units}-{depth}", StanNetwork, sized=True),
+    "mlp": ModelKind("MLP-{units}-{depth}", MlpNetwork, sized=True),
+    "linear": ModelKind("LinearNN", LinearNetwork),
+    "linreg": ModelKind("LinReg", LinearRegressionModel, fit=LinearRegressionModel.fit),
 }

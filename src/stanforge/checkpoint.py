@@ -107,7 +107,8 @@ def load_checkpoint(path):
     try:
         with open(path) as handle:
             return _parse(json.load(handle))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a damaged byte may break the UTF-8 too
+    # a damaged byte may break the UTF-8 too, and nesting too deep to parse is a RecursionError
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path.name}: not valid JSON: {exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path.name}: {exc}") from None

@@ -123,7 +123,7 @@ def _load_config(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to parse
         raise argparse.ArgumentTypeError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise argparse.ArgumentTypeError(f"config file {path} must hold a JSON object")

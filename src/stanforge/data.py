@@ -116,7 +116,8 @@ def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray,
     ``careful`` every row is parsed on its own and the first bad one raises
     DataFormatError naming the file line its record starts on, blank lines
     and lines inside quoted cells counted; without it a bad row raises a
-    plain ValueError.
+    plain ValueError. A record with a cell past ``csv.field_size_limit()``
+    raises DataFormatError naming its line either way.
     """
     stamps: list[str] = []
     values: list[float] = []
@@ -129,34 +130,37 @@ def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray,
         stamps.clear()
         values.clear()
 
-    missing = 0
+    missing, next_line = 0, 1
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        fields = next(reader, [])
-        if "Datetime" not in fields or column_name not in fields:
-            raise DataFormatError(
-                f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
-            )
-        stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
-        next_line = reader.line_num + 1
-        for row in reader:
-            # the file line the record starts on; a quoted cell may span lines
-            lineno, next_line = next_line, reader.line_num + 1
-            if not row:
-                continue
-            raw_value = row[value_at] if value_at < len(row) else ""
-            if raw_value.strip() == "":
-                missing += 1
-                continue
-            raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
-            if careful:
-                _check_row(path, lineno, raw_stamp, raw_value)
-            elif not _STAMP_SHAPE.fullmatch(raw_stamp):
-                raise ValueError(f"timestamp {raw_stamp!r}")
-            stamps.append(raw_stamp)
-            values.append(float(raw_value))
-            if len(stamps) == _BLOCK_ROWS:
-                flush()
+        try:
+            fields = next(reader, [])
+            if "Datetime" not in fields or column_name not in fields:
+                raise DataFormatError(
+                    f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
+                )
+            stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
+            next_line = reader.line_num + 1
+            for row in reader:
+                # the file line the record starts on; a quoted cell may span lines
+                lineno, next_line = next_line, reader.line_num + 1
+                if not row:
+                    continue
+                raw_value = row[value_at] if value_at < len(row) else ""
+                if raw_value.strip() == "":
+                    missing += 1
+                    continue
+                raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
+                if careful:
+                    _check_row(path, lineno, raw_stamp, raw_value)
+                elif not _STAMP_SHAPE.fullmatch(raw_stamp):
+                    raise ValueError(f"timestamp {raw_stamp!r}")
+                stamps.append(raw_stamp)
+                values.append(float(raw_value))
+                if len(stamps) == _BLOCK_ROWS:
+                    flush()
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise DataFormatError(f"{path.name} line {next_line}: {exc}") from None
     flush()
     return np.concatenate(stamp_blocks), np.concatenate(value_blocks), missing
 
@@ -171,8 +175,8 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     ``T`` separator or missing seconds, are rejected. Rows are sorted by
     timestamp; among duplicate timestamps the first row in file order is
     kept; rows with an empty value cell are dropped. Drops are logged as
-    warnings. Unparseable timestamps or values raise DataFormatError naming
-    the file line the offending record starts on.
+    warnings. Unparseable timestamps or values, or a cell too long for the csv
+    module, raise DataFormatError naming the line the offending record starts on.
     """
     path = Path(path)
     try:

@@ -41,7 +41,6 @@ __all__ = [
     "LayerStack",
     "StanNetwork",
     "transition_g",
-    "stan_unit_forward",
     "stan_layer_forward",
     "stan_layer_backward",
     "MAX_PARAMETERS",
@@ -117,12 +116,6 @@ def transition_g(z, gamma, c):
     out /= t
     np.clip(out, _G_LO, _G_HI, out=out)
     return float(out[0]) if scalar else out
-
-
-def stan_unit_forward(y: float, phi: float, theta: float, gamma: float, c: float) -> float:
-    """Scalar unit response ``phi*y + theta*relu(y)*g(y)``."""
-    g = transition_g(y, gamma, c)
-    return phi * y + theta * max(y, 0.0) * g
 
 
 @dataclass

@@ -310,7 +310,6 @@ def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float
     """
     flat = _FlatParams(model)
     state = AdamState.for_param(flat.values, lr=lr)
-    loss, _ = _loss_and_grads(model, dataset.inputs, dataset.targets)
     for step in range(steps):
         loss, grads = _loss_and_grads(model, dataset.inputs, dataset.targets)
         if not np.isfinite(loss):

@@ -11,6 +11,7 @@ from stanforge.baselines import (
 )
 from stanforge.numerics import ShapeError, finite_diff_check, mse_loss, relu
 from stanforge.stan_core import (
+    LayerStack,
     NetworkSpec,
     count_parameters,
     init_network,
@@ -219,7 +220,7 @@ def test_stan_dense_maps_are_the_mlp_init_at_the_same_seed():
 def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
     entry = MODEL_KINDS[kind]
     fresh = entry.build(6, 2, 5, 2, seed=3)
-    assert fresh.kind == kind
+    assert isinstance(fresh, LayerStack) and fresh.kind == kind
     assert fresh.num_params() == sum(arr.size for arr in fresh.params.values())
     # rebuilding from the fresh store passes the same name and shape check a checkpoint load runs
     rebuilt = entry.build(6, 2, 5, 2, params={n: a.copy() for n, a in fresh.params.items()})

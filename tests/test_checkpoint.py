@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanforge import checkpoint
-from stanforge.baselines import MODEL_KINDS, LinearNetwork
+from stanforge.baselines import MODEL_KINDS, LinearNetwork, LinearRegressionModel, fit_linear_regression
 from stanforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stanforge.data import ScalerParams
+from stanforge.numerics import affine_forward
 from stanforge.stan_core import NetworkSpec, StanNetwork
 
 
@@ -77,6 +78,9 @@ def test_load_rejects_non_checkpoints(tmp_path):
     bad.write_bytes(b'{"format": "\xff"}')  # not UTF-8
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(bad)
+    bad.write_text("[" * 200_000)  # nested past the parser's recursion limit
+    with pytest.raises(CheckpointError, match="JSON"):
+        load_checkpoint(bad)
     other = tmp_path / "other.json"
     other.write_text('{"format": "something-else"}')
     with pytest.raises(CheckpointError, match="stanforge-checkpoint"):
@@ -96,6 +100,38 @@ def test_load_rejects_unknown_version_and_kind(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="transformer"):
         load_checkpoint(path)
+
+
+def _v1_linreg_doc(weights, scaler):
+    """A ``linreg`` checkpoint as format v1 wrote it before ``linreg`` was a
+    layer stack: one ``weights`` array, intercept in row 0."""
+    return {
+        "format": "stanforge-checkpoint", "version": 1, "kind": "linreg",
+        "spec": {"lookback": weights.shape[0] - 1, "horizon": weights.shape[1]},
+        "param_order": ["weights"],
+        "params": {"weights": {"shape": list(weights.shape), "data": weights.ravel().tolist()}},
+        "scaler": {"mean": scaler.mean, "std": scaler.std},
+    }
+
+
+def test_v1_linreg_checkpoint_loads_and_predicts_bit_identically(tmp_path):
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((300, 45)), rng.standard_normal((300, 3))
+    weights, scaler = fit_linear_regression(x, y), ScalerParams(mean=1.5, std=2.5)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(_v1_linreg_doc(weights, scaler)) + "\n")
+    loaded, loaded_scaler = load_checkpoint(path)
+    assert type(loaded) is LinearRegressionModel and loaded_scaler == scaler
+    assert (loaded.lookback, loaded.horizon, loaded.num_params()) == (45, 3, 46 * 3)
+    test_x = rng.standard_normal((200, 45))
+    # what the closed-form model's own ``predict`` returned before it was a stack
+    want = affine_forward(test_x, weights[1:], weights[0]).tobytes()
+    assert loaded.predict(test_x).tobytes() == want
+    assert LinearRegressionModel.fit(x, y).predict(test_x).tobytes() == want
+    # saved again, it is written as the stack's store and still predicts the same bits
+    again, _ = load_checkpoint(save_checkpoint(tmp_path / "again.json", loaded))
+    assert sorted(again.params) == ["proj.W", "proj.b"]
+    assert again.predict(test_x).tobytes() == want
 
 
 def test_save_rejects_foreign_objects(tmp_path):
@@ -118,7 +154,10 @@ MALFORMED = {
     "non-numeric-data": ("mlp", lambda d: d["params"]["proj.b"].update(data=["x", "y"])),
     "nan-in-data": ("stan", lambda d: d["params"]["proj.b"]["data"].__setitem__(0, float("nan"))),
     "integer-past-float-range": ("linear", lambda d: d["params"]["proj.W"]["data"].__setitem__(0, 10**400)),
-    "linreg-without-weights": ("linreg", lambda d: d["params"].pop("weights")),
+    "linreg-without-proj.W": ("linreg", lambda d: d["params"].pop("proj.W")),
+    "v1-linreg-weights-without-intercept-row": (
+        "linreg", lambda d: d.update(params={"weights": {"shape": [6, 2], "data": [0.0] * 12}})),
+    "v1-linreg-weights-without-rows": ("linreg", lambda d: d.update(params={"weights": {"shape": [0, 2], "data": []}})),
     "scaler-without-std": ("linear", lambda d: d["scaler"].pop("std")),
     "scaler-as-list": ("linreg", lambda d: d.update(scaler=[1.0, 2.0])),
 }

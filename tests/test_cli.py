@@ -4,6 +4,7 @@ Every test drives main() in process with --out pointed at a temp directory,
 so nothing here shells out and nothing leaks into ./runs.
 """
 
+import csv
 import json
 import math
 import tempfile
@@ -357,6 +358,7 @@ def test_flag_beats_config_beats_default(tmp_path):
 @pytest.mark.parametrize("content,problem", [
     ("[1, 2]", "JSON object"),
     ("{not json", "not valid JSON"),
+    pytest.param("[" * 200_000, "not valid JSON", id="nested-past-the-recursion-limit"),
 ])
 def test_broken_config_files_exit_1(tmp_path, capsys, content, problem):
     config = tmp_path / "cfg.json"
@@ -424,6 +426,15 @@ def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, confi
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "benchmark"])
+def test_cell_past_the_csv_field_limit_exits_1_naming_its_line(tmp_path, capsys, subcommand):
+    data = tmp_path / "big.csv"
+    data.write_text(f"Datetime,EAST_MW\n2015-01-01 00:00:00,{'1' * (csv.field_size_limit() + 1)}\n")
+    argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "big.csv line 2: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry,key", [

@@ -217,6 +217,9 @@ def test_load_reports_the_first_bad_line(tmp_path, rows, message):
         load_pjm_csv(path, "AEP_MW")
 
 
+_PAST_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)
+
+
 @pytest.mark.parametrize("text,message", [
     # a bad value on file line 4, after one blank line
     ("Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n\n2015-01-01 02:00:00,oops\n",
@@ -231,7 +234,12 @@ def test_load_reports_the_first_bad_line(tmp_path, rows, message):
     # a quoted bad value over lines 3-4 is named by the line it starts on
     ('Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n2015-01-01 01:00:00,"1.0\n2.0"\n',
      "line 3: unparseable value '1.0\\n2.0'"),
-], ids=["blank-line", "two-blank-lines", "quoted-cell-before", "quoted-bad-value"])
+    # a cell past the csv module's field limit, in a record and in the header
+    (f"Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n2015-01-01 01:00:00,{_PAST_FIELD_LIMIT}\n",
+     f"line 3: field larger than field limit ({csv.field_size_limit()})"),
+    (f"Datetime,{_PAST_FIELD_LIMIT}\n", f"line 1: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["blank-line", "two-blank-lines", "quoted-cell-before", "quoted-bad-value",
+        "cell-past-field-limit", "header-cell-past-field-limit"])
 def test_load_names_the_file_line_the_record_starts_on(tmp_path, text, message):
     path = tmp_path / "lines.csv"
     path.write_text(text)

@@ -18,7 +18,6 @@ from stanforge.stan_core import (
     init_network,
     stan_layer_backward,
     stan_layer_forward,
-    stan_unit_forward,
     transition_g,
 )
 
@@ -123,6 +122,12 @@ def test_gate_array_is_bit_identical_to_two_branch_form(data, rows, cols, broadc
 
 
 # ------------------------------------------------------------------ unit ----
+
+def stan_unit_forward(y: float, phi: float, theta: float, gamma: float, c: float) -> float:
+    """Scalar reference for one unit's response ``phi*y + theta*relu(y)*g(y)``."""
+    g = transition_g(y, gamma, c)
+    return phi * y + theta * max(y, 0.0) * g
+
 
 def test_unit_linear_when_theta_zero():
     for y in (-2.0, -0.5, 0.0, 0.5, 2.0):
