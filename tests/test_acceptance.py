@@ -5,7 +5,11 @@ Everything here goes through public entry points only; the per-module suites
 cover the corners.
 """
 
+import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,27 @@ def test_benchmark_rerun_is_byte_identical(advantage_series, tmp_path):
     _report("benchmark-determinism", ok,
             f"two full reruns produced {'identical' if ok else 'DIFFERENT'} "
             f"results.json ({len(blobs[0])} bytes)")
+
+
+# The sha256 of the desk-scale ``results.json`` below, recorded with BLAS at
+# one thread (it read the same at two). A change that moves it moves the bits
+# of the benchmark's results and must show why.
+DESK_RESULTS_SHA256 = "4ec51e8734c48b3bd10984c72729f82f27646880de56ff1dc7363082c0bf6168"
+
+
+def test_desk_scale_results_keep_their_bytes(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = str(tmp_path / "out")
+    for argv in (["fixtures", "--n", "1500"],
+                 ["benchmark", "--desk-scale", "--data", str(Path(out) / "fixtures-seed0" / "EAST.csv"),
+                  "--column", "EAST_MW", "--horizons", "1,6", "--runs", "2", "--max-epochs", "5"]):
+        subprocess.run([sys.executable, "-m", "stanforge.cli", *argv, "--out", out],
+                       env=env, check=True, capture_output=True)
+    digest = hashlib.sha256((Path(out) / "benchmark-seed0" / "results.json").read_bytes()).hexdigest()
+    _report("results-bytes", digest == DESK_RESULTS_SHA256,
+            f"desk-scale results.json sha256 {digest[:12]}..., recorded {DESK_RESULTS_SHA256[:12]}...")
 
 
 # 8. structural invariants: gate, linear regime, windowing, scaling, scoring
