@@ -303,6 +303,8 @@ def _group_of(name: str) -> str:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be a positive integer, got {args.batch}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
     check_size(spec)
     rng = np.random.default_rng(args.seed)
@@ -385,10 +387,9 @@ def _plan_from_args(args) -> BenchmarkPlan:
 
 def cmd_benchmark(args) -> int:
     plan = _plan_from_args(args)
-    try:
-        plan.validate()
-    except PlanError as exc:
-        raise UsageError(str(exc)) from None
+    # validates the plan and reads every dataset before any cell runs, so a
+    # rejected plan or unreadable data leaves no run directory
+    results = run_benchmark(plan)
     run_dir = _run_dir(args)
     _write_json(run_dir / "config.json", {
         "datasets": [{"path": d.path, "column": d.column} for d in plan.datasets],
@@ -401,7 +402,6 @@ def cmd_benchmark(args) -> int:
         "split": plan.split,
         "train": asdict(plan.train),
     })
-    results = run_benchmark(plan)
     table = aggregate(results)
     written = write_report(table, results, run_dir)
     failed = sum(1 for r in results if r.failed)

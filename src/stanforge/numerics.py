@@ -51,53 +51,21 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     return a
 
 
-def as_vector(x, name: str = "x") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
+def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Compute ``x @ w + b``: (m, p) @ (p, q) + (q,) -> (m, q).
 
-
-def affine_forward(x, w, b) -> np.ndarray:
-    """Compute ``x @ w + b``.
-
-    Parameters
-    ----------
-    x : array, shape (m, p)
-    w : array, shape (p, q)
-    b : array, shape (q,)
-
-    Returns
-    -------
-    array, shape (m, q)
+    Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
-    x = as_matrix(x, "x")
-    w = as_matrix(w, "w")
-    b = as_vector(b, "b")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"cannot multiply x with shape {x.shape} by w with shape {w.shape}")
-    if b.shape[0] != w.shape[1]:
-        raise ShapeError(f"bias shape {b.shape} does not match w with shape {w.shape}")
     return x @ w + b
 
 
-def affine_backward(x, w, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``y = x @ w + b`` given upstream ``dy``.
+def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of ``y = x @ w + b`` given upstream ``dy``: ``(dx, dw, db)``
+    with ``dx = dy @ w.T``, ``dw = x.T @ dy`` and ``db`` the column sums of ``dy``.
 
-    Returns ``(dx, dw, db)`` where ``dx = dy @ w.T``, ``dw = x.T @ dy`` and
-    ``db`` holds the column sums of ``dy``.
+    Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
-    x = as_matrix(x, "x")
-    w = as_matrix(w, "w")
-    dy = as_matrix(dy, "dy")
-    if dy.shape != (x.shape[0], w.shape[1]):
-        raise ShapeError(
-            f"dy shape {dy.shape} does not match x {x.shape} @ w {w.shape}"
-        )
-    dx = dy @ w.T
-    dw = x.T @ dy
-    db = dy.sum(axis=0)
-    return dx, dw, db
+    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
 def relu(x):
@@ -147,22 +115,14 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(param: np.ndarray, grad, state: AdamState, name: str = "param") -> None:
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``param`` in place.
 
-    ``param`` must be a float64 ndarray so the in-place write reaches the
-    caller's array. Raises NonFiniteError if the gradient contains NaN or
-    infinity; ``name`` is used in that message.
+    Takes float64 ``param``, ``grad``, ``state.m`` and ``state.v`` of one shape, as ``training`` passes them.
+    Raises NonFiniteError if the gradient holds NaN or infinity; the caller names the parameter.
     """
-    if not isinstance(param, np.ndarray) or param.dtype != np.float64:
-        raise TypeError(f"parameter '{name}' must be a float64 ndarray to be updated in place")
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != param.shape:
-        raise ShapeError(f"gradient shape {grad.shape} does not match parameter '{name}' shape {param.shape}")
-    if state.m.shape != param.shape or state.v.shape != param.shape:
-        raise ShapeError(f"optimizer state does not match parameter '{name}' shape {param.shape}")
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
+        raise NonFiniteError("non-finite gradient")
     state.t += 1
     state.m *= state.beta1
     state.m += (1.0 - state.beta1) * grad

@@ -146,19 +146,12 @@ class NetworkCache:
     proj_input: np.ndarray
 
 
-def stan_layer_forward(x, params: StanLayerParams) -> tuple[np.ndarray, StanLayerCache]:
-    """Apply a smooth-transition layer to a batch.
+def stan_layer_forward(x: np.ndarray, params: StanLayerParams) -> tuple[np.ndarray, StanLayerCache]:
+    """Apply a smooth-transition layer to a batch ``x`` (m, p); returns
+    ``(y, cache)`` with y of shape (m, d).
 
-    Parameters
-    ----------
-    x : array, shape (m, p)
-    params : StanLayerParams with w (p, d) and four (d,) vectors.
-
-    Returns
-    -------
-    (y, cache) where y has shape (m, d).
+    Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
-    x = as_matrix(x, "x")
     pre = affine_forward(x, params.w, params.b)
     act = relu(pre)
     gate = transition_g(pre, params.gamma, params.c)
@@ -166,8 +159,11 @@ def stan_layer_forward(x, params: StanLayerParams) -> tuple[np.ndarray, StanLaye
     return y, StanLayerCache(x=x, pre=pre, act=act, gate=gate)
 
 
-def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> tuple[np.ndarray, StanLayerParams]:
+def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
+                        dy: np.ndarray) -> tuple[np.ndarray, StanLayerParams]:
     """Backward pass of one layer.
+
+    Takes a float64 ``dy`` of the cached pre-activation's shape, as ``LayerStack`` passes it.
 
     With u the pre-activation, a = relu(u), g the gate and s = g*(1-g):
 
@@ -180,11 +176,6 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy) -> t
     and (dx, dw, db) follow from the affine backward on du. Returns
     ``(dx, grads)`` with grads packed in a StanLayerParams of the same shapes.
     """
-    dy = as_matrix(dy, "dy")
-    if dy.shape != cache.pre.shape:
-        raise ShapeError(f"dy shape {dy.shape} does not match cached pre-activation {cache.pre.shape}")
-    if cache.x.shape != (cache.pre.shape[0], params.w.shape[0]):
-        raise ShapeError(f"cache input {cache.x.shape} does not match params w {params.w.shape}")
     pre, act, gate = cache.pre, cache.act, cache.gate
     slope = gate * (1.0 - gate)
     dy_act = dy * act
@@ -327,7 +318,7 @@ class LayerStack:
     def forward(self, x) -> tuple[np.ndarray, NetworkCache]:
         x = as_matrix(x, "x")
         if x.shape[1] != self.lookback:
-            raise ShapeError(f"input has {x.shape[1]} columns, network expects lookback {self.lookback}")
+            raise ShapeError(f"input shape {x.shape} has {x.shape[1]} columns, network expects lookback {self.lookback}")
         p, h = self.params, x
         caches: list[StanLayerCache] = []
         for i in range(self.depth):

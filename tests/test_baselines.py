@@ -1,5 +1,10 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stanforge.baselines import (
     MODEL_KINDS,
@@ -19,6 +24,7 @@ from stanforge.stan_core import (
     network_shapes,
     stack_shapes,
 )
+from stanforge.training import TrainConfig, train
 
 
 # ------------------------------------------------------- linear regression --
@@ -235,3 +241,35 @@ def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
             entry.build(6, 2, 5, 2, params=bad)
     with pytest.raises(TypeError, match=first):
         entry.build(6, 2, 5, 2, params={**store, first: store[first].astype(np.float32)})
+
+
+# The kernels behind ``forward``/``backward`` check nothing; the model's entry
+# points are the boundary, so each bad shape must stop there as a ShapeError
+# naming it, never reach NumPy as a bare ValueError/TypeError or broadcast.
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(MODEL_KINDS)), lookback=st.integers(1, 6), horizon=st.integers(1, 3),
+       units=st.integers(1, 4), depth=st.integers(1, 2), rows=st.integers(1, 5),
+       columns=st.integers(0, 8), width=st.integers(1, 5),
+       dpred_shape=st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple), data=st.data())
+def test_every_kind_refuses_bad_shapes_at_its_entry_points(kind, lookback, horizon, units, depth, rows,
+                                                          columns, width, dpred_shape, data):
+    model = MODEL_KINDS[kind].build(lookback, horizon, units, depth, seed=0)
+    rng = np.random.default_rng(0)
+    for x in (rng.standard_normal(rows), rng.standard_normal((rows, columns))):
+        if x.shape == (rows, lookback):
+            continue
+        for call in (model.forward, model.predict):
+            with pytest.raises(ShapeError, match=re.escape(str(x.shape))):
+                call(x)
+    _, cache = model.forward(rng.standard_normal((rows, lookback)))
+    if dpred_shape != (rows, horizon):
+        with pytest.raises(ShapeError, match=re.escape(str(dpred_shape))):
+            model.backward(cache, np.ones(dpred_shape))
+    if MODEL_KINDS[kind].fit is None and width != horizon:
+        # one batch holds the whole set, so the batch's targets have the set's shape
+        inputs = rng.standard_normal((rows + 1, lookback))
+        bad = SimpleNamespace(inputs=inputs, targets=np.zeros((rows + 1, width)))
+        good = SimpleNamespace(inputs=inputs, targets=np.zeros((rows + 1, horizon)))
+        train_set, val_set = data.draw(st.permutations([bad, good]))
+        with pytest.raises(ShapeError, match=re.escape(str(bad.targets.shape))):
+            train(model, train_set, val_set, TrainConfig(max_epochs=1))

@@ -204,6 +204,13 @@ def test_gradcheck_corrupted_group_is_caught(tmp_path):
     assert "5.000e-01" in phi_line
 
 
+@pytest.mark.parametrize("batch", [0, -2])
+def test_gradcheck_refuses_a_batch_below_one_naming_the_flag(tmp_path, capsys, batch):
+    assert main(["gradcheck", "--batch", str(batch), "--out", str(tmp_path / "out")]) == 1
+    assert f"--batch must be a positive integer, got {batch}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- benchmark
 
 
@@ -435,6 +442,15 @@ def test_cell_past_the_csv_field_limit_exits_1_naming_its_line(tmp_path, capsys,
     argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "big.csv line 2: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "benchmark"])
+def test_missing_data_file_exits_1_without_a_run_directory(tmp_path, capsys, subcommand):
+    argv = [subcommand, "--data", str(tmp_path / "missing.csv"), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("entry,key", [

@@ -20,25 +20,18 @@ from stanforge.numerics import (
 # ---------------------------------------------------------------- affine ----
 
 def test_affine_forward_identity():
-    out = affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
+    out = affine_forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2))
     assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_affine_forward_sums_plus_bias():
-    out = affine_forward([[1.0, 1.0]], [[1.0], [1.0]], [1.0])
+    out = affine_forward(np.array([[1.0, 1.0]]), np.ones((2, 1)), np.array([1.0]))
     assert np.array_equal(out, [[3.0]])
 
 
 def test_affine_forward_scaling_case():
-    out = affine_forward([[0.5, -0.5]], [[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+    out = affine_forward(np.array([[0.5, -0.5]]), 2.0 * np.eye(2), np.ones(2))
     assert np.allclose(out, [[2.0, 0.0]])
-
-
-def test_affine_forward_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 2\)"):
-        affine_forward(np.ones((1, 3)), np.ones((2, 2)), np.ones(2))
-    with pytest.raises(ShapeError, match="bias"):
-        affine_forward(np.ones((1, 2)), np.ones((2, 2)), np.ones(3))
 
 
 def test_affine_backward_zero_upstream():
@@ -47,12 +40,12 @@ def test_affine_backward_zero_upstream():
 
 
 def test_affine_backward_scalar_case():
-    dx, dw, db = affine_backward([[3.0]], [[2.0]], [[1.0]])
+    dx, dw, db = affine_backward(np.array([[3.0]]), np.array([[2.0]]), np.array([[1.0]]))
     assert dx == [[2.0]] and dw == [[3.0]] and db == [1.0]
 
 
 def test_affine_backward_unit_case():
-    dx, dw, db = affine_backward([[1.0]], [[1.0]], [[1.0]])
+    dx, dw, db = affine_backward(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     assert dx == [[1.0]] and dw == [[1.0]] and db == [1.0]
 
 
@@ -82,11 +75,6 @@ def test_affine_backward_matches_finite_differences():
             analytic = float(grad[idx])
             worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
     assert worst < 1e-6
-
-
-def test_affine_backward_rejects_mismatched_dy():
-    with pytest.raises(ShapeError):
-        affine_backward(np.ones((3, 2)), np.ones((2, 4)), np.ones((2, 4)))
 
 
 # ------------------------------------------------------------------ relu ----
@@ -200,21 +188,12 @@ def test_adam_second_moment_stays_nonnegative():
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():
+    # the caller names the parameter: see test_train_names_epoch_batch_and_parameter_of_a_non_finite_gradient
     param = np.zeros(2)
     state = AdamState.for_param(param)
-    with pytest.raises(NonFiniteError, match="layers.0.W"):
-        adam_step(param, np.array([np.nan, 0.0]), state, name="layers.0.W")
-
-
-def test_adam_rejects_shape_mismatch():
-    param = np.zeros(2)
-    with pytest.raises(ShapeError, match="proj.W"):
-        adam_step(param, np.zeros(3), AdamState.for_param(param), name="proj.W")
-
-
-def test_adam_requires_float64_array():
-    with pytest.raises(TypeError):
-        adam_step([0.0, 0.0], np.zeros(2), AdamState.for_param(np.zeros(2)))
+    with pytest.raises(NonFiniteError, match="non-finite gradient"):
+        adam_step(param, np.array([np.nan, 0.0]), state)
+    assert state.t == 0 and not param.any()
 
 
 # --------------------------------------------------------- finite differences

@@ -232,7 +232,7 @@ def _per_array_reference(model, train_set, val_set, config):
             loss, dpred = mse_loss(pred, train_set.targets[batch])
             grads = model.backward(cache, dpred)
             for name, param in model.params.items():
-                adam_step(param, grads[name], states[name], name=name)
+                adam_step(param, grads[name], states[name])
             batch_losses.append(loss)
         val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
         losses.append((float(np.mean(batch_losses)), val_loss))
