@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stanforge.baselines import LinearNetwork, MlpNetwork, fit_linear_regression
-from stanforge.data import WindowedDataset
+from stanforge.data import WindowedDataset, prepare_splits
 from stanforge.numerics import AdamState, NonFiniteError, adam_step, mse_loss
 from stanforge.stan_core import NetworkSpec, StanNetwork
 from stanforge.training import (
@@ -276,6 +276,27 @@ def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
     assert not np.shares_memory(before, model.params["proj.W"])
     assert model.params["proj.W"].base is not None
     assert len({id(arr.base) for arr in model.params.values()}) == 1
+
+
+# Digests of the final parameters and of the test-window predictions of the runs
+# below, at the benchmark's shapes (lookback 45, 64 units, batch 256). They read
+# the same with BLAS at one and at two threads.
+BENCH_SHAPE_GOLDEN = {
+    "STAN-64-3": ("361ebad0b82c455ab761c8cf541f98461013de47c15b9d1253c5e2d57c5e0b10",
+                  "4deea7610e1b9206e3a33bd86e4697b5e45daabef454fa9e200b4d07df6b3502"),
+    "MLP-64-3": ("94debde9025b1adc950d4278945cb99d3ddb4d9e6a7b87fac656abfff60dbd66",
+                 "529d7d791341a57e31ec0d1c520fedfc1c1bfae72b9401bfee7bf4b42d714a52"),
+}
+
+
+@pytest.mark.parametrize("name,cls", [("STAN-64-3", StanNetwork), ("MLP-64-3", MlpNetwork)],
+                         ids=["stan", "mlp"])
+def test_fit_and_predict_keep_their_bytes_at_the_benchmark_shapes(advantage_series, name, cls):
+    prep = prepare_splits(advantage_series, horizon=1, seed=0)
+    model = cls(NetworkSpec(prep.lookback, 64, 3, 1), seed=0)
+    train(model, prep.train, prep.val, TrainConfig(max_epochs=3, batch_size=256, seed=0))
+    pred = model.predict(prep.test.inputs)
+    assert (_params_sha256(model), hashlib.sha256(pred.tobytes()).hexdigest()) == BENCH_SHAPE_GOLDEN[name]
 
 
 def test_train_names_epoch_batch_and_parameter_of_a_non_finite_gradient():
