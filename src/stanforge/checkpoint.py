@@ -38,23 +38,26 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
     kind, params = MODEL_KINDS[model.kind], model.params
     order = sorted(params)
-    doc = {
+    head = {
         "format": FORMAT,
         "version": VERSION,
         "kind": model.kind,
         "spec": {key: getattr(model, key) for key in kind.spec_keys},
         "param_order": order,
-        "params": {
-            name: {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
-            for name in order
-        },
-        "scaler": None if scaler is None else {"mean": scaler.mean, "std": scaler.std},
     }
+    scaler_doc = None if scaler is None else {"mean": scaler.mean, "std": scaler.std}
+    # The text of json.dump({**head, "params": {name: entry, ...}, "scaler": scaler_doc}),
+    # made one array at a time: a one-shot encode runs the C encoder (json.dump
+    # streams through a pure-Python one) and holds one array's text, not the file's.
+    encode = json.JSONEncoder(allow_nan=False).encode
     tmp = path.with_name(path.name + ".tmp")  # replaces ``path`` only once complete
     try:
         with open(tmp, "w") as handle:
-            json.dump(doc, handle, allow_nan=False)
-            handle.write("\n")
+            handle.write(encode(head)[:-1] + ', "params": {')
+            for i, name in enumerate(order):
+                entry = {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
+                handle.write(f'{", " if i else ""}{encode(name)}: {encode(entry)}')
+            handle.write(f'}}, "scaler": {encode(scaler_doc)}}}\n')
         os.replace(tmp, path)
     except ValueError:  # json refuses NaN and infinity
         raise CheckpointError(f"{path.name}: refusing to save non-finite parameters or scaler") from None

@@ -69,6 +69,10 @@ MAX_PARAMETERS = 2 ** 27
 _G_LO = np.nextafter(0.0, 1.0)
 _G_HI = np.nextafter(1.0, 0.0)
 
+# Rows per tile of ``LayerStack.predict``'s gate and mix: the training batch,
+# so a tile's temporaries are the size training already allocates.
+PREDICT_TILE = 256
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -94,24 +98,27 @@ def transition_g(z, gamma, c):
     ``exp(min(t, 0)) / (1 + exp(-|t|))``: for ``t >= 0`` that is
     ``1 / (1 + exp(-t))`` and for ``t < 0`` it is ``exp(t) / (1 + exp(t))``,
     so no positive argument is ever exponentiated and arbitrarily large
-    ``|t|`` cannot overflow. The result is clipped to the open interval
-    (0, 1) at one ulp from each end, which keeps it strictly inside while
-    staying within 1e-15 of the saturated limits. The shorter
-    ``0.5 * (1 + tanh(t / 2))`` is not used: it differs in the last bits and
-    loses relative precision deep in the negative tail, where the gate's
-    ``g * (1 - g)`` slope feeds the gamma and c gradients.
+    ``|t|`` cannot overflow. One ``exp`` serves both: the numerator is
+    ``maximum(t >= 0, exp(-|t|))``, exactly ``exp(min(t, 0))``, since
+    ``-|t|`` is ``t`` where ``t < 0`` and ``exp(-|t|) <= 1`` elsewhere. The
+    result is clipped to the open interval (0, 1) at one ulp from each end,
+    which keeps it strictly inside while staying within 1e-15 of the
+    saturated limits. The shorter ``0.5 * (1 + tanh(t / 2))`` is not used:
+    it differs in the last bits and loses relative precision deep in the
+    negative tail, where the gate's ``g * (1 - g)`` slope feeds the gamma
+    and c gradients.
     """
     t = np.asarray(
         np.asarray(gamma, dtype=np.float64)
         * (np.asarray(z, dtype=np.float64) - np.asarray(c, dtype=np.float64))
     )
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)  # a fresh array, reused below as the denominator
-    out = np.minimum(t, 0.0)
-    np.exp(out, out=out)
+    t = np.atleast_1d(t)  # a fresh array, reused below for exp(-|t|) and the denominator
+    out = np.greater_equal(t, 0.0, out=np.empty_like(t))
     np.abs(t, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
+    np.maximum(out, t, out=out)
     t += 1.0
     out /= t
     np.clip(out, _G_LO, _G_HI, out=out)
@@ -146,6 +153,19 @@ class NetworkCache:
     proj_input: np.ndarray
 
 
+def _gate_and_mix(pre: np.ndarray, params: StanLayerParams,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y, relu(pre), gate)`` with ``y = pre * phi + theta * relu(pre) * gate``
+    written to ``out``, which may be ``pre`` itself."""
+    act = relu(pre)
+    gate = transition_g(pre, params.gamma, params.c)
+    gated = params.theta * act
+    gated *= gate
+    y = np.multiply(pre, params.phi, out=out)
+    y += gated
+    return y, act, gate
+
+
 def stan_layer_forward(x: np.ndarray, params: StanLayerParams) -> tuple[np.ndarray, StanLayerCache]:
     """Apply a smooth-transition layer to a batch ``x`` (m, p); returns
     ``(y, cache)`` with y of shape (m, d).
@@ -153,15 +173,13 @@ def stan_layer_forward(x: np.ndarray, params: StanLayerParams) -> tuple[np.ndarr
     Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
     pre = affine_forward(x, params.w, params.b)
-    act = relu(pre)
-    gate = transition_g(pre, params.gamma, params.c)
-    y = pre * params.phi + params.theta * act * gate
+    y, act, gate = _gate_and_mix(pre, params)
     return y, StanLayerCache(x=x, pre=pre, act=act, gate=gate)
 
 
 def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
-                        dy: np.ndarray) -> tuple[np.ndarray, StanLayerParams]:
-    """Backward pass of one layer.
+                        dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward pass of one layer's gate and mix, down to its pre-activation.
 
     Takes a float64 ``dy`` of the cached pre-activation's shape, as ``LayerStack`` passes it.
 
@@ -173,20 +191,33 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
         dc     = -theta * gamma * sum_m dy * a * s
         du     = dy * (phi + theta * (relu'(u) * g + a * s * gamma))
 
-    and (dx, dw, db) follow from the affine backward on du. Returns
-    ``(dx, grads)`` with grads packed in a StanLayerParams of the same shapes.
+    Returns ``(du, coefs)``: ``du`` (m, d), from which ``LayerStack.backward``
+    takes the dense map's gradients ``x.T @ du`` and ``du.sum(axis=0)`` and the
+    input gradient ``du @ w.T``, and ``coefs`` (4, d), whose rows are dphi,
+    dtheta, dgamma and dc.
     """
     pre, act, gate = cache.pre, cache.act, cache.gate
-    slope = gate * (1.0 - gate)
-    dy_act = dy * act
-    weighted = dy_act * slope
-    dphi = np.sum(dy * pre, axis=0)
-    dtheta = np.sum(dy_act * gate, axis=0)
-    dgamma = params.theta * np.sum(weighted * (pre - params.c), axis=0)
-    dc = -params.theta * params.gamma * np.sum(weighted, axis=0)
-    dpre = dy * (params.phi + params.theta * (relu_grad(pre) * gate + act * slope * params.gamma))
-    dx, dw, db = affine_backward(cache.x, params.w, dpre)
-    return dx, StanLayerParams(w=dw, b=db, phi=dphi, theta=dtheta, gamma=dgamma, c=dc)
+    terms = np.empty((4, *pre.shape))  # the four column-sum operands, reduced together
+    slope = np.subtract(1.0, gate)
+    slope *= gate
+    np.multiply(dy, pre, out=terms[0])
+    dy_act = np.multiply(dy, act, out=terms[1])
+    weighted = np.multiply(dy_act, slope, out=terms[3])
+    dy_act *= gate
+    np.subtract(pre, params.c, out=terms[2])
+    terms[2] *= weighted
+    coefs = terms.sum(axis=1)
+    coefs[2] *= params.theta
+    coefs[3] *= -params.theta * params.gamma
+    # du in the slope buffer; relu'(u) * g + a * s * gamma is (a * s * gamma + g) * (u > 0)
+    slope *= act
+    slope *= params.gamma
+    slope += gate
+    slope *= pre > 0.0
+    slope *= params.theta
+    slope += params.phi
+    slope *= dy
+    return slope, coefs
 
 
 def stack_shapes(lookback: int, horizon: int, units: int = 0, depth: int = 0,
@@ -315,11 +346,15 @@ class LayerStack:
     def layer_params(self, i: int) -> StanLayerParams:
         return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))
 
-    def forward(self, x) -> tuple[np.ndarray, NetworkCache]:
+    def _check_input(self, x) -> np.ndarray:
         x = as_matrix(x, "x")
         if x.shape[1] != self.lookback:
             raise ShapeError(f"input shape {x.shape} has {x.shape[1]} columns, network expects lookback {self.lookback}")
-        p, h = self.params, x
+        return x
+
+    def forward(self, x) -> tuple[np.ndarray, NetworkCache]:
+        h = self._check_input(x)
+        p = self.params
         caches: list[StanLayerCache] = []
         for i in range(self.depth):
             if self.gated:
@@ -344,18 +379,34 @@ class LayerStack:
         for i in reversed(range(self.depth)):
             layer = cache.layers[i]
             if self.gated:
-                dh, layer_grads = stan_layer_backward(layer, self.layer_params(i), dh)
-                for field_name, grad in zip(LAYER_FIELDS, vars(layer_grads).values()):
+                du, coefs = stan_layer_backward(layer, self.layer_params(i), dh)
+                for field_name, grad in zip(LAYER_FIELDS[2:], coefs):
                     grads[f"layers.{i}.{field_name}"] = grad
             else:
-                dh, grads[f"layers.{i}.W"], grads[f"layers.{i}.b"] = affine_backward(
-                    layer.x, p[f"layers.{i}.W"], dh * relu_grad(layer.pre)
-                )
+                du = dh * relu_grad(layer.pre)
+            grads[f"layers.{i}.W"], grads[f"layers.{i}.b"] = layer.x.T @ du, du.sum(axis=0)
+            if i:  # nothing reads the first layer's input gradient
+                dh = du @ p[f"layers.{i}.W"].T
         return grads
 
     def predict(self, x) -> np.ndarray:
-        pred, _ = self.forward(x)
-        return pred
+        """``forward(x)[0]``, bit for bit, without building caches. Each GEMM
+        is one call on the whole matrix, as in ``forward``; a gated layer's
+        gate and mix run over ``PREDICT_TILE``-row tiles written over the
+        pre-activation."""
+        h = self._check_input(x)
+        p = self.params
+        for i in range(self.depth):
+            pre = affine_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"])
+            if self.gated:
+                params = self.layer_params(i)
+                for start in range(0, len(pre), PREDICT_TILE):
+                    tile = pre[start:start + PREDICT_TILE]
+                    _gate_and_mix(tile, params, out=tile)
+                h = pre
+            else:
+                h = relu(pre)
+        return affine_forward(h, p["proj.W"], p["proj.b"])
 
     def num_params(self) -> int:
         return sum(arr.size for arr in self.params.values())

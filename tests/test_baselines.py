@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stanforge.baselines import (
@@ -273,3 +273,24 @@ def test_every_kind_refuses_bad_shapes_at_its_entry_points(kind, lookback, horiz
         train_set, val_set = data.draw(st.permutations([bad, good]))
         with pytest.raises(ShapeError, match=re.escape(str(bad.targets.shape))):
             train(model, train_set, val_set, TrainConfig(max_epochs=1))
+
+
+# ``predict`` runs the gate in tiles of ``PREDICT_TILE`` rows and keeps no
+# caches; its bits must still be ``forward``'s, on either side of a tile edge.
+@pytest.mark.parametrize("horizon", [1, 6])
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1))
+@example(rows=1, seed=0)
+@example(rows=255, seed=1)
+@example(rows=256, seed=2)
+@example(rows=257, seed=3)
+@example(rows=512, seed=4)
+@example(rows=513, seed=5)
+def test_predict_is_forward_bit_for_bit(kind, horizon, rows, seed):
+    model = MODEL_KINDS[kind].build(45, horizon, 64, 3, seed=0)
+    rng = np.random.default_rng(seed)
+    for name, arr in model.params.items():  # theta off zero, so every gate shapes the output
+        arr[...] = rng.standard_normal(arr.shape)
+    x = rng.standard_normal((rows, 45))
+    assert model.predict(x).tobytes() == model.forward(x)[0].tobytes()

@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 import tracemalloc
@@ -48,6 +49,17 @@ def test_round_trip_is_bit_identical(tmp_path, kind):
         assert np.array_equal(loaded.params[name], model.params[name])
     x = np.random.default_rng(5).standard_normal((7, 6))
     assert np.array_equal(loaded.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize("kind", [*MODEL_KINDS, "stan-45-64-3"])
+def test_saved_bytes_are_what_the_streaming_encoder_writes(tmp_path, kind):
+    model = (_random_model(kind) if kind in MODEL_KINDS
+             else StanNetwork(NetworkSpec(45, 64, 3, 1), seed=0))  # the benchmark's size
+    path = save_checkpoint(tmp_path / "m.json", model, ScalerParams(mean=1234.56789, std=98.7654321))
+    stream = io.StringIO()  # ``json.dump`` encodes in pure Python, chunk by chunk
+    json.dump(json.loads(path.read_text()), stream, allow_nan=False)
+    stream.write("\n")
+    assert path.read_bytes() == stream.getvalue().encode()
 
 
 def test_scaler_round_trips(tmp_path):

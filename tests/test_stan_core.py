@@ -178,9 +178,9 @@ def test_layer_backward_zero_upstream():
     rng = np.random.default_rng(2)
     params = _layer(3, 4, rng)
     _, cache = stan_layer_forward(rng.standard_normal((6, 3)), params)
-    dx, grads = stan_layer_backward(cache, params, np.zeros((6, 4)))
-    assert not dx.any()
-    for arr in (grads.w, grads.b, grads.phi, grads.theta, grads.gamma, grads.c):
+    du, coefs = stan_layer_backward(cache, params, np.zeros((6, 4)))
+    assert not du.any()
+    for arr in coefs:
         assert not arr.any()
 
 
@@ -191,10 +191,10 @@ def test_layer_backward_theta_zero_freezes_gate_gradients():
     x = rng.standard_normal((6, 3))
     _, cache = stan_layer_forward(x, params)
     dy = rng.standard_normal((6, 4))
-    _, grads = stan_layer_backward(cache, params, dy)
-    assert not grads.gamma.any()
-    assert not grads.c.any()
-    assert np.allclose(grads.phi, np.sum(dy * cache.pre, axis=0))
+    _, (dphi, _, dgamma, dc) = stan_layer_backward(cache, params, dy)
+    assert not dgamma.any()
+    assert not dc.any()
+    assert np.allclose(dphi, np.sum(dy * cache.pre, axis=0))
 
 
 def test_layer_backward_matches_finite_differences():
@@ -207,9 +207,9 @@ def test_layer_backward_matches_finite_differences():
         p = StanLayerParams(**{k.lower(): params[k] for k in params})
         y, cache = stan_layer_forward(x, p)
         loss, dy = mse_loss(y, target)
-        _, grads = stan_layer_backward(cache, p, dy)
-        return loss, {"W": grads.w, "b": grads.b, "phi": grads.phi,
-                      "theta": grads.theta, "gamma": grads.gamma, "c": grads.c}
+        du, (dphi, dtheta, dgamma, dc) = stan_layer_backward(cache, p, dy)
+        return loss, {"W": x.T @ du, "b": du.sum(axis=0), "phi": dphi,
+                      "theta": dtheta, "gamma": dgamma, "c": dc}
 
     store = {"W": base.w, "b": base.b, "phi": base.phi,
              "theta": base.theta, "gamma": base.gamma, "c": base.c}
