@@ -241,17 +241,9 @@ def cmd_simulate(args) -> int:
                          c=args.c, delay=args.delay, sigma=args.sigma)
     series = simulate_lstar(params, n=args.n, burn_in=args.burn_in, seed=args.seed, name=args.name)
     run_dir = _run_dir(args)
-    series_path = run_dir / "series.csv"
-    if args.pjm_layout:
-        write_pjm_csv(TimeSeries(name=args.name, timestamps=hourly_timestamps(args.n), values=series.values),
-                      series_path)
-    else:
-        with open(series_path, "w") as handle:
-            handle.write("t,value\n")
-            for t, value in zip(series.timestamps, series.values):
-                handle.write(f"{int(t)},{float(value)!r}\n")
-    for name in ("config.json", "params.json"):
-        _write_json(run_dir / name, _options(args))
+    series_path = write_pjm_csv(TimeSeries(name=args.name, timestamps=hourly_timestamps(args.n),
+                                           values=series.values), run_dir / "series.csv")
+    _write_json(run_dir / "config.json", _options(args))
     print(f"wrote {series_path} ({args.n} observations)")
     return 0
 
@@ -333,8 +325,8 @@ def cmd_gradcheck(args) -> int:
     groups: dict[str, float] = {g: 0.0 for g in GRADCHECK_GROUPS}
     for name, err in per_param.items():
         group = _group_of(name)
-        groups[group] = max(groups[group], err)
-    worst = max(groups.values())
+        groups[group] = float(np.maximum(groups[group], err))  # NaN wins, as it does not in max()
+    worst = float(np.max(list(groups.values())))
     report_lines = [f"gradient check on spec {spec} with batch {args.batch}, eps {args.eps:g}"]
     for group in GRADCHECK_GROUPS:
         report_lines.append(f"  {group:<10} max relative error {groups[group]:.3e}")
@@ -483,9 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--c", type=float, default=0.0, help="gate midpoint")
     sim.add_argument("--delay", type=int, default=1, help="transition-variable lag")
     sim.add_argument("--sigma", type=float, default=0.05, help="noise standard deviation")
-    sim.add_argument("--name", default="SIM", help="series name (default SIM)")
-    sim.add_argument("--pjm-layout", action="store_true",
-                     help="write Datetime/<NAME>_MW columns instead of t/value")
+    sim.add_argument("--name", default="SIM", help="series name (default SIM); the value column is <NAME>_MW")
     sim.set_defaults(func=cmd_simulate)
 
     tr = subs.add_parser("train", help="train one model on one series")

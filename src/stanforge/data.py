@@ -33,7 +33,6 @@ __all__ = [
     "lookback_for",
     "make_windows",
     "split_windows",
-    "split_windows_contiguous",
     "prepare_splits",
 ]
 
@@ -93,40 +92,42 @@ def _column_at(fields: list[str], name: str) -> int:
     return len(fields) - 1 - fields[::-1].index(name)
 
 
-def _check_row(path: Path, lineno: int, raw_stamp: str, raw_value: str) -> None:
-    """Raise DataFormatError naming ``lineno`` if its stamp or value does not parse."""
-    try:
-        if not _STAMP_SHAPE.fullmatch(raw_stamp):
-            raise ValueError(raw_stamp)
-        np.datetime64(raw_stamp, "s")
-    except ValueError:
-        raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
-    try:
-        float(raw_value)
-    except ValueError:
-        raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
+def _check_stamps(path: Path, lines: list[int], stamps: list[str]) -> None:
+    """Raise DataFormatError naming the first of ``stamps`` that is no calendar time."""
+    for lineno, raw_stamp in zip(lines, stamps):
+        try:
+            np.datetime64(raw_stamp, "s")
+        except ValueError:
+            raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
 
 
-def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray, np.ndarray, int]:
+def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Stamps and values of the rows that have a value, in file order, and
     the count of rows whose value cell is blank.
 
     Rows are parsed a block at a time, so no list of every row's text is
-    held. A blank row is skipped, as ``csv.DictReader`` skips it. With
-    ``careful`` every row is parsed on its own and the first bad one raises
-    DataFormatError naming the file line its record starts on, blank lines
-    and lines inside quoted cells counted; without it a bad row raises a
-    plain ValueError. A record with a cell past ``csv.field_size_limit()``
-    raises DataFormatError naming its line either way.
+    held. A blank row is skipped, as ``csv.DictReader`` skips it. The first
+    bad row in file order raises DataFormatError naming the file line its
+    record starts on, blank lines and lines inside quoted cells counted: a
+    row's stamp shape and value are checked as it is read, and whether its
+    stamp names a calendar time when its block is converted, or when a later
+    row of the block turns out bad. A record with a cell past
+    ``csv.field_size_limit()`` raises DataFormatError naming its line.
     """
+    lines: list[int] = []
     stamps: list[str] = []
     values: list[float] = []
     stamp_blocks: list[np.ndarray] = []
     value_blocks: list[np.ndarray] = []
 
     def flush():
-        stamp_blocks.append(np.array(stamps, dtype="datetime64[s]"))
+        try:
+            stamp_blocks.append(np.array(stamps, dtype="datetime64[s]"))
+        except ValueError:
+            _check_stamps(path, lines, stamps)
+            raise
         value_blocks.append(np.array(values, dtype=np.float64))
+        lines.clear()
         stamps.clear()
         values.clear()
 
@@ -151,12 +152,16 @@ def _read_rows(path: Path, column_name: str, careful: bool) -> tuple[np.ndarray,
                     missing += 1
                     continue
                 raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
-                if careful:
-                    _check_row(path, lineno, raw_stamp, raw_value)
-                elif not _STAMP_SHAPE.fullmatch(raw_stamp):
-                    raise ValueError(f"timestamp {raw_stamp!r}")
+                if not _STAMP_SHAPE.fullmatch(raw_stamp):
+                    _check_stamps(path, lines, stamps)
+                    raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}")
+                lines.append(lineno)
                 stamps.append(raw_stamp)
-                values.append(float(raw_value))
+                try:
+                    values.append(float(raw_value))
+                except ValueError:
+                    _check_stamps(path, lines, stamps)
+                    raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
                 if len(stamps) == _BLOCK_ROWS:
                     flush()
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
@@ -179,14 +184,7 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     module, raise DataFormatError naming the line the offending record starts on.
     """
     path = Path(path)
-    try:
-        stamp_arr, value_arr, missing = _read_rows(path, column_name, careful=False)
-    except DataFormatError:
-        raise
-    except ValueError:
-        # a bad row: read again, row by row, so the error names its line
-        _read_rows(path, column_name, careful=True)
-        raise
+    stamp_arr, value_arr, missing = _read_rows(path, column_name)
     if not value_arr.size:
         raise DataFormatError(f"{path.name}: no usable rows for column {column_name!r}")
     order = np.argsort(stamp_arr, kind="stable")
@@ -295,12 +293,13 @@ class WindowedDataset:
         )
 
 
-def make_windows(series, lookback: int, horizon: int, scaler: ScalerParams | None = None) -> WindowedDataset:
-    """Every valid (lookback window, horizon target) pair, in source order.
+def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
+    """Every valid (lookback window, horizon target) pair of raw values, in
+    source order.
 
-    A series of length n yields ``n - lookback - horizon + 1`` rows. With
-    ``scaler=None`` the values stay raw; ``prepare_splits`` standardizes
-    after splitting so held-out windows never touch their own statistics.
+    A series of length n yields ``n - lookback - horizon + 1`` rows.
+    ``prepare_splits`` standardizes after splitting so held-out windows never
+    touch their own statistics.
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
     if lookback < 1 or horizon < 1:
@@ -312,8 +311,6 @@ def make_windows(series, lookback: int, horizon: int, scaler: ScalerParams | Non
             f"series of length {n} is too short for lookback {lookback} and horizon {horizon}; "
             f"need at least {lookback + horizon} points"
         )
-    if scaler is not None:
-        values = apply_scaler(values, scaler)
     window = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon)
     inputs = np.ascontiguousarray(window[:, :lookback], dtype=np.float64)
     targets = np.ascontiguousarray(window[:, lookback:], dtype=np.float64)
@@ -334,32 +331,23 @@ def _partition_sizes(n: int, train_frac: float, val_frac_of_train: float) -> tup
 
 
 def split_windows(dataset: WindowedDataset, train_frac: float = 0.8,
-                  val_frac_of_train: float = 0.2, seed: int = 0):
-    """Seeded random split into (train, val, test).
+                  val_frac_of_train: float = 0.2, seed: int = 0, mode: str = "random"):
+    """Split into (train, val, test) along one order of the windows.
 
-    Windows are shuffled; the first ``train_frac`` of the shuffle form the
-    training pool and the rest the test set, then the last
+    The order is a permutation drawn from ``seed`` (``mode="random"``) or the
+    windows sorted by anchor (``mode="contiguous"``, so the earliest windows
+    train, then validation, then test). The first ``train_frac`` of the order
+    form the training pool and the rest the test set, then the last
     ``val_frac_of_train`` of the pool becomes validation.
     """
-    n = len(dataset)
-    pool, n_val = _partition_sizes(n, train_frac, val_frac_of_train)
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = perm[: pool - n_val]
-    val_idx = perm[pool - n_val: pool]
-    test_idx = perm[pool:]
-    return dataset.subset(train_idx), dataset.subset(val_idx), dataset.subset(test_idx)
-
-
-def split_windows_contiguous(dataset: WindowedDataset, train_frac: float = 0.8,
-                             val_frac_of_train: float = 0.2):
-    """Chronological split: earliest windows train, then validation, then test."""
-    n = len(dataset)
-    pool, n_val = _partition_sizes(n, train_frac, val_frac_of_train)
-    order = np.argsort(dataset.anchors, kind="stable")
-    train_idx = order[: pool - n_val]
-    val_idx = order[pool - n_val: pool]
-    test_idx = order[pool:]
-    return dataset.subset(train_idx), dataset.subset(val_idx), dataset.subset(test_idx)
+    if mode == "random":
+        order = np.random.default_rng(seed).permutation(len(dataset))
+    elif mode == "contiguous":
+        order = np.argsort(dataset.anchors, kind="stable")
+    else:
+        raise ValueError(f"unknown split mode {mode!r}; expected 'random' or 'contiguous'")
+    pool, n_val = _partition_sizes(len(dataset), train_frac, val_frac_of_train)
+    return tuple(dataset.subset(idx) for idx in np.split(order, [pool - n_val, pool]))
 
 
 @dataclass
@@ -385,25 +373,10 @@ def prepare_splits(series, horizon: int, lookback: int | None = None, mode: str 
     transform them.
     """
     q = lookback_for(horizon) if lookback is None else int(lookback)
-    raw = make_windows(series, q, horizon, scaler=None)
-    if mode == "random":
-        train, val, test = split_windows(raw, train_frac, val_frac_of_train, seed)
-    elif mode == "contiguous":
-        train, val, test = split_windows_contiguous(raw, train_frac, val_frac_of_train)
-    else:
-        raise ValueError(f"unknown split mode {mode!r}; expected 'random' or 'contiguous'")
+    train, val, test = split_windows(make_windows(series, q, horizon), train_frac, val_frac_of_train, seed, mode)
     scaler = fit_scaler(np.concatenate([train.inputs.ravel(), val.inputs.ravel()]))
-
-    def standardize(ds: WindowedDataset) -> WindowedDataset:
-        return WindowedDataset(
-            inputs=apply_scaler(ds.inputs, scaler),
-            targets=apply_scaler(ds.targets, scaler),
-            lookback=q,
-            horizon=horizon,
-            anchors=ds.anchors,
-        )
-
-    return PreparedSplits(
-        train=standardize(train), val=standardize(val), test=standardize(test),
-        scaler=scaler, lookback=q, horizon=horizon,
-    )
+    for subset in (train, val, test):
+        for array in (subset.inputs, subset.targets):
+            array -= scaler.mean
+            array /= scaler.std
+    return PreparedSplits(train=train, val=val, test=test, scaler=scaler, lookback=q, horizon=horizon)

@@ -139,14 +139,16 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
     Central differences: for each entry of each array in ``params`` the loss
     is evaluated at +eps and -eps and the slope compared against the analytic
     gradient returned by ``loss_fn``. The relative error for a pair (a, n) is
-    ``|a - n| / max(|a|, |n|, 1e-8)``.
+    ``|a - n| / max(|a|, |n|, 1e-8)``. A NaN slope, from a loss that is NaN
+    at +eps or -eps, makes that parameter's error NaN, so the check fails
+    against any tolerance. ``eps`` must be positive and finite.
 
     ``loss_fn`` is called twice on the unperturbed parameters first; if the
     two losses differ the function is not deterministic and the check would
     be meaningless, so NondeterministicLossError is raised.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     loss0, grads = loss_fn(params)
     loss1, _ = loss_fn(params)
     if loss0 != loss1:
@@ -160,7 +162,7 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"analytic gradient for '{name}' has shape {g.shape}, expected {p.shape}")
-        worst = 0.0
+        rels = []
         for idx in np.ndindex(p.shape):
             saved = p[idx]
             p[idx] = saved + eps
@@ -170,14 +172,13 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
             p[idx] = saved
             numeric = (lo_plus - lo_minus) / (2.0 * eps)
             analytic = float(g[idx])
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            if rel > worst:
-                worst = rel
-        errors[name] = worst
+            rels.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
+        errors[name] = float(np.max(rels, initial=0.0))  # np.max lets a NaN win
     return errors
 
 
 def finite_diff_check(loss_fn: LossFn, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
-    """Maximum relative gradient error across every entry of every parameter."""
+    """Maximum relative gradient error across every entry of every parameter;
+    NaN if any entry's error is NaN."""
     errors = finite_diff_errors(loss_fn, params, eps)
-    return max(errors.values(), default=0.0)
+    return float(np.max(list(errors.values()), initial=0.0))

@@ -41,19 +41,20 @@ def _read_json(path):
 # ---------------------------------------------------------------- simulate
 
 
-def test_simulate_writes_series_params_and_config(tmp_path):
+def test_simulate_writes_the_layout_train_reads_and_its_config(tmp_path):
     assert main(["simulate", "--n", "50", "--out", str(tmp_path)]) == 0
     run_dir = tmp_path / "simulate-seed0"
     lines = (run_dir / "series.csv").read_text().splitlines()
-    assert lines[0] == "t,value"
+    assert lines[0] == "Datetime,SIM_MW"
+    assert lines[1].startswith("2015-01-01 00:00:00,") and lines[-1].startswith("2015-01-03 01:00:00,")
     assert len(lines) == 51
-    params = _read_json(run_dir / "params.json")
-    assert params["n"] == 50
-    assert params["phi"] == [0.9]
-    assert params["theta"] == [-1.4]
-    assert params["gamma"] == 20.0
-    assert params["sigma"] == 0.05
-    assert _read_json(run_dir / "config.json") == params
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "series.csv"]
+    config = _read_json(run_dir / "config.json")
+    assert config["n"] == 50
+    assert config["phi"] == [0.9]
+    assert config["theta"] == [-1.4]
+    assert config["gamma"] == 20.0
+    assert config["sigma"] == 0.05
 
 
 def test_simulate_is_deterministic_per_seed(tmp_path):
@@ -76,12 +77,20 @@ def test_simulate_noise_free_intercept_only_series_is_constant(tmp_path):
     assert np.array_equal(np.unique(values), [0.7])
 
 
-def test_simulate_pjm_layout_loads_back(tmp_path):
-    main(["simulate", "--n", "48", "--name", "RIDGE", "--pjm-layout",
-          "--out", str(tmp_path)])
+def test_simulate_output_loads_back(tmp_path):
+    main(["simulate", "--n", "48", "--name", "RIDGE", "--out", str(tmp_path)])
     series = load_pjm_csv(tmp_path / "simulate-seed0" / "series.csv", "RIDGE_MW")
     assert series.name == "RIDGE"
     assert len(series.values) == 48
+
+
+def test_train_reads_what_simulate_writes(tmp_path):
+    assert main(["simulate", "--n", "400", "--out", str(tmp_path)]) == 0
+    series_path = tmp_path / "simulate-seed0" / "series.csv"
+    assert main(["train", "--data", str(series_path), "--column", "SIM_MW", "--max-epochs", "1",
+                 "--units", "4", "--depth", "1", "--out", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / "train-seed0" / "summary.json")
+    assert summary["dataset"] == "SIM" and summary["epochs"] == 1
 
 
 def test_simulate_explosive_parameters_exit_2(tmp_path, capsys):
@@ -202,6 +211,24 @@ def test_gradcheck_corrupted_group_is_caught(tmp_path):
     assert "FAIL" in text
     phi_line = next(line for line in text.splitlines() if line.startswith("  phi"))
     assert "5.000e-01" in phi_line
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_gradcheck_refuses_a_non_finite_eps(tmp_path, capsys, eps):
+    assert main(["gradcheck", "--eps", eps, "--corrupt", "theta", "--out", str(tmp_path / "out")]) == 1
+    assert "eps must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gradcheck_fails_a_group_whose_error_is_nan(tmp_path, monkeypatch):
+    # Python's max(0.0, nan) is 0.0; the verdict must not read a NaN as agreement
+    errors = {"layers.0.W": 1e-9, "layers.0.phi": math.nan, "layers.1.phi": 1e-9}
+    monkeypatch.setattr("stanforge.cli.finite_diff_errors", lambda *args, **kwargs: errors)
+    assert main(["gradcheck", "--out", str(tmp_path)]) == 2
+    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text()
+    phi_line = next(line for line in text.splitlines() if line.startswith("  phi"))
+    assert "nan" in phi_line
+    assert text.splitlines()[-1] == "worst nan vs tolerance 1e-05: FAIL"
 
 
 @pytest.mark.parametrize("batch", [0, -2])
@@ -356,10 +383,10 @@ def test_flag_beats_config_beats_default(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n": 50, "gamma": 5.0}))
     main(["simulate", "--config", str(config), "--n", "30", "--out", str(tmp_path)])
-    params = _read_json(tmp_path / "simulate-seed0" / "params.json")
-    assert params["n"] == 30       # flag wins over config
-    assert params["gamma"] == 5.0  # config wins over the built-in 20.0
-    assert params["sigma"] == 0.05  # default fills the rest
+    echoed = _read_json(tmp_path / "simulate-seed0" / "config.json")
+    assert echoed["n"] == 30       # flag wins over config
+    assert echoed["gamma"] == 5.0  # config wins over the built-in 20.0
+    assert echoed["sigma"] == 0.05  # default fills the rest
 
 
 @pytest.mark.parametrize("content,problem", [
@@ -383,7 +410,7 @@ def test_missing_config_file_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--pjm-layout", "--phi", "0.5,0.2", "--theta=-1,0.3", "--delay", "2"],
+    ["simulate", "--phi", "0.5,0.2", "--theta=-1,0.3", "--delay", "2"],
     ["fixtures", "--regions", "A,B", "--n", "120"],
     ["train", "--model", "mlp", "--max-epochs", "2", "--units", "4", "--depth", "1"],
     ["gradcheck", "--corrupt", "theta"],
@@ -523,14 +550,14 @@ _coefficients = st.lists(st.floats(-0.45, 0.45, allow_subnormal=False), min_size
     n=st.integers(1, 30), burn_in=st.integers(0, 5), seed=st.integers(0, 3),
     phi0=st.floats(-1.0, 1.0), phi=_coefficients, theta=_coefficients,
     gamma=st.floats(0.5, 30.0), c=st.floats(-1.0, 1.0), delay=st.integers(1, 2),
-    sigma=st.floats(0.0, 0.5), name=st.sampled_from(["SIM", "RIDGE"]), pjm_layout=st.booleans(),
+    sigma=st.floats(0.0, 0.5), name=st.sampled_from(["SIM", "RIDGE"]),
 )
 def test_simulate_flags_and_config_mean_the_same(n, burn_in, seed, phi0, phi, theta, gamma, c, delay,
-                                                 sigma, name, pjm_layout):
+                                                 sigma, name):
     values = dict(n=n, burn_in=burn_in, seed=seed, phi0=phi0, phi=phi, theta=theta, gamma=gamma, c=c,
-                  delay=delay, sigma=sigma, name=name, pjm_layout=pjm_layout)
+                  delay=delay, sigma=sigma, name=name)
     flags = [f"--{key.replace('_', '-')}={','.join(map(str, value)) if isinstance(value, list) else value}"
-             for key, value in values.items() if key != "pjm_layout"] + ["--pjm-layout"] * pjm_layout
+             for key, value in values.items()]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "cfg.json").write_text(json.dumps(values))

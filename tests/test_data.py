@@ -24,7 +24,6 @@ from stanforge.data import (
     make_windows,
     prepare_splits,
     split_windows,
-    split_windows_contiguous,
     write_pjm_csv,
 )
 
@@ -321,6 +320,41 @@ def test_csv_io_matches_references_across_blocks(tmp_path):
         load_pjm_csv(tmp_path / "bad.csv", "LONG_MW")
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(bad_stamp_row=st.integers(250, 520), bad_value_row=st.integers(250, 520),
+       blank_before=st.sets(st.integers(0, 599), max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_one_pass_load_names_the_first_bad_row_across_blocks(bad_stamp_row, bad_value_row, blank_before, seed):
+    # rows 0..599 span three blocks of rows; a blank line before row k shifts
+    # the file line of every later row, so the error must carry its own line
+    n = 600
+    series = TimeSeries(name="EDGE", timestamps=hourly_timestamps(n, start="2015-03-01 00:00:00"),
+                        values=np.random.default_rng(seed).standard_normal(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        good = write_pjm_csv(series, Path(tmp) / "good.csv")
+        rows = good.read_text().splitlines()[1:]
+        file_line = {r: 2 + r + sum(k <= r for k in blank_before) for r in range(n)}
+
+        def write(path, rows):
+            path.write_text("Datetime,EDGE_MW\n" + "".join(
+                ("\n" if r in blank_before else "") + row + "\n" for r, row in enumerate(rows)))
+            return path
+
+        back = load_pjm_csv(write(Path(tmp) / "valid.csv", rows), "EDGE_MW")
+        stamps, values, _ = _reference_load(Path(tmp) / "valid.csv", "EDGE_MW")
+        assert np.array_equal(back.timestamps, stamps) and back.values.tobytes() == values.tobytes()
+
+        bad_stamp = f"2015-02-30 {bad_stamp_row % 24:02d}:00:00"
+        rows[bad_stamp_row] = f"{bad_stamp},{rows[bad_stamp_row].split(',')[1]}"
+        rows[bad_value_row] = f"{rows[bad_value_row].split(',')[0]},oops"
+        if bad_stamp_row <= bad_value_row:  # a row with both is named for its stamp
+            message = f"line {file_line[bad_stamp_row]}: unparseable timestamp {bad_stamp!r}"
+        else:
+            message = f"line {file_line[bad_value_row]}: unparseable value 'oops'"
+        with pytest.raises(DataFormatError) as raised:
+            load_pjm_csv(write(Path(tmp) / "bad.csv", rows), "EDGE_MW")
+        assert str(raised.value) == f"bad.csv {message}"
+
 # ------------------------------------------------------------- TimeSeries ---
 
 def test_series_rejects_disorder_and_nonfinite():
@@ -400,7 +434,7 @@ def test_single_window_boundary():
 def test_ramp_targets_follow_inputs():
     values = np.arange(60.0)
     scaler = fit_scaler(values)
-    ds = make_windows(values, lookback=5, horizon=2, scaler=scaler)
+    ds = make_windows(apply_scaler(values, scaler), lookback=5, horizon=2)
     step = 1.0 / scaler.std
     assert np.allclose(ds.targets[:, 0], ds.inputs[:, -1] + step, atol=1e-12)
     assert np.allclose(ds.targets[:, 1], ds.inputs[:, -1] + 2.0 * step, atol=1e-12)
@@ -448,7 +482,7 @@ def test_split_rejects_empty_subsets():
 
 def test_contiguous_split_is_chronological():
     ds = make_windows(sine_series(107), lookback=5, horizon=3)
-    train, val, test = split_windows_contiguous(ds)
+    train, val, test = split_windows(ds, mode="contiguous")
     assert train.anchors.max() < val.anchors.min()
     assert val.anchors.max() < test.anchors.min()
 
@@ -473,6 +507,37 @@ def test_prepare_splits_standardizes_all_subsets_with_one_scaler():
             raw = series.values[anchor - 10: anchor]
             assert np.allclose(invert_scaler(row, prep.scaler), raw, atol=1e-9)
 
+
+
+def _reference_splits(values, horizon, lookback, mode, seed):
+    """Split the raw windows, fit the scaler on the raw train+val inputs, then
+    scale each subset with ``apply_scaler``: the referee for ``prepare_splits``."""
+    raw = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon)
+    n = len(raw)
+    pool = int(n * 0.8)
+    n_val = int(pool * 0.2)
+    order = np.random.default_rng(seed).permutation(n) if mode == "random" else np.arange(n)
+    subsets = [order[: pool - n_val], order[pool - n_val: pool], order[pool:]]
+    scaler = fit_scaler(np.concatenate([raw[subsets[0], :lookback].ravel(), raw[subsets[1], :lookback].ravel()]))
+    return scaler, [(apply_scaler(raw[idx, :lookback], scaler), apply_scaler(raw[idx, lookback:], scaler),
+                     idx + lookback) for idx in subsets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["random", "contiguous"]), horizon=st.integers(1, 12),
+       lookback=st.one_of(st.none(), st.integers(1, 60)), extra=st.integers(7, 400),
+       seed=st.integers(0, 2**32 - 1))
+def test_prepare_splits_matches_split_then_scale_reference(mode, horizon, lookback, extra, seed):
+    q = lookback_for(horizon) if lookback is None else lookback
+    values = 50.0 + 10.0 * np.random.default_rng(seed).standard_normal(q + horizon - 1 + extra)
+    prep = prepare_splits(values, horizon, lookback=lookback, mode=mode, seed=seed)
+    scaler, subsets = _reference_splits(values, horizon, q, mode, seed)
+    assert prep.scaler == scaler and (prep.lookback, prep.horizon) == (q, horizon)
+    for got, (inputs, targets, anchors) in zip((prep.train, prep.val, prep.test), subsets):
+        assert got.inputs.tobytes() == inputs.tobytes() and got.inputs.shape == inputs.shape
+        assert got.targets.tobytes() == targets.tobytes() and got.targets.shape == targets.shape
+        assert np.array_equal(got.anchors, anchors)
+        assert (got.lookback, got.horizon) == (q, horizon)
 
 def test_prepare_splits_default_lookback_follows_rule():
     series = sine_series(400)

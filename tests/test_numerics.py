@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,9 +230,28 @@ def test_finite_diff_detects_nondeterministic_loss():
         finite_diff_errors(noisy, {"p": np.zeros(1)})
 
 
+def test_finite_diff_reads_a_nan_slope_as_failure():
+    center = np.array([3.0, -1.5])
+
+    def nan_off_center(params):
+        loss, grads = _quadratic(params)
+        return (loss if np.array_equal(params["p"], center) else math.nan), grads
+
+    assert math.isnan(finite_diff_errors(nan_off_center, {"p": center.copy()})["p"])
+    assert math.isnan(finite_diff_check(nan_off_center, {"p": center.copy()}))
+
+    def nan_at_second_entry(params):
+        loss, grads = _quadratic(params)
+        return (loss if params["p"][1] == center[1] else math.nan), grads
+
+    # a NaN after a clean entry still wins the parameter's maximum
+    assert math.isnan(finite_diff_errors(nan_at_second_entry, {"p": center.copy()})["p"])
+
+
 def test_finite_diff_rejects_bad_eps_and_bad_grads():
-    with pytest.raises(ValueError):
-        finite_diff_errors(_quadratic, {"p": np.zeros(1)}, eps=0.0)
+    for eps in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            finite_diff_errors(_quadratic, {"p": np.zeros(1)}, eps=eps)
 
     def wrong_shape(params):
         return 0.0, {"p": np.zeros(3)}
