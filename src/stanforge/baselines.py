@@ -19,7 +19,7 @@ import numpy as np
 # ``affine_forward`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.baselines.affine_forward``.
 from .numerics import ShapeError, affine_forward, as_matrix  # noqa: F401
-from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_size, check_store
+from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, VectorStore, check_size
 
 __all__ = [
     "MODEL_KINDS",
@@ -98,16 +98,16 @@ class LinearNetwork(LayerStack):
 class LinearRegressionModel(LinearNetwork):
     """Closed-form linear forecaster: the depth-0 stack, its ``proj.W`` and
     ``proj.b`` solved by ``fit_linear_regression``. A format-v1 store
-    ``{"weights": (q + 1, tau)}``, intercept in row 0, is checked and mapped
-    to the views ``proj.W = weights[1:]``, ``proj.b = weights[0]``; ``fit``
-    builds through the same mapping."""
+    ``{"weights": (q + 1, tau)}``, intercept in row 0, is checked and copied
+    in as ``proj.W = weights[1:]``, ``proj.b = weights[0]``; ``fit`` builds
+    through the same mapping."""
 
     kind = "linreg"
 
     def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
         if params is not None and "weights" in params:
             owner = f"{type(self).__name__}(lookback={lookback}, horizon={horizon})"
-            weights = check_store(params, {"weights": (lookback + 1, horizon)}, owner)["weights"]
+            weights = VectorStore({"weights": (lookback + 1, horizon)}, owner, params)["weights"]
             params = {"proj.W": weights[1:], "proj.b": weights[0]}
         super().__init__(lookback, horizon, params, seed)
 

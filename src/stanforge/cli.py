@@ -62,13 +62,8 @@ from .eval_bench import (
     run_benchmark,
     write_report,
 )
-from .numerics import (
-    NondeterministicLossError,
-    NonFiniteError,
-    finite_diff_errors,
-    mse_loss,
-)
-from .stan_core import NetworkSpec, StanNetwork, check_size
+from .numerics import NondeterministicLossError, NonFiniteError, finite_diff_errors
+from .stan_core import NetworkSpec, check_size, gradcheck_problem
 from .star_classic import (
     EstimationError,
     ExplosiveDynamicsError,
@@ -297,31 +292,17 @@ def _group_of(name: str) -> str:
 def cmd_gradcheck(args) -> int:
     if args.batch < 1:
         raise UsageError(f"--batch must be a positive integer, got {args.batch}")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
     check_size(spec)
-    rng = np.random.default_rng(args.seed)
-    model = StanNetwork(spec, seed=args.seed)
-    # make every gradient path active: nonzero theta, varied gates
-    for i in range(spec.depth):
-        d = spec.units
-        model.params[f"layers.{i}.phi"] = rng.uniform(0.5, 1.5, d)
-        model.params[f"layers.{i}.theta"] = rng.uniform(0.5, 1.5, d)
-        model.params[f"layers.{i}.gamma"] = rng.uniform(0.5, 2.0, d)
-        model.params[f"layers.{i}.c"] = rng.uniform(-0.5, 0.5, d)
-    x = rng.standard_normal((args.batch, spec.lookback))
-    target = rng.standard_normal((args.batch, spec.horizon))
+    problem, params = gradcheck_problem(spec, args.seed, args.batch)
 
     def loss_fn(params):
-        pred, cache = model.forward(x)
-        loss, dpred = mse_loss(pred, target)
-        grads = model.backward(cache, dpred)
-        if args.corrupt is not None:
-            for name in grads:
-                if _group_of(name) == args.corrupt:
-                    grads[name] = grads[name] * 2.0
-        return loss, grads
+        loss, grads = problem(params)
+        return loss, {name: grad * 2.0 if _group_of(name) == args.corrupt else grad for name, grad in grads.items()}
 
-    per_param = finite_diff_errors(loss_fn, model.params, eps=args.eps)
+    per_param = finite_diff_errors(loss_fn, params, eps=args.eps)
     groups: dict[str, float] = {g: 0.0 for g in GRADCHECK_GROUPS}
     for name, err in per_param.items():
         group = _group_of(name)

@@ -59,13 +59,15 @@ def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, dw: np.ndarray | None = None,
+                    db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``y = x @ w + b`` given upstream ``dy``: ``(dx, dw, db)``
-    with ``dx = dy @ w.T``, ``dw = x.T @ dy`` and ``db`` the column sums of ``dy``.
+    with ``dx = dy @ w.T``, ``dw = x.T @ dy`` and ``db`` the column sums of
+    ``dy``; ``dw`` and ``db`` are written into the given arrays if any.
 
     Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
+    return dy @ w.T, np.matmul(x.T, dy, out=dw), dy.sum(axis=0, out=db)
 
 
 def relu(x):
@@ -145,11 +147,13 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
 
     ``loss_fn`` is called twice on the unperturbed parameters first; if the
     two losses differ the function is not deterministic and the check would
-    be meaningless, so NondeterministicLossError is raised.
+    be meaningless, so NondeterministicLossError is raised. The first call's
+    gradients are copied at once: ``LayerStack.backward`` returns views that each call rewrites.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     loss0, grads = loss_fn(params)
+    grads = {name: np.array(g, dtype=np.float64) for name, g in grads.items()}
     loss1, _ = loss_fn(params)
     if loss0 != loss1:
         raise NondeterministicLossError(
@@ -159,7 +163,7 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
     for name, p in params.items():
         if not isinstance(p, np.ndarray) or p.dtype != np.float64:
             raise TypeError(f"parameter '{name}' must be a float64 ndarray")
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"analytic gradient for '{name}' has shape {g.shape}, expected {p.shape}")
         rels = []

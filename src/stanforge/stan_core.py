@@ -17,6 +17,7 @@ checker in ``numerics`` referees them in the test suite.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,6 +28,7 @@ from .numerics import (
     affine_backward,
     affine_forward,
     as_matrix,
+    mse_loss,
     relu,
     relu_grad,
 )
@@ -34,7 +36,7 @@ from .numerics import (
 __all__ = [
     "NetworkSpec",
     "ParamStore",
-    "GradStore",
+    "VectorStore",
     "StanLayerParams",
     "StanLayerCache",
     "NetworkCache",
@@ -48,16 +50,15 @@ __all__ = [
     "check_size",
     "stack_shapes",
     "network_shapes",
-    "check_store",
     "init_params",
     "init_network",
     "glorot_uniform",
+    "gradcheck_problem",
 ]
 
 # Flat name -> array mapping; layer parameters live under "layers.{i}.{field}"
 # and the output projection under "proj.W" / "proj.b".
 ParamStore = dict[str, np.ndarray]
-GradStore = dict[str, np.ndarray]
 
 LAYER_FIELDS = ("W", "b", "phi", "theta", "gamma", "c")
 
@@ -177,8 +178,8 @@ def stan_layer_forward(x: np.ndarray, params: StanLayerParams) -> tuple[np.ndarr
     return y, StanLayerCache(x=x, pre=pre, act=act, gate=gate)
 
 
-def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
-                        dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy: np.ndarray,
+                        coefs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Backward pass of one layer's gate and mix, down to its pre-activation.
 
     Takes a float64 ``dy`` of the cached pre-activation's shape, as ``LayerStack`` passes it.
@@ -194,7 +195,7 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
     Returns ``(du, coefs)``: ``du`` (m, d), from which ``LayerStack.backward``
     takes the dense map's gradients ``x.T @ du`` and ``du.sum(axis=0)`` and the
     input gradient ``du @ w.T``, and ``coefs`` (4, d), whose rows are dphi,
-    dtheta, dgamma and dc.
+    dtheta, dgamma and dc, written into the given ``coefs`` array if any.
     """
     pre, act, gate = cache.pre, cache.act, cache.gate
     terms = np.empty((4, *pre.shape))  # the four column-sum operands, reduced together
@@ -206,7 +207,7 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams,
     dy_act *= gate
     np.subtract(pre, params.c, out=terms[2])
     terms[2] *= weighted
-    coefs = terms.sum(axis=1)
+    coefs = terms.sum(axis=1, out=coefs)
     coefs[2] *= params.theta
     coefs[3] *= -params.theta * params.gamma
     # du in the slope buffer; relu'(u) * g + a * s * gamma is (a * s * gamma + g) * (u > 0)
@@ -297,23 +298,50 @@ def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
     return init_params(network_shapes(spec), seed)
 
 
-def check_store(params: ParamStore, expected: dict[str, tuple[int, ...]], owner: str) -> ParamStore:
-    """Return ``params`` after checking that it holds exactly the names of
-    ``expected``, each a float64 ndarray of the expected shape; ``owner``
-    names the model in the messages. A missing, extra or wrong-shaped array
-    raises ShapeError, any other array type or dtype TypeError."""
-    if set(params) != set(expected):
-        raise ShapeError(
-            f"parameter store does not match {owner}: "
-            f"missing {sorted(set(expected) - set(params))}, "
-            f"unexpected {sorted(set(params) - set(expected))}"
-        )
-    for name, arr in params.items():
+class VectorStore(Mapping):
+    """Name -> array store over one flat float64 ``vector``, zero or
+    ``values`` at the start: each entry is a view of its slice, in
+    ``shapes`` order. The names are fixed, and an array put in, by
+    ``values`` or by assigning an entry, is checked and copied into its
+    view: ShapeError for a missing, extra, unknown or wrong-shaped array
+    (naming ``owner``), TypeError for one that is not a float64 ndarray.
+    ``values`` is checked in full before the vector is allocated."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], owner: str, values: ParamStore | None = None):
+        self.shapes, self.owner = shapes, owner
+        if values is not None and set(values) != set(shapes):
+            missing, extra = sorted(set(shapes) - set(values)), sorted(set(values) - set(shapes))
+            raise ShapeError(f"parameter store does not match {owner}: missing {missing}, unexpected {extra}")
+        values = values or {}
+        for name, arr in values.items():
+            self._check(name, arr)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.vector = np.zeros(sum(sizes))
+        parts = np.split(self.vector, np.cumsum(sizes)[:-1])
+        self._views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+        for name, arr in values.items():
+            self._views[name][...] = arr
+
+    def _check(self, name: str, arr) -> None:
+        if name not in self.shapes:
+            raise ShapeError(f"{self.owner} has no parameter '{name}'")
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
             raise TypeError(f"parameter '{name}' must be a float64 ndarray")
-        if arr.shape != expected[name]:
-            raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {owner} needs {expected[name]}")
-    return params
+        if arr.shape != self.shapes[name]:
+            raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {self.owner} needs {self.shapes[name]}")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, arr: np.ndarray) -> None:
+        self._check(name, arr)
+        self._views[name][...] = arr
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 class LayerStack:
@@ -323,10 +351,14 @@ class LayerStack:
     A hidden layer is a smooth-transition layer when the class is ``gated``
     and an affine map followed by ``relu`` otherwise; at depth 0 the stack is
     the projection alone. Exposes the contract shared by every trainable model
-    in this package: ``params`` (flat name -> array store), ``forward(x) ->
-    (pred, cache)``, ``backward(cache, dpred) -> grads``, ``predict(x)`` and
-    ``num_params()``. A given store is checked against ``stack_shapes`` when
-    the stack is built.
+    in this package: ``params`` and ``grads``, ``forward(x) -> (pred, cache)``,
+    ``backward(cache, dpred) -> grads``, ``predict(x)`` and ``num_params()``.
+
+    The model owns one parameter vector and one gradient vector, in
+    ``stack_shapes`` order: ``params`` and ``grads`` are ``VectorStore``s of
+    views into them, and a given store is checked and copied in. ``backward``
+    writes into ``grads`` and returns a fresh name -> view mapping of it,
+    valid until the next ``backward``.
     """
 
     kind: ClassVar[str]
@@ -341,7 +373,10 @@ class LayerStack:
             # file never makes ``stack_shapes`` list more names than the store holds
             raise ShapeError(f"parameter store does not match {owner}: {len(params)} arrays cannot hold {depth} layers")
         expected = stack_shapes(lookback, horizon, units, depth, self.gated)
-        self.params = init_params(expected, seed) if params is None else check_store(params, expected, owner)
+        self.params = VectorStore(expected, owner, init_params(expected, seed) if params is None else params)
+        self.grads = VectorStore(expected, owner)
+        if self.gated:  # stack_shapes lists each layer's phi, theta, gamma and c last, layer by layer
+            self._coef_grads = self.grads.vector[-4 * units * depth:].reshape(depth, 4, units)
 
     def layer_params(self, i: int) -> StanLayerParams:
         return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))
@@ -367,27 +402,26 @@ class LayerStack:
         pred = affine_forward(h, p["proj.W"], p["proj.b"])
         return pred, NetworkCache(layers=caches, proj_input=h)
 
-    def backward(self, cache: NetworkCache, dpred) -> GradStore:
+    def backward(self, cache: NetworkCache, dpred) -> ParamStore:
         dpred = as_matrix(dpred, "dpred")
         if dpred.shape != (cache.proj_input.shape[0], self.horizon):
             raise ShapeError(
                 f"dpred shape {dpred.shape} does not match batch {cache.proj_input.shape[0]} "
                 f"and horizon {self.horizon}"
             )
-        p, grads = self.params, {}
-        dh, grads["proj.W"], grads["proj.b"] = affine_backward(cache.proj_input, p["proj.W"], dpred)
+        p, g = self.params, self.grads
+        dh = affine_backward(cache.proj_input, p["proj.W"], dpred, g["proj.W"], g["proj.b"])[0]
         for i in reversed(range(self.depth)):
             layer = cache.layers[i]
             if self.gated:
-                du, coefs = stan_layer_backward(layer, self.layer_params(i), dh)
-                for field_name, grad in zip(LAYER_FIELDS[2:], coefs):
-                    grads[f"layers.{i}.{field_name}"] = grad
+                du, _ = stan_layer_backward(layer, self.layer_params(i), dh, self._coef_grads[i])
             else:
                 du = dh * relu_grad(layer.pre)
-            grads[f"layers.{i}.W"], grads[f"layers.{i}.b"] = layer.x.T @ du, du.sum(axis=0)
+            np.matmul(layer.x.T, du, out=g[f"layers.{i}.W"])
+            du.sum(axis=0, out=g[f"layers.{i}.b"])
             if i:  # nothing reads the first layer's input gradient
                 dh = du @ p[f"layers.{i}.W"].T
-        return grads
+        return dict(g)
 
     def predict(self, x) -> np.ndarray:
         """``forward(x)[0]``, bit for bit, without building caches. Each GEMM
@@ -409,7 +443,7 @@ class LayerStack:
         return affine_forward(h, p["proj.W"], p["proj.b"])
 
     def num_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
+        return self.params.vector.size
 
 
 class StanNetwork(LayerStack):
@@ -422,3 +456,28 @@ class StanNetwork(LayerStack):
 
     def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
         super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed)
+
+
+# Ranges the gradient check re-draws each layer's coefficients from, in draw order
+_GRADCHECK_COEFS = {"phi": (0.5, 1.5), "theta": (0.5, 1.5), "gamma": (0.5, 2.0), "c": (-0.5, 0.5)}
+
+
+def gradcheck_problem(spec: NetworkSpec, seed: int, batch: int):
+    """``(loss_fn, params)`` for ``numerics.finite_diff_errors``: the MSE of a
+    STAN network drawn at ``seed``, its phi, theta, gamma and c re-drawn off
+    their start values (theta=0 would zero the gamma and c gradients, hiding
+    bugs), on a standard normal batch and target."""
+    rng = np.random.default_rng(seed)
+    model = StanNetwork(spec, seed=seed)
+    for i in range(spec.depth):
+        for field_name, (low, high) in _GRADCHECK_COEFS.items():
+            model.params[f"layers.{i}.{field_name}"] = rng.uniform(low, high, spec.units)
+    x = rng.standard_normal((batch, spec.lookback))
+    target = rng.standard_normal((batch, spec.horizon))
+
+    def loss_fn(params):
+        pred, cache = model.forward(x)
+        loss, dpred = mse_loss(pred, target)
+        return loss, model.backward(cache, dpred)
+
+    return loss_fn, model.params

@@ -184,39 +184,6 @@ class PlateauScheduler:
         return self.lr
 
 
-class _FlatParams:
-    """``model.params`` re-homed as reshaped views into one contiguous vector.
-
-    The current values are copied in, and each store entry is replaced by a
-    view of its slice, so forward and backward read the vector and one Adam
-    update (elementwise, hence bit-identical to one update per array) moves
-    every parameter. Gradients are gathered into a second vector of the same
-    layout.
-    """
-
-    def __init__(self, model):
-        params = model.params
-        self.names = list(params)
-        self.values = np.empty(sum(arr.size for arr in params.values()))
-        self.grad = np.empty_like(self.values)
-        offset = 0
-        for name in self.names:
-            arr = params[name]
-            view = self.values[offset: offset + arr.size].reshape(arr.shape)
-            view[...] = arr
-            params[name] = view
-            offset += arr.size
-
-    def step(self, grads, state: AdamState) -> None:
-        """One Adam update of every parameter from the ``grads`` store."""
-        np.concatenate([np.ravel(grads[name]) for name in self.names], out=self.grad)
-        try:
-            adam_step(self.values, self.grad, state)
-        except NonFiniteError:
-            name = next(name for name in self.names if not np.isfinite(grads[name]).all())
-            raise NonFiniteError(f"non-finite gradient for parameter '{name}'") from None
-
-
 def _loss_and_grads(model, inputs, targets):
     pred, cache = model.forward(inputs)
     loss, dpred = mse_loss(pred, targets)
@@ -224,10 +191,13 @@ def _loss_and_grads(model, inputs, targets):
     return loss, grads
 
 
-def _val_loss(model, dataset) -> float:
-    pred = model.predict(dataset.inputs)
-    loss, _ = mse_loss(pred, dataset.targets)
-    return loss
+def _step(model, grads, state: AdamState) -> None:
+    """One Adam update of the parameter vector from the gradient vector; elementwise, as one per array."""
+    try:
+        adam_step(model.params.vector, model.grads.vector, state)
+    except NonFiniteError:
+        name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+        raise NonFiniteError(f"non-finite gradient for parameter '{name}'") from None
 
 
 def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
@@ -239,23 +209,21 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     the weights of the best validation epoch are restored before returning.
     Identical inputs, seed and config reproduce the identical history.
 
-    Training first re-homes ``model.params`` into one contiguous float64
-    buffer: every entry of the store is replaced by a view into it, and one
-    Adam step per batch updates them all. Arrays taken from ``model.params``
-    before the call keep their old values and no longer alias the model;
-    read the store again afterwards.
+    Arrays taken from ``model.params`` hold the trained values: they view
+    the model's one parameter vector, which one Adam step per batch updates
+    in place from the gradient vector that ``backward`` writes.
     """
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    flat = _FlatParams(model)
-    state = AdamState.for_param(flat.values, lr=config.lr, beta1=config.beta1,
+    values = model.params.vector
+    state = AdamState.for_param(values, lr=config.lr, beta1=config.beta1,
                                 beta2=config.beta2, epsilon=config.epsilon)
     stopper = EarlyStopper(config.es_patience, config.es_start_epoch, config.es_min_delta)
     scheduler = PlateauScheduler(config.lr, config.plateau_factor, config.plateau_patience,
                                  config.lr_min, config.es_min_delta)
     history = TrainHistory()
-    best_values = flat.values.copy()
+    best_values = values.copy()
     n = len(train_set.inputs)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -269,13 +237,13 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
                 loss, grads = _loss_and_grads(model, train_set.inputs[batch], train_set.targets[batch])
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"training loss is {loss!r}")
-                flat.step(grads, state)
+                _step(model, grads, state)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch}, batch starting at {start}: {exc}"
                 ) from exc
             batch_losses.append(loss)
-        val_loss = _val_loss(model, val_set)
+        val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"epoch {epoch}: validation loss is {val_loss!r}")
         seconds = time.perf_counter() - tic
@@ -286,14 +254,14 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
         if improved:
-            np.copyto(best_values, flat.values)
+            np.copyto(best_values, values)
         scheduler.update(val_loss)
         logger.debug("epoch %d: train %.6f val %.6f lr %.2e", epoch, history.records[-1].train_loss, val_loss, epoch_lr)
         if stop:
             history.stopped_early = True
             break
 
-    np.copyto(flat.values, best_values)
+    np.copyto(values, best_values)
     history.best_epoch = stopper.best_epoch
     history.best_val_loss = stopper.best
     history.final_lr = scheduler.lr
@@ -305,21 +273,16 @@ def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float
 
     A capacity smoke test: a healthy network should be able to memorize a
     handful of windows. Raises DivergenceError if the loss exceeds 1e6. Like
-    ``train``, it re-homes ``model.params`` into one contiguous buffer, so
-    arrays taken from the store beforehand no longer alias the model.
+    ``train``, it steps the model's parameter vector in place, so arrays
+    taken from ``model.params`` hold the probed values.
     """
-    flat = _FlatParams(model)
-    state = AdamState.for_param(flat.values, lr=lr)
-    for step in range(steps):
+    state = AdamState.for_param(model.params.vector, lr=lr)
+    for step in range(steps + 1):  # the last pass only measures the final loss
         loss, grads = _loss_and_grads(model, dataset.inputs, dataset.targets)
         if not np.isfinite(loss):
             raise NonFiniteError(f"probe step {step}: loss is {loss!r}")
         if loss > 1e6:
             raise DivergenceError(f"probe step {step}: loss {loss:.3e} exceeds 1e6")
-        flat.step(grads, state)
-    final, _ = _loss_and_grads(model, dataset.inputs, dataset.targets)
-    if not np.isfinite(final):
-        raise NonFiniteError(f"probe final loss is {final!r}")
-    if final > 1e6:
-        raise DivergenceError(f"probe final loss {final:.3e} exceeds 1e6")
-    return final
+        if step < steps:
+            _step(model, grads, state)
+    return loss

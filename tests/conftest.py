@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stanforge.data import TimeSeries, hourly_timestamps
+from stanforge.stan_core import VectorStore, gradcheck_problem
 from stanforge.star_classic import LstarParams, simulate_lstar
 
 
@@ -39,14 +40,15 @@ class ConstantModel:
 
     def __init__(self, value: float = 1.0):
         self.value = value
-        self.params = {"w": np.zeros(1)}
+        self.params = VectorStore({"w": (1,)}, "ConstantModel")
+        self.grads = VectorStore({"w": (1,)}, "ConstantModel")
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
         return np.full((x.shape[0], 1), self.value), None
 
     def backward(self, cache, dpred):
-        return {"w": np.zeros(1)}
+        return dict(self.grads)
 
     def predict(self, x):
         return self.forward(x)[0]
@@ -58,31 +60,9 @@ def constant_model_cls():
 
 
 def stan_fd_problem(spec, seed: int = 0, batch: int = 4):
-    """Loss closure plus parameter store for finite-difference refereeing.
-
-    Unit coefficients are re-drawn away from their defaults (theta=0 would
-    leave the gamma and c gradients identically zero, hiding bugs).
-    """
-    from stanforge.numerics import mse_loss
-    from stanforge.stan_core import StanNetwork
-
-    rng = np.random.default_rng(seed)
-    model = StanNetwork(spec, seed=seed)
-    for i in range(spec.depth):
-        d = spec.units
-        model.params[f"layers.{i}.phi"] = rng.uniform(0.5, 1.5, d)
-        model.params[f"layers.{i}.theta"] = rng.uniform(0.5, 1.5, d)
-        model.params[f"layers.{i}.gamma"] = rng.uniform(0.5, 2.0, d)
-        model.params[f"layers.{i}.c"] = rng.uniform(-0.5, 0.5, d)
-    x = rng.standard_normal((batch, spec.lookback))
-    target = rng.standard_normal((batch, spec.horizon))
-
-    def loss_fn(params):
-        pred, cache = model.forward(x)
-        loss, dpred = mse_loss(pred, target)
-        return loss, model.backward(cache, dpred)
-
-    return loss_fn, model.params
+    """Loss closure plus parameter store for finite-difference refereeing:
+    the problem ``stanforge gradcheck`` checks."""
+    return gradcheck_problem(spec, seed, batch)
 
 
 def sine_series(n: int = 400, name: str = "SINE") -> TimeSeries:

@@ -158,6 +158,7 @@ MALFORMED = {
     "spec-not-positive": ("mlp", lambda d: d["spec"].update(units=0)),
     "spec-of-another-kind": ("linear", lambda d: d["spec"].update(units=5, depth=2)),
     "depth-past-the-stored-arrays": ("mlp", lambda d: d["spec"].update(depth=10**30)),
+    "units-past-the-stored-arrays": ("stan", lambda d: d["spec"].update(units=10**9)),  # refused before allocating
     "params-as-list": ("mlp", lambda d: d.update(params=list(d["params"].values()))),
     "missing-param": ("mlp", lambda d: d["params"].pop("layers.1.b")),
     "unexpected-param": ("linear", lambda d: d["params"].update(extra={"shape": [1], "data": [0.0]})),

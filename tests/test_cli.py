@@ -220,6 +220,14 @@ def test_gradcheck_refuses_a_non_finite_eps(tmp_path, capsys, eps):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_refuses_a_tol_that_is_not_positive_and_finite(tmp_path, capsys, monkeypatch, tol):
+    monkeypatch.setattr("stanforge.cli.gradcheck_problem", lambda *args: pytest.fail("a problem was built"))
+    assert main(["gradcheck", "--tol", tol, "--out", str(tmp_path / "out")]) == 1
+    assert f"--tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_fails_a_group_whose_error_is_nan(tmp_path, monkeypatch):
     # Python's max(0.0, nan) is 0.0; the verdict must not read a NaN as agreement
     errors = {"layers.0.W": 1e-9, "layers.0.phi": math.nan, "layers.1.phi": 1e-9}

@@ -1,0 +1,25 @@
+"""The package stays numpy-only: its modules import nothing but the standard
+library, numpy and the package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stanforge"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "stanforge"}
+
+
+def _imported(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports stay in the package
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library_numpy_and_the_package(path):
+    outside = sorted({name for name in _imported(path) if name.split(".")[0] not in ALLOWED})
+    assert outside == []

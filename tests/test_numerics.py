@@ -248,6 +248,17 @@ def test_finite_diff_reads_a_nan_slope_as_failure():
     assert math.isnan(finite_diff_errors(nan_at_second_entry, {"p": center.copy()})["p"])
 
 
+def test_finite_diff_referees_the_first_gradient_when_later_calls_rewrite_it():
+    buffer = np.empty(3)  # one gradient array that every call rewrites, as LayerStack.backward's views are
+
+    def rewriting(params):
+        np.multiply(params["p"], 2.0, out=buffer)
+        return float(np.sum(params["p"] ** 2)), {"p": buffer}
+
+    # entries small against eps: a gradient read at a perturbed point would be off by eps / |p|, 2-5%
+    assert finite_diff_errors(rewriting, {"p": np.array([2e-4, -3e-4, 5e-4])})["p"] < 1e-8
+
+
 def test_finite_diff_rejects_bad_eps_and_bad_grads():
     for eps in (0.0, -1e-5, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):

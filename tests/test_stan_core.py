@@ -285,6 +285,21 @@ def test_network_backward_zero_upstream():
     assert all(not g.any() for g in grads.values())
 
 
+def test_backward_returns_views_of_the_gradient_vector_valid_until_the_next_backward():
+    net = StanNetwork(NetworkSpec(lookback=4, units=3, depth=2, horizon=2), seed=11)
+    rng = np.random.default_rng(12)
+    _, cache = net.forward(rng.standard_normal((5, 4)))
+    dpred = rng.standard_normal((5, 2))
+    first = net.backward(cache, dpred)
+    assert list(first) == list(net.params)
+    assert all(np.shares_memory(grad, net.grads.vector) for grad in first.values())
+    kept = {name: grad.copy() for name, grad in first.items()}
+    second = net.backward(cache, 2.0 * dpred)  # gradients are linear in dpred, and doubling is exact
+    assert second is not first
+    for name, grad in first.items():
+        assert second[name] is grad and np.array_equal(grad, 2.0 * kept[name])
+
+
 def test_network_gradients_match_finite_differences():
     loss_fn, params = stan_fd_problem(NetworkSpec(5, 4, 3, 2), seed=0, batch=3)
     assert finite_diff_check(loss_fn, params) < 1e-5
@@ -397,6 +412,29 @@ def test_forward_rejects_wrong_lookback():
     net = StanNetwork(NetworkSpec(5, 4, 1, 1), seed=0)
     with pytest.raises(ShapeError, match="lookback"):
         net.forward(np.ones((2, 6)))
+
+
+def test_assignment_copies_into_the_parameter_vector():
+    net = StanNetwork(NetworkSpec(5, 4, 2, 1), seed=0)
+    view, new = net.params["layers.1.gamma"], np.linspace(0.5, 2.0, 4)
+    net.params["layers.1.gamma"] = new
+    assert net.params["layers.1.gamma"] is view and np.array_equal(view, new)
+    assert np.shares_memory(view, net.params.vector) and not np.shares_memory(view, new)
+    assert np.array_equal(np.concatenate([arr.ravel() for arr in net.params.values()]), net.params.vector)
+
+
+@pytest.mark.parametrize("name,value,error", [
+    ("proj.W", np.zeros((4, 2)), ShapeError),
+    ("layers.2.W", np.zeros((4, 4)), ShapeError),
+    ("proj.b", np.zeros(1, dtype=np.float32), TypeError),
+    ("proj.b", [0.0], TypeError),
+], ids=["wrong-shape", "unknown-name", "float32", "list"])
+def test_assignment_is_checked_as_at_construction(name, value, error):
+    net = StanNetwork(NetworkSpec(5, 4, 2, 1), seed=0)
+    before = net.params.vector.copy()
+    with pytest.raises(error, match=name):
+        net.params[name] = value
+    assert np.array_equal(net.params.vector, before)
 
 
 def test_network_rejects_malformed_store():

@@ -184,25 +184,10 @@ def test_train_rejects_empty_sets(constant_model_cls):
         train(constant_model_cls(), full, empty)
 
 
-def test_train_aborts_with_context_on_nonfinite_loss():
-    class BrokenModel:
-        kind = "broken"
-
-        def __init__(self):
-            self.params = {"w": np.zeros(1)}
-
-        def forward(self, x):
-            return np.full((x.shape[0], 1), np.nan), None
-
-        def backward(self, cache, dpred):
-            return {"w": np.zeros(1)}
-
-        def predict(self, x):
-            return self.forward(x)[0]
-
+def test_train_aborts_with_context_on_nonfinite_loss(constant_model_cls):
     ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
     with pytest.raises(NonFiniteError, match="epoch 1"):
-        train(BrokenModel(), ds, ds, TrainConfig())
+        train(constant_model_cls(value=np.nan), ds, ds, TrainConfig())
 
 
 def _switching_problem(n=120, q=5, seed=11):
@@ -243,6 +228,23 @@ def _per_array_reference(model, train_set, val_set, config):
     return losses
 
 
+@pytest.mark.parametrize("fit", ["train", "overfit_probe"])
+def test_arrays_taken_from_the_store_before_fitting_hold_the_fitted_values(fit):
+    train_set, val_set = _switching_problem()
+    spec = NetworkSpec(5, 4, 2, 1)
+    model = StanNetwork(spec, seed=0)
+    taken = dict(model.params)
+    start = {name: arr.copy() for name, arr in taken.items()}
+    if fit == "train":
+        train(model, train_set, val_set, TrainConfig(max_epochs=2, batch_size=32))
+    else:
+        overfit_probe(model, train_set, steps=5)
+    assert all(taken[name] is model.params[name] for name in taken)
+    assert any(not np.array_equal(start[name], arr) for name, arr in taken.items())
+    rebuilt = StanNetwork(spec, params={name: arr.copy() for name, arr in taken.items()})
+    assert rebuilt.predict(val_set.inputs).tobytes() == model.predict(val_set.inputs).tobytes()
+
+
 def _params_sha256(model) -> str:
     return hashlib.sha256(b"".join(model.params[name].tobytes() for name in sorted(model.params))).hexdigest()
 
@@ -272,10 +274,9 @@ def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
     for param in model.params:
         assert model.params[param].tobytes() == reference.params[param].tobytes()
     assert _params_sha256(model) == FUSED_UPDATE_GOLDEN[name]
-    # the store was re-homed into one buffer; an array taken before no longer aliases it
-    assert not np.shares_memory(before, model.params["proj.W"])
-    assert model.params["proj.W"].base is not None
-    assert len({id(arr.base) for arr in model.params.values()}) == 1
+    # the store is views into the model's one vector; an array taken before holds the trained values
+    assert before is model.params["proj.W"] and np.shares_memory(before, model.params.vector)
+    assert all(arr.base is model.params.vector for arr in model.params.values())
 
 
 # Digests of the final parameters and of the test-window predictions of the runs
