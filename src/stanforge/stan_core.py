@@ -299,27 +299,25 @@ def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
 
 
 class VectorStore(Mapping):
-    """Name -> array store over one flat float64 ``vector``, zero or
-    ``values`` at the start: each entry is a view of its slice, in
-    ``shapes`` order. The names are fixed, and an array put in, by
-    ``values`` or by assigning an entry, is checked and copied into its
-    view: ShapeError for a missing, extra, unknown or wrong-shaped array
-    (naming ``owner``), TypeError for one that is not a float64 ndarray.
-    ``values`` is checked in full before the vector is allocated."""
+    """Name -> array store over one flat float64 ``vector``, each entry a
+    view of its slice in ``shapes`` order; the names are fixed. Arrays put
+    in, as ``values`` (every name, checked before the zero-filled vector is
+    allocated) or by assigning an entry, are checked and copied into their
+    views: ShapeError for a missing, extra, unknown or wrong-shaped array,
+    naming ``owner``; TypeError for one that is not a float64 ndarray."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], owner: str, values: ParamStore | None = None):
         self.shapes, self.owner = shapes, owner
         if values is not None and set(values) != set(shapes):
             missing, extra = sorted(set(shapes) - set(values)), sorted(set(values) - set(shapes))
             raise ShapeError(f"parameter store does not match {owner}: missing {missing}, unexpected {extra}")
-        values = values or {}
-        for name, arr in values.items():
+        for name, arr in (values or {}).items():
             self._check(name, arr)
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.vector = np.zeros(sum(sizes))
         parts = np.split(self.vector, np.cumsum(sizes)[:-1])
         self._views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
-        for name, arr in values.items():
+        for name, arr in (values or {}).items():
             self._views[name][...] = arr
 
     def _check(self, name: str, arr) -> None:
@@ -356,9 +354,10 @@ class LayerStack:
 
     The model owns one parameter vector and one gradient vector, in
     ``stack_shapes`` order: ``params`` and ``grads`` are ``VectorStore``s of
-    views into them, and a given store is checked and copied in. ``backward``
-    writes into ``grads`` and returns a fresh name -> view mapping of it,
-    valid until the next ``backward``.
+    views into them. A given store, and an array assigned to
+    ``params[name]``, is checked and copied in. ``backward`` writes into
+    ``grads`` and returns a fresh name -> view mapping of it, valid until
+    the next ``backward``.
     """
 
     kind: ClassVar[str]

@@ -209,9 +209,10 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     the weights of the best validation epoch are restored before returning.
     Identical inputs, seed and config reproduce the identical history.
 
-    Arrays taken from ``model.params`` hold the trained values: they view
-    the model's one parameter vector, which one Adam step per batch updates
-    in place from the gradient vector that ``backward`` writes.
+    ``model.params`` holds views of the model's one parameter vector (an
+    assignment copies into it), so arrays taken from it hold the trained
+    values; one Adam step per batch updates the vector in place from the
+    gradient views ``backward`` returns, valid until its next call.
     """
     if len(train_set.inputs) == 0 or len(val_set.inputs) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -273,7 +274,7 @@ def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float
 
     A capacity smoke test: a healthy network should be able to memorize a
     handful of windows. Raises DivergenceError if the loss exceeds 1e6. Like
-    ``train``, it steps the model's parameter vector in place, so arrays
+    ``train``, it steps the model's one parameter vector in place, so arrays
     taken from ``model.params`` hold the probed values.
     """
     state = AdamState.for_param(model.params.vector, lr=lr)
