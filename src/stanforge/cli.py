@@ -62,8 +62,8 @@ from .eval_bench import (
     run_benchmark,
     write_report,
 )
-from .numerics import NondeterministicLossError, NonFiniteError, finite_diff_errors
-from .stan_core import NetworkSpec, check_size, gradcheck_problem
+from .numerics import NondeterministicLossError, finite_diff_errors
+from .stan_core import NetworkSpec, gradcheck_problem
 from .star_classic import (
     EstimationError,
     ExplosiveDynamicsError,
@@ -295,7 +295,7 @@ def cmd_gradcheck(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
-    check_size(spec)
+    MODEL_KINDS["stan"].check_size(args.lookback, args.horizon, args.units, args.depth)
     problem, params = gradcheck_problem(spec, args.seed, args.batch)
 
     def loss_fn(params):
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (NonFiniteError, DivergenceError, ExplosiveDynamicsError, EstimationError,
+    except (DivergenceError, ExplosiveDynamicsError, EstimationError,
             ConditioningError, NondeterministicLossError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,8 @@ the batch shuffling, so results are reproducible and independent of the
 order in which cells execute. Cells run one after another in plan order: a
 thread pool was tried and was slower, since the many small numpy calls of a
 short fit hold the GIL. A run that hits a data or numeric error is recorded
-as failed in the results instead of aborting the matrix; any other exception
-propagates.
+as failed in the results instead of aborting the matrix; a ``ShapeError``
+and any other exception propagate.
 
 Report files: ``results_rmse_mean.csv``, ``results_rmse_std.csv``,
 ``results_time.csv``, ``results.json``, ``report.md``. Wall-clock seconds
@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import MODEL_KINDS
 from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
-from .numerics import mse_loss
+from .numerics import ShapeError, mse_loss
 from .training import DivergenceError, TrainConfig, TrainHistory, train
 
 __all__ = [
@@ -117,12 +117,15 @@ class BenchmarkPlan:
         for h in self.horizons:
             if int(h) < 1:
                 problems.append(f"horizon must be positive, got {h}")
+        for what, values in (("dataset names", [ref.name for ref in self.datasets]),
+                             ("horizons", [int(h) for h in self.horizons]),
+                             ("model names", [m.name for m in self.models])):
+            if len(set(values)) != len(values):
+                problems.append(f"duplicate {what}: {values}")
         valid_horizons = [int(h) for h in self.horizons if int(h) >= 1]
         for m in self.models:
             if m.kind not in MODEL_KINDS:
                 problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
-            elif MODEL_KINDS[m.kind].sized and (m.units < 1 or m.depth < 1):
-                problems.append(f"model {m.name!r} needs positive units and depth")
             elif valid_horizons:
                 # the largest horizon and its lookback make the largest network
                 h = max(valid_horizons)
@@ -130,9 +133,6 @@ class BenchmarkPlan:
                     MODEL_KINDS[m.kind].check_size(lookback_for(h), h, m.units, m.depth)
                 except ValueError as exc:
                     problems.append(f"model {m.name!r}: {exc}")
-        names = [m.name for m in self.models]
-        if len(set(names)) != len(names):
-            problems.append(f"duplicate model names: {names}")
         if problems:
             raise PlanError("; ".join(problems))
 
@@ -196,7 +196,10 @@ def _run_cell(series: TimeSeries, entry: ModelEntry, horizon: int, seed: int,
         result.epochs = len(history)
         result.param_count = model.num_params()
     # data, conditioning and numeric failures are recorded per cell and the
-    # matrix keeps going; anything else is a bug and propagates
+    # matrix keeps going; anything else is a bug and propagates, as is a
+    # ShapeError, since the model is built from the windows' own shapes
+    except ShapeError:
+        raise
     except (ValueError, ArithmeticError, DivergenceError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         logger.warning("run failed (%s, %s, h=%d, seed=%d): %s",

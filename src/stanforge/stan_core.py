@@ -10,8 +10,10 @@ so a layer degenerates to a plain affine map when every theta is zero and to
 a rectifier-style layer when the gates saturate. ``LayerStack`` stacks
 ``depth`` such layers (relu layers when not gated) and finishes with an affine
 projection onto the forecast horizon; the STAN, MLP and linear networks are
-all layer stacks. Backward passes are derived by hand; the finite-difference
-checker in ``numerics`` referees them in the test suite.
+all layer stacks. A layer kernel takes ``w``, ``b`` and a (4, d) block of rows
+phi, theta, gamma and c, views of its stack's parameter vector. Backward passes
+are derived by hand; the finite-difference checker in ``numerics`` referees
+them in the test suite.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "NetworkSpec",
     "ParamStore",
     "VectorStore",
-    "StanLayerParams",
     "StanLayerCache",
     "NetworkCache",
     "LayerStack",
@@ -47,11 +48,8 @@ __all__ = [
     "stan_layer_backward",
     "MAX_PARAMETERS",
     "count_parameters",
-    "check_size",
     "stack_shapes",
-    "network_shapes",
     "init_params",
-    "init_network",
     "glorot_uniform",
     "gradcheck_problem",
 ]
@@ -60,7 +58,10 @@ __all__ = [
 # and the output projection under "proj.W" / "proj.b".
 ParamStore = dict[str, np.ndarray]
 
-LAYER_FIELDS = ("W", "b", "phi", "theta", "gamma", "c")
+# Per-unit coefficients in a layer block's row order, at their start values:
+# theta=0 makes an untrained layer a well-conditioned affine map, and gamma=1,
+# c=0 put its gates mid-range for standardized inputs.
+_UNIT_START = {"phi": 1.0, "theta": 0.0, "gamma": 1.0, "c": 0.0}
 
 # The most trainable scalars a network may hold: 1 GiB as float64.
 MAX_PARAMETERS = 2 ** 27
@@ -127,18 +128,6 @@ def transition_g(z, gamma, c):
 
 
 @dataclass
-class StanLayerParams:
-    """One layer's containers: dense input map plus four per-unit coefficient vectors."""
-
-    w: np.ndarray      # (p, d) dense input map
-    b: np.ndarray      # (d,)
-    phi: np.ndarray    # (d,) linear path weight
-    theta: np.ndarray  # (d,) gated rectified path weight
-    gamma: np.ndarray  # (d,) gate steepness
-    c: np.ndarray      # (d,) gate midpoint
-
-
-@dataclass
 class StanLayerCache:
     """Forward intermediates needed by the backward pass."""
 
@@ -154,32 +143,36 @@ class NetworkCache:
     proj_input: np.ndarray
 
 
-def _gate_and_mix(pre: np.ndarray, params: StanLayerParams,
+def _gate_and_mix(pre: np.ndarray, coefs: np.ndarray,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(y, relu(pre), gate)`` with ``y = pre * phi + theta * relu(pre) * gate``
-    written to ``out``, which may be ``pre`` itself."""
+    written to ``out``, which may be ``pre`` itself; ``coefs`` is the (4, d)
+    block of rows phi, theta, gamma and c."""
+    phi, theta, gamma, c = coefs
     act = relu(pre)
-    gate = transition_g(pre, params.gamma, params.c)
-    gated = params.theta * act
+    gate = transition_g(pre, gamma, c)
+    gated = theta * act
     gated *= gate
-    y = np.multiply(pre, params.phi, out=out)
+    y = np.multiply(pre, phi, out=out)
     y += gated
     return y, act, gate
 
 
-def stan_layer_forward(x: np.ndarray, params: StanLayerParams) -> tuple[np.ndarray, StanLayerCache]:
-    """Apply a smooth-transition layer to a batch ``x`` (m, p); returns
-    ``(y, cache)`` with y of shape (m, d).
+def stan_layer_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                       coefs: np.ndarray) -> tuple[np.ndarray, StanLayerCache]:
+    """Apply a smooth-transition layer, ``x @ w + b`` then the gate and mix of
+    ``coefs``, the (4, d) block of rows phi, theta, gamma and c, to a batch
+    ``x`` (m, p); returns ``(y, cache)`` with y of shape (m, d).
 
     Takes conforming float64 arrays, as ``LayerStack`` passes them.
     """
-    pre = affine_forward(x, params.w, params.b)
-    y, act, gate = _gate_and_mix(pre, params)
+    pre = affine_forward(x, w, b)
+    y, act, gate = _gate_and_mix(pre, coefs)
     return y, StanLayerCache(x=x, pre=pre, act=act, gate=gate)
 
 
-def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy: np.ndarray,
-                        coefs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def stan_layer_backward(cache: StanLayerCache, coefs: np.ndarray, dy: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Backward pass of one layer's gate and mix, down to its pre-activation.
 
     Takes a float64 ``dy`` of the cached pre-activation's shape, as ``LayerStack`` passes it.
@@ -192,11 +185,13 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy: np.n
         dc     = -theta * gamma * sum_m dy * a * s
         du     = dy * (phi + theta * (relu'(u) * g + a * s * gamma))
 
-    Returns ``(du, coefs)``: ``du`` (m, d), from which ``LayerStack.backward``
+    ``coefs`` is the layer's (4, d) block of rows phi, theta, gamma and c.
+    Returns ``(du, dcoefs)``: ``du`` (m, d), from which ``LayerStack.backward``
     takes the dense map's gradients ``x.T @ du`` and ``du.sum(axis=0)`` and the
-    input gradient ``du @ w.T``, and ``coefs`` (4, d), whose rows are dphi,
-    dtheta, dgamma and dc, written into the given ``coefs`` array if any.
+    input gradient ``du @ w.T``, and ``dcoefs`` (4, d), whose rows are dphi,
+    dtheta, dgamma and dc, written into the given ``out`` array if any.
     """
+    phi, theta, gamma, c = coefs
     pre, act, gate = cache.pre, cache.act, cache.gate
     terms = np.empty((4, *pre.shape))  # the four column-sum operands, reduced together
     slope = np.subtract(1.0, gate)
@@ -205,20 +200,20 @@ def stan_layer_backward(cache: StanLayerCache, params: StanLayerParams, dy: np.n
     dy_act = np.multiply(dy, act, out=terms[1])
     weighted = np.multiply(dy_act, slope, out=terms[3])
     dy_act *= gate
-    np.subtract(pre, params.c, out=terms[2])
+    np.subtract(pre, c, out=terms[2])
     terms[2] *= weighted
-    coefs = terms.sum(axis=1, out=coefs)
-    coefs[2] *= params.theta
-    coefs[3] *= -params.theta * params.gamma
+    dcoefs = terms.sum(axis=1, out=out)
+    dcoefs[2] *= theta
+    dcoefs[3] *= -theta * gamma
     # du in the slope buffer; relu'(u) * g + a * s * gamma is (a * s * gamma + g) * (u > 0)
     slope *= act
-    slope *= params.gamma
+    slope *= gamma
     slope += gate
     slope *= pre > 0.0
-    slope *= params.theta
-    slope += params.phi
+    slope *= theta
+    slope += phi
     slope *= dy
-    return slope, coefs
+    return slope, dcoefs
 
 
 def stack_shapes(lookback: int, horizon: int, units: int = 0, depth: int = 0,
@@ -236,16 +231,9 @@ def stack_shapes(lookback: int, horizon: int, units: int = 0, depth: int = 0,
         fan_in = units
     shapes["proj.W"] = (fan_in, horizon)
     shapes["proj.b"] = (horizon,)
-    for i in range(depth if gated else 0):
-        for field_name in LAYER_FIELDS[2:]:
-            shapes[f"layers.{i}.{field_name}"] = (units,)
+    if gated:
+        shapes.update({f"layers.{i}.{name}": (units,) for i in range(depth) for name in _UNIT_START})
     return shapes
-
-
-def network_shapes(spec: NetworkSpec, gated: bool = True) -> dict[str, tuple[int, ...]]:
-    """``stack_shapes`` of the network ``spec`` describes; ``gated=False``
-    gives the relu MLP of the same spec."""
-    return stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth, gated)
 
 
 def count_parameters(spec: NetworkSpec, gated: bool = True) -> int:
@@ -257,26 +245,9 @@ def count_parameters(spec: NetworkSpec, gated: bool = True) -> int:
     return (q + 1) * d + (depth - 1) * (d + 1) * d + (d + 1) * h + (4 * d * depth if gated else 0)
 
 
-def check_size(spec: NetworkSpec, gated: bool = True) -> None:
-    """Refuse, before anything is allocated, a network of more than
-    MAX_PARAMETERS trainable scalars; the ValueError names units and depth."""
-    size = count_parameters(spec, gated)
-    if size > MAX_PARAMETERS:
-        raise ValueError(
-            f"units {spec.units} and depth {spec.depth} make {size} parameters, "
-            f"above the limit of {MAX_PARAMETERS} (1 GiB as float64)"
-        )
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-# Start values of the per-unit coefficients: with theta=0 an untrained layer is
-# a well-conditioned affine map, and gamma=1, c=0 put its gates in the middle
-# of their sensitive range for standardized inputs.
-_UNIT_START = {"phi": 1.0, "theta": 0.0, "gamma": 1.0, "c": 0.0}
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
@@ -289,13 +260,6 @@ def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
         else np.full(shape, _UNIT_START.get(name.rsplit(".", 1)[1], 0.0))
         for name, shape in shapes.items()
     }
-
-
-def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
-    """Fresh parameters, deterministic for a given seed. The dense maps are
-    drawn before the coefficient vectors, so they equal a relu MLP's at the
-    same spec and seed; phi=1, theta=0, gamma=1, c=0."""
-    return init_params(network_shapes(spec), seed)
 
 
 class VectorStore(Mapping):
@@ -357,7 +321,9 @@ class LayerStack:
     views into them. A given store, and an array assigned to
     ``params[name]``, is checked and copied in. ``backward`` writes into
     ``grads`` and returns a fresh name -> view mapping of it, valid until
-    the next ``backward``.
+    the next ``backward``. A gated stack's coefficients are the tail of each
+    vector, a (depth, 4, units) block: layer i's rows phi, theta, gamma and
+    c, as the layer kernels take them.
     """
 
     kind: ClassVar[str]
@@ -375,10 +341,8 @@ class LayerStack:
         self.params = VectorStore(expected, owner, init_params(expected, seed) if params is None else params)
         self.grads = VectorStore(expected, owner)
         if self.gated:  # stack_shapes lists each layer's phi, theta, gamma and c last, layer by layer
-            self._coef_grads = self.grads.vector[-4 * units * depth:].reshape(depth, 4, units)
-
-    def layer_params(self, i: int) -> StanLayerParams:
-        return StanLayerParams(*(self.params[f"layers.{i}.{field_name}"] for field_name in LAYER_FIELDS))
+            self._coefs, self._coef_grads = (
+                store.vector[-4 * units * depth:].reshape(depth, 4, units) for store in (self.params, self.grads))
 
     def _check_input(self, x) -> np.ndarray:
         x = as_matrix(x, "x")
@@ -392,7 +356,7 @@ class LayerStack:
         caches: list[StanLayerCache] = []
         for i in range(self.depth):
             if self.gated:
-                h, cache = stan_layer_forward(h, self.layer_params(i))
+                h, cache = stan_layer_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"], self._coefs[i])
             else:
                 pre = affine_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"])
                 cache = StanLayerCache(x=h, pre=pre, act=relu(pre), gate=None)
@@ -413,7 +377,7 @@ class LayerStack:
         for i in reversed(range(self.depth)):
             layer = cache.layers[i]
             if self.gated:
-                du, _ = stan_layer_backward(layer, self.layer_params(i), dh, self._coef_grads[i])
+                du, _ = stan_layer_backward(layer, self._coefs[i], dh, self._coef_grads[i])
             else:
                 du = dh * relu_grad(layer.pre)
             np.matmul(layer.x.T, du, out=g[f"layers.{i}.W"])
@@ -432,10 +396,9 @@ class LayerStack:
         for i in range(self.depth):
             pre = affine_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"])
             if self.gated:
-                params = self.layer_params(i)
                 for start in range(0, len(pre), PREDICT_TILE):
                     tile = pre[start:start + PREDICT_TILE]
-                    _gate_and_mix(tile, params, out=tile)
+                    _gate_and_mix(tile, self._coefs[i], out=tile)
                 h = pre
             else:
                 h = relu(pre)

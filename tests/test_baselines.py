@@ -18,10 +18,9 @@ from stanforge.numerics import ShapeError, finite_diff_check, mse_loss, relu
 from stanforge.stan_core import (
     LayerStack,
     NetworkSpec,
+    StanNetwork,
     count_parameters,
-    init_network,
     init_params,
-    network_shapes,
     stack_shapes,
 )
 from stanforge.training import TrainConfig, train
@@ -128,7 +127,7 @@ def test_counts_match_allocated_entries(seed):
         depth=int(rng.integers(1, 5)), horizon=int(rng.integers(1, 13)),
     )
     assert count_parameters(spec, gated=False) == sum(
-        a.size for a in init_params(network_shapes(spec, gated=False), seed).values()
+        a.size for a in init_params(stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth), seed).values()
     )
     assert LinearNetwork(spec.lookback, spec.horizon).num_params() == sum(
         a.size for a in init_params(stack_shapes(spec.lookback, spec.horizon), seed).values()
@@ -217,7 +216,8 @@ def test_linear_network_count():
 
 def test_stan_dense_maps_are_the_mlp_init_at_the_same_seed():
     spec = NetworkSpec(45, 64, 3, 12)
-    mlp, stan = init_params(network_shapes(spec, gated=False), 7), init_network(spec, 7)
+    mlp = init_params(stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth), 7)
+    stan = StanNetwork(spec, seed=7).params
     assert all(np.array_equal(stan[name], arr) for name, arr in mlp.items())
     assert count_parameters(spec) == count_parameters(spec, gated=False) + 4 * 64 * 3
 

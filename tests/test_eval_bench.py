@@ -19,6 +19,7 @@ from stanforge.eval_bench import (
     run_benchmark,
     write_report,
 )
+from stanforge.numerics import ShapeError
 from stanforge.training import TrainConfig
 
 
@@ -96,6 +97,24 @@ def test_plan_rejects_duplicate_model_names():
         models=[ModelEntry(kind="stan"), ModelEntry(kind="stan")],
     )
     with pytest.raises(PlanError, match="duplicate"):
+        plan.validate()
+
+
+def test_plan_rejects_duplicate_dataset_names():
+    # both name the dataset EAST; its series would be loaded once and run twice
+    plan = BenchmarkPlan(
+        datasets=[DatasetRef("a.csv", "EAST_MW"), DatasetRef("b.csv", "EAST_MW")], horizons=[1],
+        models=[ModelEntry(kind="linreg")],
+    )
+    with pytest.raises(PlanError, match=r"duplicate dataset names: \['EAST', 'EAST'\]"):
+        plan.validate()
+
+
+def test_plan_rejects_duplicate_horizons():
+    # a repeated horizon reruns its cells at the same seeds, which aggregate would count twice
+    plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=[1, 6, 1],
+                         models=[ModelEntry(kind="linreg")], runs=2)
+    with pytest.raises(PlanError, match=r"duplicate horizons: \[1, 6, 1\]"):
         plan.validate()
 
 
@@ -290,8 +309,10 @@ def test_benchmark_records_failures_without_aborting(tmp_path):
     assert all(r.error for r in results)
 
 
-def test_benchmark_propagates_programming_errors(tmp_path, short_series, monkeypatch):
-    # only data and numeric errors become failed cells; a bug must surface
+@pytest.mark.parametrize("error", [TypeError, ShapeError])
+def test_benchmark_propagates_programming_errors(tmp_path, short_series, monkeypatch, error):
+    # only data and numeric errors become failed cells; a bug must surface, and a
+    # ShapeError is one, as the model is built from the windows' own shapes
     path = write_pjm_csv(short_series, tmp_path / "sine.csv")
     plan = BenchmarkPlan(
         datasets=[DatasetRef(str(path), "SINE_MW")],
@@ -301,10 +322,10 @@ def test_benchmark_propagates_programming_errors(tmp_path, short_series, monkeyp
     )
 
     def broken_fit(*args, **kwargs):
-        raise TypeError("fit_model called wrongly")
+        raise error("fit_model called wrongly")
 
     monkeypatch.setattr(eval_bench, "fit_model", broken_fit)
-    with pytest.raises(TypeError, match="called wrongly"):
+    with pytest.raises(error, match="called wrongly"):
         run_benchmark(plan)
 
 

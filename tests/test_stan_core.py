@@ -7,30 +7,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import stan_fd_problem
+from stanforge.baselines import MODEL_KINDS
 from stanforge.numerics import ShapeError, finite_diff_check, mse_loss
 from stanforge.stan_core import (
     MAX_PARAMETERS,
     NetworkSpec,
-    StanLayerParams,
     StanNetwork,
-    check_size,
     count_parameters,
-    init_network,
     stan_layer_backward,
     stan_layer_forward,
     transition_g,
 )
 
+COEFS = ("phi", "theta", "gamma", "c")  # the rows of a layer's (4, d) coefficient block
+
 
 def _layer(p, d, rng):
-    return StanLayerParams(
-        w=rng.standard_normal((p, d)),
-        b=rng.standard_normal(d),
-        phi=rng.uniform(0.5, 1.5, d),
-        theta=rng.uniform(0.5, 1.5, d),
-        gamma=rng.uniform(0.5, 2.0, d),
-        c=rng.uniform(-0.5, 0.5, d),
-    )
+    """``(w, b, coefs)`` of one layer, its coefficients off their start values."""
+    w, b = rng.standard_normal((p, d)), rng.standard_normal(d)
+    coefs = np.stack([rng.uniform(0.5, 1.5, d), rng.uniform(0.5, 1.5, d),
+                      rng.uniform(0.5, 2.0, d), rng.uniform(-0.5, 0.5, d)])
+    return w, b, coefs
 
 
 # ------------------------------------------------------------------ gate ----
@@ -151,47 +148,42 @@ def test_unit_zero_input_gives_zero():
 
 def test_layer_identity_configuration():
     d = 3
-    params = StanLayerParams(
-        w=np.eye(d), b=np.zeros(d), phi=np.ones(d),
-        theta=np.zeros(d), gamma=np.ones(d), c=np.zeros(d),
-    )
+    coefs = np.stack([np.ones(d), np.zeros(d), np.ones(d), np.zeros(d)])
     x = np.random.default_rng(0).standard_normal((5, d))
-    y, cache = stan_layer_forward(x, params)
+    y, cache = stan_layer_forward(x, np.eye(d), np.zeros(d), coefs)
     assert np.array_equal(y, x)
     assert np.array_equal(cache.pre, x)
 
 
 def test_layer_matches_scalar_recomputation():
     rng = np.random.default_rng(1)
-    params = _layer(3, 5, rng)
+    w, b, coefs = _layer(3, 5, rng)
     x = rng.standard_normal((4, 3))
-    y, cache = stan_layer_forward(x, params)
+    y, cache = stan_layer_forward(x, w, b, coefs)
     for i in range(4):
         for j in range(5):
-            pre = float(x[i] @ params.w[:, j] + params.b[j])
-            want = stan_unit_forward(pre, params.phi[j], params.theta[j],
-                                     params.gamma[j], params.c[j])
+            pre = float(x[i] @ w[:, j] + b[j])
+            want = stan_unit_forward(pre, *coefs[:, j])
             assert y[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_layer_backward_zero_upstream():
     rng = np.random.default_rng(2)
-    params = _layer(3, 4, rng)
-    _, cache = stan_layer_forward(rng.standard_normal((6, 3)), params)
-    du, coefs = stan_layer_backward(cache, params, np.zeros((6, 4)))
+    w, b, coefs = _layer(3, 4, rng)
+    _, cache = stan_layer_forward(rng.standard_normal((6, 3)), w, b, coefs)
+    du, dcoefs = stan_layer_backward(cache, coefs, np.zeros((6, 4)))
     assert not du.any()
-    for arr in coefs:
-        assert not arr.any()
+    assert not dcoefs.any()
 
 
 def test_layer_backward_theta_zero_freezes_gate_gradients():
     rng = np.random.default_rng(3)
-    params = _layer(3, 4, rng)
-    params.theta = np.zeros(4)
+    w, b, coefs = _layer(3, 4, rng)
+    coefs[1] = 0.0
     x = rng.standard_normal((6, 3))
-    _, cache = stan_layer_forward(x, params)
+    _, cache = stan_layer_forward(x, w, b, coefs)
     dy = rng.standard_normal((6, 4))
-    _, (dphi, _, dgamma, dc) = stan_layer_backward(cache, params, dy)
+    _, (dphi, _, dgamma, dc) = stan_layer_backward(cache, coefs, dy)
     assert not dgamma.any()
     assert not dc.any()
     assert np.allclose(dphi, np.sum(dy * cache.pre, axis=0))
@@ -201,18 +193,16 @@ def test_layer_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 5))
-    base = _layer(3, 5, rng)
+    w, b, coefs = _layer(3, 5, rng)
 
     def loss_fn(params):
-        p = StanLayerParams(**{k.lower(): params[k] for k in params})
-        y, cache = stan_layer_forward(x, p)
+        coefs = np.stack([params[name] for name in COEFS])
+        y, cache = stan_layer_forward(x, params["W"], params["b"], coefs)
         loss, dy = mse_loss(y, target)
-        du, (dphi, dtheta, dgamma, dc) = stan_layer_backward(cache, p, dy)
-        return loss, {"W": x.T @ du, "b": du.sum(axis=0), "phi": dphi,
-                      "theta": dtheta, "gamma": dgamma, "c": dc}
+        du, dcoefs = stan_layer_backward(cache, coefs, dy)
+        return loss, {"W": x.T @ du, "b": du.sum(axis=0), **dict(zip(COEFS, dcoefs))}
 
-    store = {"W": base.w, "b": base.b, "phi": base.phi,
-             "theta": base.theta, "gamma": base.gamma, "c": base.c}
+    store = {"W": w, "b": b, **dict(zip(COEFS, coefs))}
     assert finite_diff_check(loss_fn, store) < 1e-5
 
 
@@ -334,17 +324,19 @@ def test_count_parameters_large_architectures(spec, expected):
 
 def test_check_size_refuses_past_the_limit_only():
     # (45 + 1) * d + (d + 1) * d + (d + 1) + 8 * d at depth 2, horizon 1
-    allowed, refused = NetworkSpec(45, 11_500, 2, 1), NetworkSpec(45, 11_600, 2, 1)
-    assert count_parameters(allowed) <= MAX_PARAMETERS == 2 ** 27 < count_parameters(refused)
-    check_size(allowed)
+    stan, mlp = MODEL_KINDS["stan"], MODEL_KINDS["mlp"]
+    assert count_parameters(NetworkSpec(45, 11_500, 2, 1)) <= MAX_PARAMETERS == 2 ** 27
+    assert count_parameters(NetworkSpec(45, 11_600, 2, 1)) > MAX_PARAMETERS
+    stan.check_size(45, 1, 11_500, 2)
     with pytest.raises(ValueError, match="units 11600 and depth 2 make"):
-        check_size(refused)
-    past_gated_only = NetworkSpec(45, 11_560, 2, 1)  # the gates add 4 * 11560 * 2 scalars
-    check_size(past_gated_only, gated=False)
+        stan.check_size(45, 1, 11_600, 2)
+    mlp.check_size(45, 1, 11_560, 2)  # the gates add 4 * 11560 * 2 scalars
     with pytest.raises(ValueError, match="units 11560 and depth 2 make 134280961 parameters"):
-        check_size(past_gated_only)
+        stan.check_size(45, 1, 11_560, 2)
     with pytest.raises(ValueError, match="units 64 and depth 100000000"):
-        check_size(NetworkSpec(45, 64, 100_000_000, 1))
+        stan.check_size(45, 1, 64, 100_000_000)
+    with pytest.raises(ValueError, match="units must be a positive integer"):
+        stan.check_size(45, 1, 0, 2)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -354,22 +346,22 @@ def test_count_parameters_matches_allocated_entries(seed):
         lookback=int(rng.integers(1, 20)), units=int(rng.integers(1, 20)),
         depth=int(rng.integers(1, 5)), horizon=int(rng.integers(1, 13)),
     )
-    store = init_network(spec, seed)
+    store = StanNetwork(spec, seed=seed).params
     assert count_parameters(spec) == sum(arr.size for arr in store.values())
 
 
 def test_init_deterministic_per_seed():
     spec = NetworkSpec(7, 6, 2, 3)
-    a = init_network(spec, 42)
-    b = init_network(spec, 42)
-    other = init_network(spec, 43)
+    a = StanNetwork(spec, seed=42).params
+    b = StanNetwork(spec, seed=42).params
+    other = StanNetwork(spec, seed=43).params
     assert set(a) == set(b)
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert any(not np.array_equal(a[k], other[k]) for k in a)
 
 
 def test_init_starting_point_values():
-    store = init_network(NetworkSpec(5, 4, 2, 1), seed=0)
+    store = StanNetwork(NetworkSpec(5, 4, 2, 1), seed=0).params
     for i in range(2):
         assert np.array_equal(store[f"layers.{i}.phi"], np.ones(4))
         assert not store[f"layers.{i}.theta"].any()
@@ -379,7 +371,7 @@ def test_init_starting_point_values():
 
 
 def test_init_weight_statistics():
-    store = init_network(NetworkSpec(64, 64, 1, 1), seed=123)
+    store = StanNetwork(NetworkSpec(64, 64, 1, 1), seed=123).params
     w = store["layers.0.W"].ravel()
     limit = math.sqrt(6.0 / 128.0)
     assert np.all(np.abs(w) <= limit)
@@ -423,6 +415,26 @@ def test_assignment_copies_into_the_parameter_vector():
     assert np.array_equal(np.concatenate([arr.ravel() for arr in net.params.values()]), net.params.vector)
 
 
+@pytest.mark.parametrize("layer", range(2))
+@pytest.mark.parametrize("name", COEFS)
+def test_kernels_read_an_assigned_coefficient_as_one_given_at_construction(name, layer):
+    spec, rng = NetworkSpec(5, 4, 2, 2), np.random.default_rng(31)
+    base = {key: arr.copy() for key, arr in StanNetwork(spec, seed=3).params.items()}
+    for i in range(spec.depth):  # theta=0 would hide gamma and c from the output
+        base[f"layers.{i}.theta"] = rng.uniform(0.5, 1.5, spec.units)
+    key, new = f"layers.{layer}.{name}", rng.uniform(0.5, 1.5, spec.units)
+    assigned = StanNetwork(spec, params=base)
+    assigned.params[key] = new
+    built = StanNetwork(spec, params={**base, key: new})
+    x, dpred = rng.standard_normal((9, 5)), rng.standard_normal((9, 2))
+    (pred, cache), (built_pred, built_cache) = assigned.forward(x), built.forward(x)
+    assert pred.tobytes() == built_pred.tobytes()
+    assert assigned.predict(x).tobytes() == built.predict(x).tobytes()
+    assigned.backward(cache, dpred), built.backward(built_cache, dpred)
+    assert assigned.grads.vector.tobytes() == built.grads.vector.tobytes()
+    assert not np.array_equal(pred, StanNetwork(spec, params=base).predict(x))
+
+
 @pytest.mark.parametrize("name,value,error", [
     ("proj.W", np.zeros((4, 2)), ShapeError),
     ("layers.2.W", np.zeros((4, 4)), ShapeError),
@@ -439,7 +451,7 @@ def test_assignment_is_checked_as_at_construction(name, value, error):
 
 def test_network_rejects_malformed_store():
     spec = NetworkSpec(5, 4, 1, 1)
-    store = init_network(spec, 0)
+    store = dict(StanNetwork(spec, seed=0).params)
     del store["proj.b"]
     with pytest.raises(ShapeError, match="proj.b"):
         StanNetwork(spec, params=store)
