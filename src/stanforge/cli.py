@@ -17,12 +17,12 @@ that names an option of the subcommand (``burn_in`` for ``--burn-in``) goes
 through that option's own parse: a JSON value means what the same text means
 as a flag, a JSON list means its comma-joined text, ``3.0`` counts as an
 integer and ``null`` leaves the option unset. Flags beat config values, which
-beat the defaults. ``train`` (TrainConfig fields, overridden only by flags)
-and, for ``benchmark``, ``datasets`` and ``models`` have their own handlers;
-other keys, ``benchmark``'s ``data``/``column`` among them, are ignored. Their
-integer fields (a ``train`` field whose default is an integer, a model
-entry's ``units`` and ``depth``) take JSON integers or whole-number floats,
-and ``train``'s other fields take numbers; ``true``/``false`` is neither.
+beat the defaults. ``train`` (TrainConfig fields but ``seed``, overridden only
+by flags) and, for ``benchmark``, ``datasets`` and ``models`` have their own
+handlers; other keys, ``benchmark``'s ``data``/``column`` among them, are
+ignored. Their integer fields (a ``train`` field whose default is an integer,
+a model entry's ``units`` and ``depth``) take JSON integers or whole-number
+floats, and ``train``'s other fields take numbers; ``true``/``false`` is neither.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric failure.
 """
@@ -72,7 +72,7 @@ from .star_classic import (
 )
 # ``train`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.cli.train``.
-from .training import DivergenceError, TrainConfig, train  # noqa: F401
+from .training import FIXED_RECIPE, DivergenceError, TrainConfig, train  # noqa: F401
 
 __all__ = ["main", "UsageError"]
 
@@ -88,6 +88,8 @@ DESK_SCALE_EPOCHS = 40
 _NOT_FROM_CONFIG = ("help", "config", "verbose", "max_epochs", "batch_size", "lr")
 # options that steer the run but are not part of what ``config.json`` echoes
 _NOT_ECHOED = ("config", "out", "verbose", "subcommand", "func")
+# the ``train`` fields a config sets; not ``seed``: ``--seed`` seeds the run
+_TRAIN_KEYS = ("max_epochs", "batch_size", "lr", "es_start_epoch")
 
 
 class UsageError(Exception):
@@ -206,7 +208,10 @@ def _number(value, where: str) -> int | float:
 
 
 def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
-    merged = asdict(TrainConfig())
+    # an old config's ``seed`` and fixed recipe values (``config.json`` echoed
+    # them as ``train`` fields) still replay: the seed is read and ignored, a
+    # fixed value is accepted only at its value
+    merged = {**asdict(TrainConfig()), **FIXED_RECIPE}
     file_train = args.config.get("train", {})
     if not isinstance(file_train, dict):
         raise UsageError("config key 'train' must be a JSON object")
@@ -214,16 +219,18 @@ def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
     if unknown:
         raise UsageError(f"unknown train config key(s): {sorted(unknown)}")
     for key, value in file_train.items():
+        where = f"config key 'train.{key}'"
         # a field is an integer field when its default is one
-        check = _whole if isinstance(merged[key], int) else _number
-        merged[key] = check(value, f"config key 'train.{key}'")
+        merged[key] = (_whole if isinstance(merged[key], int) else _number)(value, where)
+        if key in FIXED_RECIPE and merged[key] != FIXED_RECIPE[key]:
+            raise UsageError(f"{where} is fixed at {FIXED_RECIPE[key]!r} by the training recipe, got {value}")
     if preset_epochs is not None and args.max_epochs is None and "max_epochs" not in file_train:
         merged["max_epochs"] = preset_epochs
     for key in ("max_epochs", "batch_size", "lr"):
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
     try:
-        return TrainConfig(**merged)
+        return TrainConfig(**{key: merged[key] for key in _TRAIN_KEYS})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid training configuration: {exc}") from None
 
@@ -251,12 +258,12 @@ def cmd_train(args) -> int:
         raise UsageError("train needs --data and --column (or config keys 'data'/'column')")
     lookback = lookback_for(args.horizon) if args.lookback is None else args.lookback
     MODEL_KINDS[args.model].check_size(lookback, args.horizon, args.units, args.depth)
-    train_cfg = _train_config(args).with_seed(args.seed)
+    train_cfg = _train_config(args)
     series = load_pjm_csv(args.data, args.column)
     prep = prepare_splits(series, args.horizon, lookback=args.lookback, mode=args.split, seed=args.seed)
     run_dir = _run_dir(args)
-    _write_json(run_dir / "config.json", {**_options(args, "max_epochs", "batch_size", "lr"),
-                                          "lookback": prep.lookback, "train": asdict(train_cfg)})
+    _write_json(run_dir / "config.json", {**_options(args, "max_epochs", "batch_size", "lr"), "lookback": prep.lookback,
+                                          "train": {k: getattr(train_cfg, k) for k in _TRAIN_KEYS}})
 
     entry = ModelEntry(kind=args.model, units=args.units, depth=args.depth)
     model, history = fit_model(entry, prep, train_cfg, args.seed)
@@ -373,7 +380,7 @@ def cmd_benchmark(args) -> int:
         "runs": plan.runs,
         "seed": plan.base_seed,
         "split": plan.split,
-        "train": asdict(plan.train),
+        "train": {k: getattr(plan.train, k) for k in _TRAIN_KEYS},
     })
     table = aggregate(results)
     written = write_report(table, results, run_dir)

@@ -97,24 +97,25 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     return loss, dpred
 
 
+# Adam's fixed moment decays and denominator guard: part of the one training recipe
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First and second moment accumulators for one parameter array."""
+    """Moment accumulators, step count and learning rate of one parameter array; the rest is ``ADAM_*``."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 0.001, beta1: float = 0.9,
-                  beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def for_param(cls, param: np.ndarray, lr: float = 0.001) -> "AdamState":
         param = np.asarray(param, dtype=np.float64)
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), t=0,
-                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param), t=0, lr=lr)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -126,13 +127,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("non-finite gradient")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: float = 1e-5) -> dict[str, float]:

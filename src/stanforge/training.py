@@ -4,7 +4,9 @@ One recipe, used everywhere: Adam at 0.001 on mean squared error in
 standardized space, batches of 256, at most 1000 epochs, early stopping on
 validation loss (patience 10, armed from epoch 6), a reduce-on-plateau
 learning-rate schedule (factor 0.25, patience 5, floor 2.5e-5), and
-restoration of the best validation weights at the end.
+restoration of the best validation weights at the end. ``TrainConfig`` sets
+the epochs, batch size, rate, stopping start and seed; the constants below and
+``numerics.ADAM_*`` fix the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +17,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import AdamState, NonFiniteError, adam_step, mse_loss
+from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, mse_loss
+
+# the fixed schedules: an improvement beats the best validation loss by more
+# than ES_MIN_DELTA; early stopping waits ES_PATIENCE epochs, and the plateau
+# schedule PLATEAU_PATIENCE epochs before it scales the rate by
+# PLATEAU_FACTOR, never below LR_MIN
+ES_PATIENCE = 10
+ES_MIN_DELTA = 1e-5
+PLATEAU_FACTOR = 0.25
+PLATEAU_PATIENCE = 5
+LR_MIN = 2.5e-5
+# the fixed values by name; the CLI still reads them from an old config's ``train``
+FIXED_RECIPE = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON, "es_patience": ES_PATIENCE,
+                "es_min_delta": ES_MIN_DELTA, "plateau_factor": PLATEAU_FACTOR, "plateau_patience": PLATEAU_PATIENCE,
+                "lr_min": LR_MIN}
 
 __all__ = [
     "DivergenceError",
@@ -37,33 +53,23 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the shared training recipe."""
+    """The settable values of the shared training recipe."""
 
     max_epochs: int = 1000
     batch_size: int = 256
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    es_patience: int = 10
     es_start_epoch: int = 6
-    es_min_delta: float = 1e-5
-    plateau_factor: float = 0.25
-    plateau_patience: int = 5
-    lr_min: float = 2.5e-5
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs and batch_size must be positive")
-        if self.lr <= 0 or self.lr_min <= 0 or self.lr_min > self.lr:
-            raise ValueError(f"need 0 < lr_min <= lr, got lr={self.lr}, lr_min={self.lr_min}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
-        if self.es_patience < 1 or self.plateau_patience < 1 or self.es_start_epoch < 1:
-            raise ValueError("patience values and es_start_epoch must be positive")
-        if self.es_min_delta < 0:
-            raise ValueError(f"es_min_delta must be non-negative, got {self.es_min_delta}")
+        for name in ("max_epochs", "batch_size", "es_start_epoch", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
+            raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")
+        if not LR_MIN <= self.lr < np.inf:  # also refuses NaN
+            raise ValueError(f"lr must be finite and at least the plateau floor {LR_MIN:g}, got {self.lr!r}")
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -129,7 +135,7 @@ class EarlyStopper:
     than ``min_delta``.
     """
 
-    def __init__(self, patience: int = 10, start_epoch: int = 6, min_delta: float = 1e-5):
+    def __init__(self, start_epoch: int, patience: int = ES_PATIENCE, min_delta: float = ES_MIN_DELTA):
         self.patience = patience
         self.start_epoch = start_epoch
         self.min_delta = min_delta
@@ -161,8 +167,8 @@ class PlateauScheduler:
     never drops below ``lr_min``; the wait counter resets after a reduction.
     """
 
-    def __init__(self, lr: float = 0.001, factor: float = 0.25, patience: int = 5,
-                 lr_min: float = 2.5e-5, min_delta: float = 1e-5):
+    def __init__(self, lr: float, factor: float = PLATEAU_FACTOR, patience: int = PLATEAU_PATIENCE,
+                 lr_min: float = LR_MIN, min_delta: float = ES_MIN_DELTA):
         self.lr = lr
         self.factor = factor
         self.patience = patience
@@ -218,11 +224,9 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
     values = model.params.vector
-    state = AdamState.for_param(values, lr=config.lr, beta1=config.beta1,
-                                beta2=config.beta2, epsilon=config.epsilon)
-    stopper = EarlyStopper(config.es_patience, config.es_start_epoch, config.es_min_delta)
-    scheduler = PlateauScheduler(config.lr, config.plateau_factor, config.plateau_patience,
-                                 config.lr_min, config.es_min_delta)
+    state = AdamState.for_param(values, lr=config.lr)
+    stopper = EarlyStopper(start_epoch=config.es_start_epoch)
+    scheduler = PlateauScheduler(config.lr)
     history = TrainHistory()
     best_values = values.copy()
     n = len(train_set.inputs)
@@ -252,9 +256,8 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
             epoch=epoch, train_loss=float(np.mean(batch_losses)),
             val_loss=val_loss, lr=epoch_lr, seconds=seconds,
         ))
-        improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             np.copyto(best_values, values)
         scheduler.update(val_loss)
         logger.debug("epoch %d: train %.6f val %.6f lr %.2e", epoch, history.records[-1].train_loss, val_loss, epoch_lr)

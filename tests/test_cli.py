@@ -183,6 +183,69 @@ def test_train_config_fields_are_type_checked(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,fixed", [
+    ("beta1", 0.5, "0.9"), ("epsilon", 1e-6, "1e-08"), ("es_patience", 3, "10"), ("lr_min", 1e-6, "2.5e-05"),
+])
+def test_train_config_fixed_recipe_keys_refuse_another_value(tmp_path, capsys, key, value, fixed):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {key: value}}))
+    data = _dataset_csv(tmp_path, n=260)
+    code = main(["train", "--data", str(data), "--column", "EAST_MW",
+                 "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"config key 'train.{key}' is fixed at {fixed} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand,lr,config", [
+    ("train", "nan", None), ("train", "inf", None), ("train", "1e-6", None),
+    ("benchmark", None, {"train": {"lr": math.nan}}), ("benchmark", None, {"train": {"lr": math.inf}}),
+])
+def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path, capsys, subcommand, lr, config):
+    argv = [subcommand, "--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW",
+            "--out", str(tmp_path / "out")]
+    if lr is not None:
+        argv += ["--lr", lr]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 1
+    assert "lr must be finite and at least the plateau floor" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_config_seed_is_read_as_an_integer_and_ignored(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}], "train": {"seed": 99}}))
+    plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config), "--seed", "3"]))
+    assert plan.train == TrainConfig() and plan.base_seed == 3
+
+
+# the ``train`` object as ``config.json`` echoed it while Adam's and the
+# schedules' fixed values were TrainConfig fields, at those values
+_OLD_TRAIN_ECHO = {"max_epochs": 2, "batch_size": 256, "lr": 0.001, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08,
+                   "es_patience": 10, "es_start_epoch": 6, "es_min_delta": 1e-05, "plateau_factor": 0.25,
+                   "plateau_patience": 5, "lr_min": 2.5e-05, "seed": 0}
+
+
+@pytest.mark.parametrize("argv,outputs", [
+    (["train", "--model", "mlp"], ["checkpoint.json", "summary.json"]),
+    (["benchmark", "--models", "linear,mlp", "--runs", "2"], ["results.json"]),
+], ids=["train", "benchmark"])
+def test_a_config_echoing_the_old_train_fields_replays_byte_identically(tmp_path, argv, outputs):
+    data = _dataset_csv(tmp_path, n=260)
+    assert main(argv + ["--data", str(data), "--column", "EAST_MW", "--units", "4", "--depth", "1",
+                        "--max-epochs", "2", "--out", str(tmp_path / "first")]) == 0
+    first = tmp_path / "first" / f"{argv[0]}-seed0"
+    echoed = _read_json(first / "config.json")
+    assert echoed["train"] == {"max_epochs": 2, "batch_size": 256, "lr": 0.001, "es_start_epoch": 6}
+    (tmp_path / "old.json").write_text(json.dumps({**echoed, "train": _OLD_TRAIN_ECHO}))
+    assert main([argv[0], "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "second")]) == 0
+    second = tmp_path / "second" / f"{argv[0]}-seed0"
+    for name in outputs + ["config.json"]:  # the old fields are read, not echoed
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_train_config_whole_numbers_count_as_integers(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stanforge.data import WindowedDataset, prepare_splits
 from stanforge.numerics import AdamState, NonFiniteError, adam_step, mse_loss
 from stanforge.stan_core import NetworkSpec, StanNetwork
 from stanforge.training import (
+    LR_MIN,
     EarlyStopper,
     PlateauScheduler,
     TrainConfig,
@@ -40,11 +42,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(lr=0.001, lr_min=0.01)
-    with pytest.raises(ValueError):
-        TrainConfig(plateau_factor=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(es_min_delta=-1e-6)
+        TrainConfig(es_start_epoch=0)
+    for lr in (0.0, LR_MIN / 2, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lr must be finite and at least the plateau floor"):
+            TrainConfig(lr=lr)
+    assert TrainConfig(lr=LR_MIN).lr == LR_MIN
+
+
+@pytest.mark.parametrize("field", ["max_epochs", "batch_size", "es_start_epoch", "seed"])
+@pytest.mark.parametrize("value", [2.5, 8.0, True, np.float64(3.0), "3"])
+def test_config_integer_fields_refuse_non_integers(field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_config_integer_fields_take_numpy_integers():
+    cfg = TrainConfig(max_epochs=np.int64(3), batch_size=np.int32(8), es_start_epoch=np.uint8(2), seed=np.int64(4))
+    assert (cfg.max_epochs, cfg.batch_size, cfg.es_start_epoch, cfg.seed) == (3, 8, 2, 4)
 
 
 def test_config_with_seed_replaces_only_seed():
@@ -134,7 +148,7 @@ def test_train_learning_rate_never_increases(constant_model_cls):
 def test_train_linear_network_converges_on_noiseless_data():
     train_set, val_set = _linear_problem()
     model = LinearNetwork(8, 1, seed=1)
-    cfg = TrainConfig(max_epochs=200, batch_size=32, lr=0.005, es_min_delta=0.0, seed=0)
+    cfg = TrainConfig(max_epochs=200, batch_size=32, lr=0.005, seed=0)
     _, hist = train(model, train_set, val_set, cfg)
     hit = next((r.epoch for r in hist.records if r.val_loss < 1e-6), None)
     assert hit is not None and hit < 200
@@ -203,9 +217,7 @@ def _per_array_reference(model, train_set, val_set, config):
     parameter array; returns its (train_loss, val_loss) per epoch. Only
     valid for budgets too short for the plateau schedule or early stopping."""
     rng = np.random.default_rng(config.seed)
-    states = {name: AdamState.for_param(p, lr=config.lr, beta1=config.beta1,
-                                        beta2=config.beta2, epsilon=config.epsilon)
-              for name, p in model.params.items()}
+    states = {name: AdamState.for_param(p, lr=config.lr) for name, p in model.params.items()}
     best_val, best = float("inf"), {name: p.copy() for name, p in model.params.items()}
     n, losses = len(train_set.inputs), []
     for _ in range(config.max_epochs):
