@@ -32,20 +32,23 @@ __all__ = [
 ]
 
 
+# the worst condition estimate of the loaded Gram matrix that the normal equations are solved at
+COND_LIMIT = 1e12
+
+
 class ConditioningError(ValueError):
     """Normal equations too ill-conditioned to solve reliably."""
 
 
-def fit_linear_regression(x, y, ridge: float = 1e-8, cond_limit: float = 1e12) -> np.ndarray:
+def fit_linear_regression(x, y, ridge: float = 1e-8) -> np.ndarray:
     """Least squares with intercept via ridge-stabilized normal equations.
 
     Parameters
     ----------
     x : array, shape (n, q)
     y : array, shape (n, tau)
-    ridge : small diagonal loading added to the Gram matrix.
-    cond_limit : reject the solve when the loaded Gram matrix is worse
-        conditioned than this.
+    ridge : small diagonal loading added to the Gram matrix; the solve is
+        refused when the loaded matrix's condition estimate exceeds ``COND_LIMIT``.
 
     Returns
     -------
@@ -63,10 +66,10 @@ def fit_linear_regression(x, y, ridge: float = 1e-8, cond_limit: float = 1e12) -
     eigs = np.linalg.eigvalsh(gram)
     low = max(float(eigs[0]), np.finfo(np.float64).tiny)
     cond = float(eigs[-1]) / low
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise ConditioningError(
             f"normal equations are too ill-conditioned even with ridge {ridge:g}: "
-            f"condition estimate {cond:.3e} exceeds {cond_limit:.1e}"
+            f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}"
         )
     return np.linalg.solve(gram, a.T @ y)
 

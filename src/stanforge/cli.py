@@ -64,15 +64,10 @@ from .eval_bench import (
 )
 from .numerics import NondeterministicLossError, finite_diff_errors
 from .stan_core import NetworkSpec, gradcheck_problem
-from .star_classic import (
-    EstimationError,
-    ExplosiveDynamicsError,
-    LstarParams,
-    simulate_lstar,
-)
+from .star_classic import ExplosiveDynamicsError, LstarParams, simulate_lstar
 # ``train`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.cli.train``.
-from .training import FIXED_RECIPE, DivergenceError, TrainConfig, train  # noqa: F401
+from .training import FIXED_RECIPE, TrainConfig, train  # noqa: F401
 
 __all__ = ["main", "UsageError"]
 
@@ -113,6 +108,17 @@ def _model_kind(text: str) -> str:
     return text
 
 
+def _seed(text: str) -> int:
+    """Type of ``--seed``: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _load_config(path: str) -> dict:
     """Type of ``--config``: the JSON object held in the file at ``path``."""
     try:
@@ -140,7 +146,7 @@ def _config_tokens(action: argparse.Action, value) -> list[str]:
         shape = "a flat list" if items is value else "a single value"
         raise UsageError(f"expected {shape} for {flag}, got {json.dumps(value)}")
     # JSON writes some integers as 3.0 or 1e3; those still count as integers
-    whole = (action.type.item if listed else action.type) is int
+    whole = (action.type.item if listed else action.type) in (int, _seed)
     items = [int(i) if whole and isinstance(i, float) and i.is_integer() else i for i in items]
     return [f"{flag}={','.join(map(str, items))}"]
 
@@ -434,7 +440,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="JSON config file; flags override its values")
     sub.add_argument("--out", default=os.environ.get("STANFORGE_OUT") or "runs",
                      help="output directory (fallback: $STANFORGE_OUT, then ./runs)")
-    sub.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0, help="base random seed, a non-negative integer (default 0)")
     sub.add_argument("-v", "--verbose", action="count", default=0)
 
 
@@ -532,8 +538,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (DivergenceError, ExplosiveDynamicsError, EstimationError,
-            ConditioningError, NondeterministicLossError, ArithmeticError) as exc:
+    except (ExplosiveDynamicsError, ConditioningError, NondeterministicLossError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, PlanError, DataFormatError, CheckpointError, OSError, ValueError) as exc:

@@ -4,6 +4,9 @@ The CSV loader follows the common hourly-consumption layout: a ``Datetime``
 column formatted ``YYYY-MM-DD HH:MM:SS`` plus one value column per region
 (for example ``AEP_MW``). Real files are messy, so the loader sorts rows,
 drops duplicate timestamps and empty value cells, and logs what it dropped.
+
+The split is fixed: the training pool is ``TRAIN_FRAC`` (0.8) of the windows
+and validation ``VAL_FRAC_OF_TRAIN`` (0.2) of the pool, as ``split_windows`` says.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 _STAMP_SHAPE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 # rows per block that the CSV reader parses and the writer formats at once
 _BLOCK_ROWS = 256
+# the fixed split: the training pool's share of the windows, and validation's share of the pool
+TRAIN_FRAC = 0.8
+VAL_FRAC_OF_TRAIN = 0.2
 
 
 class DataFormatError(ValueError):
@@ -318,11 +324,9 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     return WindowedDataset(inputs=inputs, targets=targets, lookback=lookback, horizon=horizon, anchors=anchors)
 
 
-def _partition_sizes(n: int, train_frac: float, val_frac_of_train: float) -> tuple[int, int]:
-    if not 0.0 < train_frac < 1.0 or not 0.0 < val_frac_of_train < 1.0:
-        raise ValueError("fractions must lie strictly between 0 and 1")
-    pool = int(n * train_frac)
-    n_val = int(pool * val_frac_of_train)
+def _partition_sizes(n: int) -> tuple[int, int]:
+    pool = int(n * TRAIN_FRAC)
+    n_val = int(pool * VAL_FRAC_OF_TRAIN)
     n_train = pool - n_val
     n_test = n - pool
     if min(n_train, n_val, n_test) < 1:
@@ -330,15 +334,14 @@ def _partition_sizes(n: int, train_frac: float, val_frac_of_train: float) -> tup
     return pool, n_val
 
 
-def split_windows(dataset: WindowedDataset, train_frac: float = 0.8,
-                  val_frac_of_train: float = 0.2, seed: int = 0, mode: str = "random"):
+def split_windows(dataset: WindowedDataset, seed: int = 0, mode: str = "random"):
     """Split into (train, val, test) along one order of the windows.
 
     The order is a permutation drawn from ``seed`` (``mode="random"``) or the
     windows sorted by anchor (``mode="contiguous"``, so the earliest windows
-    train, then validation, then test). The first ``train_frac`` of the order
-    form the training pool and the rest the test set, then the last
-    ``val_frac_of_train`` of the pool becomes validation.
+    train, then validation, then test). The first ``TRAIN_FRAC`` (0.8) of
+    the order form the training pool and the rest the test set, then the
+    last ``VAL_FRAC_OF_TRAIN`` (0.2) of the pool becomes validation.
     """
     if mode == "random":
         order = np.random.default_rng(seed).permutation(len(dataset))
@@ -346,7 +349,7 @@ def split_windows(dataset: WindowedDataset, train_frac: float = 0.8,
         order = np.argsort(dataset.anchors, kind="stable")
     else:
         raise ValueError(f"unknown split mode {mode!r}; expected 'random' or 'contiguous'")
-    pool, n_val = _partition_sizes(len(dataset), train_frac, val_frac_of_train)
+    pool, n_val = _partition_sizes(len(dataset))
     return tuple(dataset.subset(idx) for idx in np.split(order, [pool - n_val, pool]))
 
 
@@ -363,9 +366,8 @@ class PreparedSplits:
 
 
 def prepare_splits(series, horizon: int, lookback: int | None = None, mode: str = "random",
-                   train_frac: float = 0.8, val_frac_of_train: float = 0.2,
                    seed: int = 0) -> PreparedSplits:
-    """Window, split, and standardize one series for one forecast horizon.
+    """Window, split (the fixed split of ``split_windows``), and standardize one series for one horizon.
 
     The scaler is fit on the raw input windows of the training pool (train
     plus validation) only, then applied to inputs and targets of all three
@@ -373,7 +375,7 @@ def prepare_splits(series, horizon: int, lookback: int | None = None, mode: str 
     transform them.
     """
     q = lookback_for(horizon) if lookback is None else int(lookback)
-    train, val, test = split_windows(make_windows(series, q, horizon), train_frac, val_frac_of_train, seed, mode)
+    train, val, test = split_windows(make_windows(series, q, horizon), seed, mode)
     scaler = fit_scaler(np.concatenate([train.inputs.ravel(), val.inputs.ravel()]))
     for subset in (train, val, test):
         for array in (subset.inputs, subset.targets):

@@ -28,7 +28,7 @@ import numpy as np
 from .baselines import MODEL_KINDS
 from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
 from .numerics import ShapeError, mse_loss
-from .training import DivergenceError, TrainConfig, TrainHistory, train
+from .training import TrainConfig, TrainHistory, train
 
 __all__ = [
     "PlanError",
@@ -112,6 +112,8 @@ class BenchmarkPlan:
             problems.append("no models")
         if self.runs < 1:
             problems.append(f"runs must be at least 1, got {self.runs}")
+        if self.base_seed < 0:
+            problems.append(f"base_seed must be non-negative, got {self.base_seed}")
         if self.split not in ("random", "contiguous"):
             problems.append(f"unknown split mode {self.split!r}")
         for h in self.horizons:
@@ -200,7 +202,7 @@ def _run_cell(series: TimeSeries, entry: ModelEntry, horizon: int, seed: int,
     # ShapeError, since the model is built from the windows' own shapes
     except ShapeError:
         raise
-    except (ValueError, ArithmeticError, DivergenceError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         logger.warning("run failed (%s, %s, h=%d, seed=%d): %s",
                        entry.name, series.name, horizon, seed, result.error)
@@ -247,7 +249,6 @@ class CellStats:
     mean_rmse: float
     std_rmse: float
     mean_seconds: float
-    param_count: int
     runs: int
     failures: int
     best: bool = False
@@ -308,7 +309,6 @@ def aggregate(results: list[RunResult]) -> ReportTable:
                     mean_rmse=float(scores.mean()) if good else float("nan"),
                     std_rmse=float(scores.std(ddof=1)) if len(good) > 1 else 0.0,
                     mean_seconds=float(np.mean([r.train_seconds for r in good])) if good else float("nan"),
-                    param_count=good[0].param_count if good else 0,
                     runs=len(good),
                     failures=len(group) - len(good),
                 )

@@ -109,13 +109,13 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    lr: float
     t: int = 0
-    lr: float = 0.001
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 0.001) -> "AdamState":
+    def for_param(cls, param: np.ndarray, lr: float) -> "AdamState":
         param = np.asarray(param, dtype=np.float64)
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), t=0, lr=lr)
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -5,8 +5,9 @@ standardized space, batches of 256, at most 1000 epochs, early stopping on
 validation loss (patience 10, armed from epoch 6), a reduce-on-plateau
 learning-rate schedule (factor 0.25, patience 5, floor 2.5e-5), and
 restoration of the best validation weights at the end. ``TrainConfig`` sets
-the epochs, batch size, rate, stopping start and seed; the constants below and
-``numerics.ADAM_*`` fix the rest.
+the epochs, batch size, rate (its default also starts ``overfit_probe``),
+stopping start and seed. The rest is fixed: ``EarlyStopper`` and
+``PlateauScheduler`` read the constants below, and ``adam_step`` ``numerics.ADAM_*``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):
+            raise TypeError(f"lr must be a number, got {self.lr!r}")
         if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
             raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")
         if not LR_MIN <= self.lr < np.inf:  # also refuses NaN
@@ -125,27 +128,25 @@ class TrainHistory:
 
 
 class EarlyStopper:
-    """Stop when validation loss has not improved by min_delta for `patience` epochs.
+    """Stop when validation loss has not improved by ES_MIN_DELTA for ES_PATIENCE epochs.
 
     Epochs are 1-indexed. "Patience 10 starting from epoch 6" is read as:
     improvement tracking begins at epoch ``start_epoch``, the wait counter
     advances from the epoch after it, so the earliest possible stop is epoch
-    ``start_epoch + patience``. That reading is isolated here so it is easy
+    ``start_epoch + ES_PATIENCE``. That reading is isolated here so it is easy
     to change. An improvement must beat the best loss seen so far by more
-    than ``min_delta``.
+    than ``ES_MIN_DELTA``.
     """
 
-    def __init__(self, start_epoch: int, patience: int = ES_PATIENCE, min_delta: float = ES_MIN_DELTA):
-        self.patience = patience
+    def __init__(self, start_epoch: int):
         self.start_epoch = start_epoch
-        self.min_delta = min_delta
         self.best = float("inf")
         self.best_epoch = 0
         self.wait = 0
 
     def update(self, epoch: int, val_loss: float) -> bool:
         """Record one epoch; returns True when training should stop now."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best - ES_MIN_DELTA:
             self.best = val_loss
             self.best_epoch = epoch
             self.wait = 0
@@ -157,35 +158,30 @@ class EarlyStopper:
         if epoch <= self.start_epoch:
             return False
         self.wait += 1
-        return self.wait >= self.patience
+        return self.wait >= ES_PATIENCE
 
 
 class PlateauScheduler:
-    """Multiply the learning rate by ``factor`` after ``patience`` epochs without improvement.
+    """Multiply the learning rate by PLATEAU_FACTOR after PLATEAU_PATIENCE epochs without improvement.
 
-    Improvement uses the same min_delta convention as EarlyStopper. The rate
-    never drops below ``lr_min``; the wait counter resets after a reduction.
+    Improvement uses the same ES_MIN_DELTA convention as EarlyStopper. The
+    rate never drops below LR_MIN; the wait counter resets after a reduction.
     """
 
-    def __init__(self, lr: float, factor: float = PLATEAU_FACTOR, patience: int = PLATEAU_PATIENCE,
-                 lr_min: float = LR_MIN, min_delta: float = ES_MIN_DELTA):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.factor = factor
-        self.patience = patience
-        self.lr_min = lr_min
-        self.min_delta = min_delta
         self.best = float("inf")
         self.wait = 0
 
     def update(self, val_loss: float) -> float:
         """Record one epoch's validation loss; returns the rate for the next epoch."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best - ES_MIN_DELTA:
             self.best = val_loss
             self.wait = 0
             return self.lr
         self.wait += 1
-        if self.wait >= self.patience:
-            self.lr = max(self.lr * self.factor, self.lr_min)
+        if self.wait >= PLATEAU_PATIENCE:
+            self.lr = max(self.lr * PLATEAU_FACTOR, LR_MIN)
             self.wait = 0
         return self.lr
 
@@ -272,15 +268,15 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     return model, history
 
 
-def overfit_probe(model, dataset, steps: int = 2000, lr: float = 0.001) -> float:
-    """Full-batch Adam on a tiny dataset; returns the final training loss.
+def overfit_probe(model, dataset, steps: int = 2000) -> float:
+    """Full-batch Adam at the recipe's start rate on a tiny dataset; returns the final training loss.
 
     A capacity smoke test: a healthy network should be able to memorize a
     handful of windows. Raises DivergenceError if the loss exceeds 1e6. Like
     ``train``, it steps the model's one parameter vector in place, so arrays
     taken from ``model.params`` hold the probed values.
     """
-    state = AdamState.for_param(model.params.vector, lr=lr)
+    state = AdamState.for_param(model.params.vector, lr=TrainConfig.lr)
     for step in range(steps + 1):  # the last pass only measures the final loss
         loss, grads = _loss_and_grads(model, dataset.inputs, dataset.targets)
         if not np.isfinite(loss):

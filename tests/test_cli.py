@@ -438,6 +438,24 @@ def test_bad_invocations_exit_1(argv, tmp_path, monkeypatch):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "train", "gradcheck", "benchmark", "fixtures"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_a_negative_seed_exits_1_naming_the_flag_without_a_run_directory(tmp_path, capsys, subcommand, by_config):
+    argv = [subcommand, "--out", str(tmp_path / "out")]
+    if subcommand in ("train", "benchmark"):
+        argv += ["--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW"]
+    if by_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert ("config key 'seed'" in err) == by_config
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
@@ -586,6 +604,12 @@ def test_config_whole_numbers_count_as_integers(tmp_path, config, n):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
     assert _read_json(tmp_path / "simulate-seed0" / "config.json")["n"] == n
+
+
+def test_a_whole_number_config_seed_counts_as_an_integer(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"n": 20, "seed": 2.0}))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "simulate-seed2" / "config.json")["seed"] == 2
 
 
 def test_train_overrides_are_flags_not_config_keys(tmp_path):

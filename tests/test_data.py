@@ -475,9 +475,9 @@ def test_split_deterministic_per_seed():
 
 
 def test_split_rejects_empty_subsets():
-    ds = make_windows(sine_series(12), lookback=5, horizon=3)  # 5 windows
-    with pytest.raises(ValueError, match="empty"):
-        split_windows(ds, train_frac=0.8, val_frac_of_train=0.1)
+    ds = make_windows(sine_series(12), lookback=5, horizon=3)  # 5 windows: a pool of 4, of which 0 validate
+    with pytest.raises(ValueError, match="empty subset: 4/0/1"):
+        split_windows(ds)
 
 
 def test_contiguous_split_is_chronological():

@@ -91,6 +91,13 @@ def test_plan_validate_lists_every_problem():
         assert fragment in message
 
 
+def test_plan_refuses_a_negative_base_seed():
+    plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=[1], models=[ModelEntry(kind="linreg")],
+                         base_seed=-1)
+    with pytest.raises(PlanError, match="^base_seed must be non-negative, got -1$"):
+        plan.validate()
+
+
 def test_plan_rejects_duplicate_model_names():
     plan = BenchmarkPlan(
         datasets=[DatasetRef("x.csv", "X_MW")], horizons=[1],

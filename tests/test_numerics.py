@@ -154,7 +154,7 @@ def test_mse_gradient_matches_finite_differences():
 
 def test_adam_zero_gradient_is_identity():
     param = np.array([1.0, -2.0, 3.0])
-    state = AdamState.for_param(param)
+    state = AdamState.for_param(param, lr=0.001)
     before = param.copy()
     adam_step(param, np.zeros(3), state)
     assert np.array_equal(param, before)
@@ -181,7 +181,7 @@ def test_adam_constant_gradient_keeps_step_near_lr():
 
 def test_adam_second_moment_stays_nonnegative():
     param = np.zeros(4)
-    state = AdamState.for_param(param)
+    state = AdamState.for_param(param, lr=0.001)
     rng = np.random.default_rng(2)
     for _ in range(20):
         adam_step(param, rng.standard_normal(4), state)
@@ -192,7 +192,7 @@ def test_adam_second_moment_stays_nonnegative():
 def test_adam_rejects_nonfinite_gradient_by_name():
     # the caller names the parameter: see test_train_names_epoch_batch_and_parameter_of_a_non_finite_gradient
     param = np.zeros(2)
-    state = AdamState.for_param(param)
+    state = AdamState.for_param(param, lr=0.001)
     with pytest.raises(NonFiniteError, match="non-finite gradient"):
         adam_step(param, np.array([np.nan, 0.0]), state)
     assert state.t == 0 and not param.any()

@@ -9,7 +9,10 @@ from stanforge.data import WindowedDataset, prepare_splits
 from stanforge.numerics import AdamState, NonFiniteError, adam_step, mse_loss
 from stanforge.stan_core import NetworkSpec, StanNetwork
 from stanforge.training import (
+    ES_MIN_DELTA,
+    ES_PATIENCE,
     LR_MIN,
+    PLATEAU_PATIENCE,
     EarlyStopper,
     PlateauScheduler,
     TrainConfig,
@@ -49,6 +52,16 @@ def test_config_validation():
     assert TrainConfig(lr=LR_MIN).lr == LR_MIN
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.01", None, [0.01], 1j])
+def test_config_lr_refuses_a_bool_or_non_number(value):
+    with pytest.raises(TypeError, match="^lr must be a number"):
+        TrainConfig(lr=value)
+
+
+def test_config_lr_takes_python_and_numpy_numbers():
+    assert [TrainConfig(lr=lr).lr for lr in (1, 0.01, np.float32(0.5), np.int64(2))] == [1, 0.01, 0.5, 2]
+
+
 @pytest.mark.parametrize("field", ["max_epochs", "batch_size", "es_start_epoch", "seed"])
 @pytest.mark.parametrize("value", [2.5, 8.0, True, np.float64(3.0), "3"])
 def test_config_integer_fields_refuse_non_integers(field, value):
@@ -70,7 +83,7 @@ def test_config_with_seed_replaces_only_seed():
 # ---------------------------------------------------------- early stopping --
 
 def test_stopper_constant_loss_stops_at_start_plus_patience():
-    stopper = EarlyStopper(patience=10, start_epoch=6, min_delta=1e-5)
+    stopper = EarlyStopper(start_epoch=6)
     stopped_at = None
     for epoch in range(1, 100):
         if stopper.update(epoch, 1.0):
@@ -80,26 +93,28 @@ def test_stopper_constant_loss_stops_at_start_plus_patience():
 
 
 def test_stopper_never_stops_before_start_epoch():
-    stopper = EarlyStopper(patience=1, start_epoch=6, min_delta=1e-5)
-    for epoch in range(1, 7):
+    stopper = EarlyStopper(start_epoch=20)
+    for epoch in range(1, 30):
         assert not stopper.update(epoch, 1.0)
-    assert stopper.update(7, 1.0)
+    assert stopper.update(30, 1.0)
 
 
 def test_stopper_resets_on_material_improvement():
-    stopper = EarlyStopper(patience=3, start_epoch=1, min_delta=1e-5)
-    losses = [1.0, 1.0, 1.0, 0.5, 1.0, 1.0]
+    stopper = EarlyStopper(start_epoch=1)
+    # ES_PATIENCE - 1 idle epochs, an improvement, then ES_PATIENCE - 1 idle epochs again
+    losses = [1.0] * ES_PATIENCE + [0.5] + [1.0] * (ES_PATIENCE - 1)
     stops = [stopper.update(e, v) for e, v in enumerate(losses, start=1)]
     assert not any(stops)
     assert stopper.best == 0.5
-    assert stopper.best_epoch == 4
+    assert stopper.best_epoch == ES_PATIENCE + 1
+    assert stopper.update(len(losses) + 1, 1.0)
 
 
 def test_stopper_tracks_non_material_best_for_restoration():
-    stopper = EarlyStopper(patience=10, start_epoch=1, min_delta=1e-2)
+    stopper = EarlyStopper(start_epoch=1)
     stopper.update(1, 1.0)
-    stopper.update(2, 0.995)  # below best but not by min_delta
-    assert stopper.best == 0.995
+    stopper.update(2, 1.0 - ES_MIN_DELTA / 2)  # below best but not by ES_MIN_DELTA
+    assert stopper.best == 1.0 - ES_MIN_DELTA / 2
     assert stopper.best_epoch == 2
     assert stopper.wait == 1
 
@@ -107,7 +122,7 @@ def test_stopper_tracks_non_material_best_for_restoration():
 # ----------------------------------------------------------------- plateau --
 
 def test_plateau_sequence_with_floor():
-    sched = PlateauScheduler(lr=0.001, factor=0.25, patience=5, lr_min=2.5e-5)
+    sched = PlateauScheduler(lr=0.001)
     seen = []
     for _ in range(25):
         seen.append(sched.update(1.0))
@@ -120,10 +135,11 @@ def test_plateau_sequence_with_floor():
 
 
 def test_plateau_resets_on_improvement():
-    sched = PlateauScheduler(lr=0.001, factor=0.25, patience=3, lr_min=1e-6)
-    for loss in (1.0, 1.0, 0.5, 1.0, 1.0):
+    sched = PlateauScheduler(lr=0.001)
+    # PLATEAU_PATIENCE - 1 idle epochs, an improvement, then PLATEAU_PATIENCE - 1 idle epochs again
+    for loss in [1.0] * PLATEAU_PATIENCE + [0.5] + [1.0] * (PLATEAU_PATIENCE - 1):
         lr = sched.update(loss)
-    assert lr == 0.001  # improvement at epoch 3 reset the wait counter
+    assert lr == 0.001  # the improvement reset the wait counter
     assert sched.update(1.0) == 0.00025
 
 
