@@ -286,7 +286,7 @@ def cmd_train(args) -> int:
         "best_val_loss": history.best_val_loss,
         "epochs": len(history),
         "param_count": model.num_params(),
-        "scaler": {"mean": prep.scaler.mean, "std": prep.scaler.std},
+        "scaler": asdict(prep.scaler),
     })
     print(f"{args.model}: test RMSE {test_rmse:.4f} (standardized) after {len(history)} epoch(s); "
           f"outputs in {run_dir}")
@@ -423,6 +423,11 @@ def _fixture_series(region: str, index: int, n: int, seed: int) -> TimeSeries:
 def cmd_fixtures(args) -> int:
     if not args.regions:
         raise UsageError("fixtures needs at least one region name")
+    # each region names its own file in the run directory
+    if len(set(args.regions)) != len(args.regions):
+        raise UsageError(f"duplicate region names: {args.regions}")
+    if any("/" in region or os.sep in region for region in args.regions):
+        raise UsageError(f"a region name cannot hold a path separator: {args.regions}")
     series = [_fixture_series(region, index, args.n, args.seed) for index, region in enumerate(args.regions)]
     run_dir = _run_dir(args)
     paths = [write_pjm_csv(s, run_dir / f"{s.name}.csv") for s in series]

@@ -264,11 +264,11 @@ def invert_scaler(values, scaler: ScalerParams) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * scaler.std + scaler.mean
 
 
-def lookback_for(n_ahead: int) -> int:
-    """Window length used for an ``n_ahead``-step forecast: max(45, 5 * n_ahead)."""
-    if n_ahead < 1:
-        raise ValueError(f"n_ahead must be at least 1, got {n_ahead}")
-    return max(45, 5 * int(n_ahead))
+def lookback_for(horizon: int) -> int:
+    """Window length used for a ``horizon``-step forecast: max(45, 5 * horizon)."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    return max(45, 5 * int(horizon))
 
 
 @dataclass

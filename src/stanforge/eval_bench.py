@@ -9,10 +9,10 @@ short fit hold the GIL. A run that hits a data or numeric error is recorded
 as failed in the results instead of aborting the matrix; a ``ShapeError``
 and any other exception propagate.
 
-Report files: ``results_rmse_mean.csv``, ``results_rmse_std.csv``,
-``results_time.csv``, ``results.json``, ``report.md``. Wall-clock seconds
-appear only in the time report; ``results.json`` stays byte-identical
-across reruns of the same plan.
+Report files, from a table built in one pass over the runs:
+``results_rmse_mean.csv``, ``results_rmse_std.csv``, ``results_time.csv``,
+``results.json`` (every ``RunResult`` field but the wall time, which only
+the time report holds, so it is byte-identical across reruns), ``report.md``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -156,17 +156,10 @@ class RunResult:
         return self.error is not None
 
     def to_json_dict(self) -> dict:
-        # wall time deliberately excluded: results.json must be byte-stable
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "rmse": None if self.failed else self.rmse,
-            "epochs": self.epochs,
-            "param_count": self.param_count,
-            "error": self.error,
-        }
+        # every field but the wall time, which would keep results.json from being byte-stable
+        doc = asdict(self)
+        del doc["train_seconds"]
+        return {**doc, "rmse": None if self.failed else self.rmse}
 
 
 def fit_model(entry: ModelEntry, prep: PreparedSplits, config: TrainConfig, seed: int):
@@ -275,51 +268,38 @@ class ReportTable:
         return [(h, ds) for h in self.horizons for ds in self.datasets]
 
 
-def _ordered_unique(values) -> list:
-    out = []
-    for v in values:
-        if v not in out:
-            out.append(v)
-    return out
-
-
 def aggregate(results: list[RunResult]) -> ReportTable:
     """Per-cell mean and sample (n-1) standard deviation of RMSE across runs.
 
-    Failed runs are excluded from the statistics but counted; a cell with no
+    One pass groups the runs by (horizon, dataset, model), in the order each
+    cell is first seen: plan order for ``run_benchmark``'s results. Failed
+    runs are excluded from the statistics but counted; a cell with no
     successful run is kept with NaN stats so reports can mark it FAILED. The
     best (strictly smallest mean) cell per row is flagged; exact ties flag
     every tied cell.
     """
     if not results:
         raise ValueError("no results to aggregate")
-    horizons = _ordered_unique(r.horizon for r in results)
-    datasets = _ordered_unique(r.dataset for r in results)
-    models = _ordered_unique(r.model for r in results)
+    groups: dict[tuple[int, str, str], list[RunResult]] = {}
+    for r in results:
+        groups.setdefault((r.horizon, r.dataset, r.model), []).append(r)
     cells: dict[tuple[int, str, str], CellStats] = {}
-    for h in horizons:
-        for ds in datasets:
-            for m in models:
-                group = [r for r in results if (r.horizon, r.dataset, r.model) == (h, ds, m)]
-                if not group:
-                    continue
-                good = [r for r in group if not r.failed]
-                scores = np.array([r.rmse for r in good], dtype=np.float64)
-                cells[(h, ds, m)] = CellStats(
-                    mean_rmse=float(scores.mean()) if good else float("nan"),
-                    std_rmse=float(scores.std(ddof=1)) if len(good) > 1 else 0.0,
-                    mean_seconds=float(np.mean([r.train_seconds for r in good])) if good else float("nan"),
-                    runs=len(good),
-                    failures=len(group) - len(good),
-                )
+    for key, group in groups.items():
+        good = [r for r in group if not r.failed]
+        scores = np.array([r.rmse for r in good], dtype=np.float64)
+        cells[key] = CellStats(
+            mean_rmse=float(scores.mean()) if good else float("nan"),
+            std_rmse=float(scores.std(ddof=1)) if len(good) > 1 else 0.0,
+            mean_seconds=float(np.mean([r.train_seconds for r in good])) if good else float("nan"),
+            runs=len(good),
+            failures=len(group) - len(good),
+        )
+    horizons, datasets, models = (list(dict.fromkeys(parts)) for parts in zip(*groups))
     table = ReportTable(horizons=horizons, datasets=datasets, models=models, cells=cells)
     for h, ds in table.rows():
-        row = {m: cells[(h, ds, m)] for m in models if (h, ds, m) in cells}
-        means = [s.mean_rmse for s in row.values() if not s.failed]
-        if not means:
-            continue
-        low = min(means)
-        for stats in row.values():
+        row = [cells[(h, ds, m)] for m in models if (h, ds, m) in cells]
+        low = min((stats.mean_rmse for stats in row if not stats.failed), default=None)
+        for stats in row:
             stats.best = (not stats.failed) and stats.mean_rmse == low
     return table
 

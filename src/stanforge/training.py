@@ -13,8 +13,9 @@ stopping start and seed. The rest is fixed: ``EarlyStopper`` and
 from __future__ import annotations
 
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,16 +64,23 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy numbers are stored as Python ones, so history.csv and a JSON dump of the fields read plain numbers
         for name in ("max_epochs", "batch_size", "es_start_epoch", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):
             raise TypeError(f"lr must be a number, got {self.lr!r}")
         if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
             raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")
-        if not LR_MIN <= self.lr < np.inf:  # also refuses NaN
+        try:
+            lr = float(self.lr)
+        except OverflowError:  # an integer no float can hold
+            lr = math.inf
+        if not LR_MIN <= lr < math.inf:  # also refuses NaN
             raise ValueError(f"lr must be finite and at least the plateau floor {LR_MIN:g}, got {self.lr!r}")
+        object.__setattr__(self, "lr", lr)
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -122,9 +130,8 @@ class TrainHistory:
 
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["epoch", "train_loss", "val_loss", "lr", "seconds"])
-            for r in self.records:
-                writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr), repr(r.seconds)])
+            writer.writerow([f.name for f in fields(EpochRecord)])
+            writer.writerows([repr(value) for value in astuple(r)] for r in self.records)
 
 
 class EarlyStopper:

@@ -392,6 +392,18 @@ def test_fixtures_writes_loadable_regions(tmp_path):
     assert _read_json(run_dir / "config.json")["regions"] == ["A", "B"]
 
 
+@pytest.mark.parametrize("regions,problem", [
+    ("A,A", "duplicate region names: ['A', 'A']"),
+    ("EAST,../OUTSIDE", "a region name cannot hold a path separator: ['EAST', '../OUTSIDE']"),
+    (",", "fixtures needs at least one region name"),
+], ids=["repeated", "separator", "none"])
+def test_fixtures_refuses_region_names_it_cannot_write_one_file_each(tmp_path, capsys, regions, problem):
+    assert main(["fixtures", "--regions", regions, "--n", "200", "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {problem}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "OUTSIDE.csv").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--sigma", "nan"), ("--c", "inf"), ("--gamma", "nan"), ("--phi0", "-inf"),
     ("--phi", "0.5,nan"), ("--theta", "inf"),
@@ -548,6 +560,32 @@ def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, confi
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,config,problem", [
+    (["benchmark"], {"desk_scale": "yes"}, "config key 'desk_scale': expected true or false for --desk-scale, got \"yes\""),
+    (["train", "--data", "east.csv", "--column", "EAST_MW"], {"train": [1]}, "config key 'train' must be a JSON object"),
+    (["benchmark", "--data", "east.csv"], None, "benchmark needs both --data and --column"),
+    (["benchmark"], {"datasets": [{"column": "EAST_MW"}]}, "each dataset entry needs 'path' and 'column': 'path'"),
+    (["benchmark"], {"datasets": [{"path": "east.csv", "column": "EAST_MW"}], "models": [{"units": 4}]},
+     "each model entry needs at least a 'kind': KeyError('kind')"),
+], ids=["desk-scale-not-a-bool", "train-not-an-object", "data-without-column", "dataset-without-path",
+        "model-without-kind"])
+def test_refused_configurations_exit_1_naming_the_problem_without_a_run_directory(tmp_path, capsys, argv, config,
+                                                                                    problem):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_names_a_horizon_below_one(tmp_path, capsys):
+    argv = ["train", "--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW", "--horizon", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 

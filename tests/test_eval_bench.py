@@ -13,6 +13,7 @@ from stanforge.eval_bench import (
     DatasetRef,
     ModelEntry,
     PlanError,
+    ReportTable,
     RunResult,
     aggregate,
     rmse,
@@ -95,6 +96,12 @@ def test_plan_refuses_a_negative_base_seed():
     plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=[1], models=[ModelEntry(kind="linreg")],
                          base_seed=-1)
     with pytest.raises(PlanError, match="^base_seed must be non-negative, got -1$"):
+        plan.validate()
+
+
+def test_plan_validate_names_no_horizons_no_models_and_an_unknown_split():
+    plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=[], models=[], split="weekly")
+    with pytest.raises(PlanError, match="^no horizons; no models; unknown split mode 'weekly'$"):
         plan.validate()
 
 
@@ -203,6 +210,20 @@ def test_aggregate_all_failed_cell_is_marked():
     assert np.isnan(stats.mean_rmse)
 
 
+def test_aggregate_refuses_no_results():
+    with pytest.raises(ValueError, match="^no results to aggregate$"):
+        aggregate([])
+
+
+def test_aggregate_orders_rows_and_columns_as_first_seen():
+    results = (_results([0.5], model="B", dataset="D2", horizon=6) + _results([0.2], model="A", dataset="D1")
+               + _results([0.3], model="B", dataset="D1") + _results([0.4], model="A", dataset="D2", horizon=6))
+    table = aggregate(results)
+    assert (table.horizons, table.datasets, table.models) == ([6, 1], ["D2", "D1"], ["B", "A"])
+    assert table.rows() == [(6, "D2"), (6, "D1"), (1, "D2"), (1, "D1")]
+    assert sorted(table.cells) == [(1, "D1", "A"), (1, "D1", "B"), (6, "D2", "A"), (6, "D2", "B")]
+
+
 # ----------------------------------------------------------------- reports --
 
 def _tiny_table_and_results():
@@ -249,6 +270,22 @@ def test_report_marks_failed_cells(tmp_path):
     write_report(table, results, tmp_path)
     assert "FAILED" in (tmp_path / "results_rmse_mean.csv").read_text()
     assert "FAILED" in (tmp_path / "report.md").read_text()
+
+
+def test_report_leaves_a_never_run_cell_blank(tmp_path):
+    # B never ran on D1, and A never on D2
+    results = _results([0.2], model="A", dataset="D1") + _results([0.3], model="B", dataset="D2")
+    write_report(aggregate(results), results, tmp_path)
+    assert "| 1 | D1 | **0.200** |  |\n| 1 | D2 |  | **0.300** |\n" in (tmp_path / "report.md").read_text()
+    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+        assert list(csv.reader(handle))[1:] == [["1", "D1", "0.200", ""], ["1", "D2", "", "0.300"]]
+
+
+def test_write_report_refuses_an_empty_table(tmp_path):
+    table = ReportTable(horizons=[], datasets=[], models=[], cells={})
+    with pytest.raises(ValueError, match="^cannot write an empty report table$"):
+        write_report(table, [], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_json_excludes_wall_time(tmp_path):

@@ -269,3 +269,5 @@ def test_finite_diff_rejects_bad_eps_and_bad_grads():
 
     with pytest.raises(ShapeError):
         finite_diff_errors(wrong_shape, {"p": np.zeros(2)})
+    with pytest.raises(TypeError, match="^parameter 'p' must be a float64 ndarray$"):
+        finite_diff_errors(_quadratic, {"p": np.zeros(2, dtype=np.float32)})

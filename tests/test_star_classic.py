@@ -126,6 +126,8 @@ def test_params_validation():
         LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, delay=2)
     with pytest.raises(ValueError, match="sigma"):
         LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, sigma=-0.1)
+    with pytest.raises(ValueError, match="^order must be at least 1$"):
+        LstarParams(phi0=0.0, phi=[], theta=[], gamma=1.0, c=0.0)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -298,6 +300,9 @@ def test_estimation_input_validation():
         estimate_lstar(series.values[:5], order=2)
     with pytest.raises(ValueError, match="positive"):
         estimate_lstar(series, order=1, gamma_grid=(-1.0, 2.0))
+    for grids in ({"gamma_grid": ()}, {"c_grid": []}):
+        with pytest.raises(ValueError, match="^gamma_grid and c_grid must be non-empty$"):
+            estimate_lstar(series, order=1, **grids)
 
 
 def test_default_c_grid_spans_interior_quantiles():

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from stanforge.training import (
     ES_PATIENCE,
     LR_MIN,
     PLATEAU_PATIENCE,
+    DivergenceError,
     EarlyStopper,
     PlateauScheduler,
     TrainConfig,
@@ -46,7 +49,7 @@ def test_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(es_start_epoch=0)
-    for lr in (0.0, LR_MIN / 2, math.nan, math.inf):
+    for lr in (0.0, LR_MIN / 2, math.nan, math.inf, 10 ** 400):
         with pytest.raises(ValueError, match="lr must be finite and at least the plateau floor"):
             TrainConfig(lr=lr)
     assert TrainConfig(lr=LR_MIN).lr == LR_MIN
@@ -72,6 +75,20 @@ def test_config_integer_fields_refuse_non_integers(field, value):
 def test_config_integer_fields_take_numpy_integers():
     cfg = TrainConfig(max_epochs=np.int64(3), batch_size=np.int32(8), es_start_epoch=np.uint8(2), seed=np.int64(4))
     assert (cfg.max_epochs, cfg.batch_size, cfg.es_start_epoch, cfg.seed) == (3, 8, 2, 4)
+
+
+def test_config_stores_numpy_numbers_as_python_numbers(tmp_path, constant_model_cls):
+    cfg = TrainConfig(max_epochs=np.int64(2), batch_size=np.int64(32), lr=np.float64(0.01), es_start_epoch=np.int32(1),
+                      seed=np.int64(3))
+    assert [type(getattr(cfg, name)) for name in ("max_epochs", "batch_size", "lr", "es_start_epoch", "seed")] \
+        == [int, int, float, int, int]
+    assert json.dumps(dataclasses.asdict(cfg)) \
+        == '{"max_epochs": 2, "batch_size": 32, "lr": 0.01, "es_start_epoch": 1, "seed": 3}'
+    ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
+    _, history = train(constant_model_cls(value=0.0), ds, ds, cfg)
+    history.write_csv(tmp_path / "history.csv")
+    rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[3]) for row in rows] == [0.01, 0.01]
 
 
 def test_config_with_seed_replaces_only_seed():
@@ -218,6 +235,9 @@ def test_train_aborts_with_context_on_nonfinite_loss(constant_model_cls):
     ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
     with pytest.raises(NonFiniteError, match="epoch 1"):
         train(constant_model_cls(value=np.nan), ds, ds, TrainConfig())
+    nan_targets = _dataset(np.zeros((2, 3)), np.full((2, 1), np.nan))
+    with pytest.raises(NonFiniteError, match="^epoch 1: validation loss is nan$"):
+        train(constant_model_cls(value=0.0), ds, nan_targets)
 
 
 def _switching_problem(n=120, q=5, seed=11):
@@ -390,3 +410,13 @@ def test_probe_zero_problem_starts_at_zero(constant_model_cls):
     ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
     model = constant_model_cls(value=0.0)
     assert overfit_probe(model, ds, steps=1) == 0.0
+
+
+@pytest.mark.parametrize("value,error,message", [
+    (np.nan, NonFiniteError, "^probe step 0: loss is nan$"),
+    (1e4, DivergenceError, r"^probe step 0: loss 1\.000e\+08 exceeds 1e6$"),
+], ids=["nan", "past-1e6"])
+def test_probe_refuses_a_non_finite_or_diverged_loss(constant_model_cls, value, error, message):
+    ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
+    with pytest.raises(error, match=message):
+        overfit_probe(constant_model_cls(value=value), ds, steps=3)
