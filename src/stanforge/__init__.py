@@ -16,7 +16,7 @@ from .eval_bench import BenchmarkPlan, DatasetRef, ModelEntry, RunResult, aggreg
 from .numerics import finite_diff_check, finite_diff_errors
 from .stan_core import NetworkSpec, StanNetwork, count_parameters, transition_g
 from .star_classic import LstarParams, estimate_lstar, simulate_lstar
-from .training import TrainConfig, TrainHistory, overfit_probe, train
+from .training import TrainConfig, TrainHistory, train
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "load_pjm_csv",
     "lookback_for",
     "make_windows",
-    "overfit_probe",
     "prepare_splits",
     "rmse",
     "run_benchmark",

@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 
-# the worst condition estimate of the loaded Gram matrix that the normal equations are solved at
+# the diagonal loading added to the Gram matrix, and the worst condition
+# estimate of the loaded matrix that the normal equations are solved at
+RIDGE = 1e-8
 COND_LIMIT = 1e12
 
 
@@ -40,15 +42,16 @@ class ConditioningError(ValueError):
     """Normal equations too ill-conditioned to solve reliably."""
 
 
-def fit_linear_regression(x, y, ridge: float = 1e-8) -> np.ndarray:
-    """Least squares with intercept via ridge-stabilized normal equations.
+def fit_linear_regression(x, y) -> np.ndarray:
+    """Least squares with intercept via normal equations loaded with ``RIDGE``.
+
+    The solve is refused when the loaded Gram matrix's condition estimate
+    exceeds ``COND_LIMIT``.
 
     Parameters
     ----------
     x : array, shape (n, q)
     y : array, shape (n, tau)
-    ridge : small diagonal loading added to the Gram matrix; the solve is
-        refused when the loaded matrix's condition estimate exceeds ``COND_LIMIT``.
 
     Returns
     -------
@@ -62,13 +65,13 @@ def fit_linear_regression(x, y, ridge: float = 1e-8) -> np.ndarray:
     if n <= q:
         raise ValueError(f"need more rows than regressors to fit: {n} rows, {q} columns plus intercept")
     a = np.hstack([np.ones((n, 1)), x])
-    gram = a.T @ a + ridge * np.eye(q + 1)
+    gram = a.T @ a + RIDGE * np.eye(q + 1)
     eigs = np.linalg.eigvalsh(gram)
     low = max(float(eigs[0]), np.finfo(np.float64).tiny)
     cond = float(eigs[-1]) / low
     if cond > COND_LIMIT:
         raise ConditioningError(
-            f"normal equations are too ill-conditioned even with ridge {ridge:g}: "
+            f"normal equations are too ill-conditioned even with ridge {RIDGE:g}: "
             f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}"
         )
     return np.linalg.solve(gram, a.T @ y)

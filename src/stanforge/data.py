@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -31,8 +32,6 @@ __all__ = [
     "write_pjm_csv",
     "hourly_timestamps",
     "fit_scaler",
-    "apply_scaler",
-    "invert_scaler",
     "lookback_for",
     "make_windows",
     "split_windows",
@@ -98,13 +97,17 @@ def _column_at(fields: list[str], name: str) -> int:
     return len(fields) - 1 - fields[::-1].index(name)
 
 
-def _check_stamps(path: Path, lines: list[int], stamps: list[str]) -> None:
-    """Raise DataFormatError naming the first of ``stamps`` that is no calendar time."""
-    for lineno, raw_stamp in zip(lines, stamps):
+def _check_rows(path: Path, lines: list[int], stamps: list[str], values: list[float]) -> None:
+    """Raise DataFormatError naming the first row whose stamp is no calendar
+    time or, stamp first, whose value is not finite; ``values`` may lack the
+    last row's, which did not parse."""
+    for row, (lineno, raw_stamp) in enumerate(zip(lines, stamps)):
         try:
             np.datetime64(raw_stamp, "s")
         except ValueError:
             raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
+        if row < len(values) and not math.isfinite(values[row]):
+            raise DataFormatError(f"{path.name} line {lineno}: non-finite value {values[row]!r}")
 
 
 def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -116,8 +119,9 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
     bad row in file order raises DataFormatError naming the file line its
     record starts on, blank lines and lines inside quoted cells counted: a
     row's stamp shape and value are checked as it is read, and whether its
-    stamp names a calendar time when its block is converted, or when a later
-    row of the block turns out bad. A record with a cell past
+    stamp names a calendar time and its value is finite (``nan``, ``inf`` and
+    ``1e400`` parse, but are refused) when its block is converted, or when a
+    later row of the block turns out bad. A record with a cell past
     ``csv.field_size_limit()`` raises DataFormatError naming its line.
     """
     lines: list[int] = []
@@ -127,12 +131,14 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
     value_blocks: list[np.ndarray] = []
 
     def flush():
+        value_blocks.append(np.array(values, dtype=np.float64))
         try:
             stamp_blocks.append(np.array(stamps, dtype="datetime64[s]"))
         except ValueError:
-            _check_stamps(path, lines, stamps)
+            _check_rows(path, lines, stamps, values)
             raise
-        value_blocks.append(np.array(values, dtype=np.float64))
+        if not np.isfinite(value_blocks[-1]).all():
+            _check_rows(path, lines, stamps, values)
         lines.clear()
         stamps.clear()
         values.clear()
@@ -159,14 +165,14 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
                     continue
                 raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
                 if not _STAMP_SHAPE.fullmatch(raw_stamp):
-                    _check_stamps(path, lines, stamps)
+                    _check_rows(path, lines, stamps, values)
                     raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}")
                 lines.append(lineno)
                 stamps.append(raw_stamp)
                 try:
                     values.append(float(raw_value))
                 except ValueError:
-                    _check_stamps(path, lines, stamps)
+                    _check_rows(path, lines, stamps, values)
                     raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
                 if len(stamps) == _BLOCK_ROWS:
                     flush()
@@ -186,8 +192,9 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     ``T`` separator or missing seconds, are rejected. Rows are sorted by
     timestamp; among duplicate timestamps the first row in file order is
     kept; rows with an empty value cell are dropped. Drops are logged as
-    warnings. Unparseable timestamps or values, or a cell too long for the csv
-    module, raise DataFormatError naming the line the offending record starts on.
+    warnings. Unparseable timestamps, unparseable or non-finite values, or a
+    cell too long for the csv module, raise DataFormatError naming the line the
+    offending record starts on.
     """
     path = Path(path)
     stamp_arr, value_arr, missing = _read_rows(path, column_name)
@@ -254,14 +261,6 @@ def fit_scaler(values) -> ScalerParams:
     if std <= 1e-12:
         raise ZeroVarianceError(f"values have (numerically) zero variance: std={std:g}")
     return ScalerParams(mean=mean, std=std)
-
-
-def apply_scaler(values, scaler: ScalerParams) -> np.ndarray:
-    return (np.asarray(values, dtype=np.float64) - scaler.mean) / scaler.std
-
-
-def invert_scaler(values, scaler: ScalerParams) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * scaler.std + scaler.mean
 
 
 def lookback_for(horizon: int) -> int:

@@ -5,9 +5,9 @@ standardized space, batches of 256, at most 1000 epochs, early stopping on
 validation loss (patience 10, armed from epoch 6), a reduce-on-plateau
 learning-rate schedule (factor 0.25, patience 5, floor 2.5e-5), and
 restoration of the best validation weights at the end. ``TrainConfig`` sets
-the epochs, batch size, rate (its default also starts ``overfit_probe``),
-stopping start and seed. The rest is fixed: ``EarlyStopper`` and
-``PlateauScheduler`` read the constants below, and ``adam_step`` ``numerics.ADAM_*``.
+the epochs, batch size, rate, stopping start and seed. The rest is fixed:
+``EarlyStopper`` and ``PlateauScheduler`` read the constants below, and
+``adam_step`` ``numerics.ADAM_*``.
 """
 
 from __future__ import annotations
@@ -36,21 +36,15 @@ FIXED_RECIPE = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILO
                 "lr_min": LR_MIN}
 
 __all__ = [
-    "DivergenceError",
     "TrainConfig",
     "EpochRecord",
     "TrainHistory",
     "EarlyStopper",
     "PlateauScheduler",
     "train",
-    "overfit_probe",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class DivergenceError(RuntimeError):
-    """Training loss blew past the divergence limit."""
 
 
 @dataclass(frozen=True)
@@ -107,23 +101,6 @@ class TrainHistory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def val_losses(self) -> np.ndarray:
-        return np.array([r.val_loss for r in self.records], dtype=np.float64)
-
-    def train_losses(self) -> np.ndarray:
-        return np.array([r.train_loss for r in self.records], dtype=np.float64)
-
-    def lr_schedule(self) -> list[float]:
-        """Distinct learning rates in order of first use, ending with the final rate."""
-        rates = [r.lr for r in self.records]
-        if np.isfinite(self.final_lr):
-            rates.append(self.final_lr)
-        schedule: list[float] = []
-        for rate in rates:
-            if not schedule or rate != schedule[-1]:
-                schedule.append(rate)
-        return schedule
 
     def write_csv(self, path) -> None:
         import csv
@@ -193,22 +170,6 @@ class PlateauScheduler:
         return self.lr
 
 
-def _loss_and_grads(model, inputs, targets):
-    pred, cache = model.forward(inputs)
-    loss, dpred = mse_loss(pred, targets)
-    grads = model.backward(cache, dpred)
-    return loss, grads
-
-
-def _step(model, grads, state: AdamState) -> None:
-    """One Adam update of the parameter vector from the gradient vector; elementwise, as one per array."""
-    try:
-        adam_step(model.params.vector, model.grads.vector, state)
-    except NonFiniteError:
-        name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
-        raise NonFiniteError(f"non-finite gradient for parameter '{name}'") from None
-
-
 def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     """Train ``model`` in place with the shared recipe; returns (model, history).
 
@@ -241,15 +202,17 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         batch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start: start + config.batch_size]
-            try:
-                loss, grads = _loss_and_grads(model, train_set.inputs[batch], train_set.targets[batch])
-                if not np.isfinite(loss):
-                    raise NonFiniteError(f"training loss is {loss!r}")
-                _step(model, grads, state)
-            except NonFiniteError as exc:
-                raise NonFiniteError(
-                    f"epoch {epoch}, batch starting at {start}: {exc}"
-                ) from exc
+            pred, cache = model.forward(train_set.inputs[batch])
+            loss, dpred = mse_loss(pred, train_set.targets[batch])
+            if not np.isfinite(loss):
+                raise NonFiniteError(f"epoch {epoch}, batch starting at {start}: training loss is {loss!r}")
+            grads = model.backward(cache, dpred)
+            try:  # one Adam update of the parameter vector from the gradient vector; elementwise, as one per array
+                adam_step(values, model.grads.vector, state)
+            except NonFiniteError:
+                name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+                raise NonFiniteError(f"epoch {epoch}, batch starting at {start}: "
+                                     f"non-finite gradient for parameter '{name}'") from None
             batch_losses.append(loss)
         val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
         if not np.isfinite(val_loss):
@@ -274,22 +237,3 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     history.final_lr = scheduler.lr
     return model, history
 
-
-def overfit_probe(model, dataset, steps: int = 2000) -> float:
-    """Full-batch Adam at the recipe's start rate on a tiny dataset; returns the final training loss.
-
-    A capacity smoke test: a healthy network should be able to memorize a
-    handful of windows. Raises DivergenceError if the loss exceeds 1e6. Like
-    ``train``, it steps the model's one parameter vector in place, so arrays
-    taken from ``model.params`` hold the probed values.
-    """
-    state = AdamState.for_param(model.params.vector, lr=TrainConfig.lr)
-    for step in range(steps + 1):  # the last pass only measures the final loss
-        loss, grads = _loss_and_grads(model, dataset.inputs, dataset.targets)
-        if not np.isfinite(loss):
-            raise NonFiniteError(f"probe step {step}: loss is {loss!r}")
-        if loss > 1e6:
-            raise DivergenceError(f"probe step {step}: loss {loss:.3e} exceeds 1e6")
-        if step < steps:
-            _step(model, grads, state)
-    return loss

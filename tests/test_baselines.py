@@ -62,7 +62,7 @@ def test_residuals_orthogonal_to_regressors():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((100, 4))
     y = rng.standard_normal((100, 2))
-    w = fit_linear_regression(x, y, ridge=0.0)
+    w = fit_linear_regression(x, y)
     a = np.hstack([np.ones((100, 1)), x])
     assert np.allclose(a.T @ (a @ w - y), 0.0, atol=1e-8)
 

@@ -7,6 +7,7 @@ so nothing here shells out and nothing leaks into ./runs.
 import csv
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -596,6 +597,32 @@ def test_cell_past_the_csv_field_limit_exits_1_naming_its_line(tmp_path, capsys,
     argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "big.csv line 2: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert main(["fixtures", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path / "fixtures-seed0")
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme"})
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("subcommand", ["train", "benchmark"])
+def test_a_non_finite_value_exits_1_naming_its_line(tmp_path, capsys, subcommand, cell):
+    data = _dataset_csv(tmp_path)
+    lines = data.read_text().splitlines(keepends=True)
+    lines[300] = f"{lines[300].split(',')[0]},{cell}\n"  # line 301, in the second block of rows
+    data.write_text("".join(lines))
+    argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"EAST.csv line 301: non-finite value {float(cell)!r}" in err
+    if subcommand == "benchmark":  # a plan error naming the dataset
+        assert f"dataset {str(data)!r}: EAST.csv line 301" in err
     assert not (tmp_path / "out").exists()
 
 

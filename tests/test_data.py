@@ -15,10 +15,8 @@ from stanforge.data import (
     ScalerParams,
     TimeSeries,
     ZeroVarianceError,
-    apply_scaler,
     fit_scaler,
     hourly_timestamps,
-    invert_scaler,
     load_pjm_csv,
     lookback_for,
     make_windows,
@@ -280,6 +278,30 @@ def test_load_matches_strptime_reference(start, rows):
     assert handler.counts == counts
 
 
+_non_finite_cells = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(_cells, min_size=1, max_size=600), data=st.data())
+def test_load_names_the_line_of_the_first_non_finite_value(cells, data):
+    # non-finite cells at drawn rows, perhaps an unparseable one after the
+    # first of them, in one block of rows or across several
+    bad = data.draw(st.dictionaries(st.integers(0, len(cells) - 1), _non_finite_cells, min_size=1))
+    first = min(bad)
+    later = data.draw(st.one_of(st.none(), st.integers(first + 1, len(cells))))
+    cells = [bad.get(row, cell) for row, cell in enumerate(cells)]
+    if later is not None and later < len(cells):
+        cells[later] = "oops"
+    stamps = np.datetime_as_string(hourly_timestamps(len(cells)), unit="s")
+    text = "Datetime,AEP_MW\n" + "".join(f"{stamp.replace('T', ' ')},{cell}\n" for stamp, cell in zip(stamps, cells))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "aep.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as raised:
+            load_pjm_csv(path, "AEP_MW")
+    assert str(raised.value) == f"aep.csv line {first + 2}: non-finite value {float(bad[first])!r}"
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     start=_starts,
@@ -381,7 +403,7 @@ def test_scaler_population_convention():
 def test_scaler_round_trip(seed):
     values = np.random.default_rng(seed).uniform(-100.0, 100.0, 64)
     scaler = fit_scaler(values)
-    assert np.allclose(invert_scaler(apply_scaler(values, scaler), scaler), values, atol=1e-12)
+    assert np.allclose((values - scaler.mean) / scaler.std * scaler.std + scaler.mean, values, atol=1e-12)
 
 
 def test_scaler_rejects_constant_input():
@@ -434,7 +456,7 @@ def test_single_window_boundary():
 def test_ramp_targets_follow_inputs():
     values = np.arange(60.0)
     scaler = fit_scaler(values)
-    ds = make_windows(apply_scaler(values, scaler), lookback=5, horizon=2)
+    ds = make_windows((values - scaler.mean) / scaler.std, lookback=5, horizon=2)
     step = 1.0 / scaler.std
     assert np.allclose(ds.targets[:, 0], ds.inputs[:, -1] + step, atol=1e-12)
     assert np.allclose(ds.targets[:, 1], ds.inputs[:, -1] + 2.0 * step, atol=1e-12)
@@ -505,13 +527,13 @@ def test_prepare_splits_standardizes_all_subsets_with_one_scaler():
     for subset in (prep.train, prep.val, prep.test):
         for row, anchor in zip(subset.inputs, subset.anchors):
             raw = series.values[anchor - 10: anchor]
-            assert np.allclose(invert_scaler(row, prep.scaler), raw, atol=1e-9)
+            assert np.allclose(row * prep.scaler.std + prep.scaler.mean, raw, atol=1e-9)
 
 
 
 def _reference_splits(values, horizon, lookback, mode, seed):
     """Split the raw windows, fit the scaler on the raw train+val inputs, then
-    scale each subset with ``apply_scaler``: the referee for ``prepare_splits``."""
+    scale each subset as ``(v - mean) / std``: the referee for ``prepare_splits``."""
     raw = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon)
     n = len(raw)
     pool = int(n * 0.8)
@@ -519,7 +541,7 @@ def _reference_splits(values, horizon, lookback, mode, seed):
     order = np.random.default_rng(seed).permutation(n) if mode == "random" else np.arange(n)
     subsets = [order[: pool - n_val], order[pool - n_val: pool], order[pool:]]
     scaler = fit_scaler(np.concatenate([raw[subsets[0], :lookback].ravel(), raw[subsets[1], :lookback].ravel()]))
-    return scaler, [(apply_scaler(raw[idx, :lookback], scaler), apply_scaler(raw[idx, lookback:], scaler),
+    return scaler, [((raw[idx, :lookback] - scaler.mean) / scaler.std, (raw[idx, lookback:] - scaler.mean) / scaler.std,
                      idx + lookback) for idx in subsets]
 
 
