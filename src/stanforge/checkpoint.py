@@ -71,7 +71,11 @@ def _load_array(name: str, entry) -> np.ndarray:
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        data = entry["data"]
+        # JSON numbers decode as int or float; a bool, a string or a nested list is not one
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+            raise ValueError("data must be a flat list of numbers")
+        arr = np.asarray(data, dtype=np.float64).reshape(shape)
     except (TypeError, KeyError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
     if not np.isfinite(arr).all():
@@ -100,7 +104,7 @@ def _parse(doc):
         raise CheckpointError(str(exc)) from None
     try:
         return model, None if scaler is None else ScalerParams(mean=scaler["mean"], std=scaler["std"])
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"scaler needs finite 'mean' and positive 'std': {exc!r}") from None
 
 

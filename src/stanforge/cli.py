@@ -16,7 +16,8 @@ Each option is declared once, with its type and default. A ``--config`` key
 that names an option of the subcommand (``burn_in`` for ``--burn-in``) goes
 through that option's own parse: a JSON value means what the same text means
 as a flag, a JSON list means its comma-joined text, ``3.0`` counts as an
-integer and ``null`` leaves the option unset. Flags beat config values, which
+integer, ``true``/``false`` is only for a switch and ``null`` leaves the
+option unset. Flags beat config values, which
 beat the defaults. ``train`` (TrainConfig fields but ``seed``, overridden only
 by flags) and, for ``benchmark``, ``datasets`` and ``models`` have their own
 handlers; other keys, ``benchmark``'s ``data``/``column`` among them, are
@@ -63,7 +64,7 @@ from .eval_bench import (
     write_report,
 )
 from .numerics import NondeterministicLossError, finite_diff_errors
-from .stan_core import NetworkSpec, gradcheck_problem
+from .stan_core import MAX_PARAMETERS, NetworkSpec, gradcheck_problem
 from .star_classic import ExplosiveDynamicsError, LstarParams, simulate_lstar
 # ``train`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.cli.train``.
@@ -145,6 +146,8 @@ def _config_tokens(action: argparse.Action, value) -> list[str]:
     if any(isinstance(item, (list, dict)) for item in items):
         shape = "a flat list" if items is value else "a single value"
         raise UsageError(f"expected {shape} for {flag}, got {json.dumps(value)}")
+    if any(isinstance(item, bool) for item in items):  # str() would pass it on as the text True or False
+        raise UsageError(f"true or false is only for a switch, and {flag} takes a value; got {json.dumps(value)}")
     # JSON writes some integers as 3.0 or 1e3; those still count as integers
     whole = (action.type.item if listed else action.type) in (int, _seed)
     items = [int(i) if whole and isinstance(i, float) and i.is_integer() else i for i in items]
@@ -213,6 +216,12 @@ def _number(value, where: str) -> int | float:
     return value
 
 
+def _check_draw(size: int, flags: str) -> None:
+    """Refuse, before anything is drawn, arrays of more than MAX_PARAMETERS float64 values in all."""
+    if size > MAX_PARAMETERS:
+        raise UsageError(f"{flags} make {size} values, above the limit of {MAX_PARAMETERS} (1 GiB as float64)")
+
+
 def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
     # an old config's ``seed`` and fixed recipe values (``config.json`` echoed
     # them as ``train`` fields) still replay: the seed is read and ignored, a
@@ -245,6 +254,7 @@ def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
 
 
 def cmd_simulate(args) -> int:
+    _check_draw(args.n + args.burn_in, f"--n {args.n} and --burn-in {args.burn_in}")
     params = LstarParams(phi0=args.phi0, phi=args.phi, theta=args.theta, gamma=args.gamma,
                          c=args.c, delay=args.delay, sigma=args.sigma)
     series = simulate_lstar(params, n=args.n, burn_in=args.burn_in, seed=args.seed, name=args.name)
@@ -309,6 +319,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
     MODEL_KINDS["stan"].check_size(args.lookback, args.horizon, args.units, args.depth)
+    _check_draw(args.batch * (args.lookback + args.horizon),
+                f"--batch {args.batch} of lookback {args.lookback} and horizon {args.horizon}")
     problem, params = gradcheck_problem(spec, args.seed, args.batch)
 
     def loss_fn(params):
@@ -428,6 +440,7 @@ def cmd_fixtures(args) -> int:
         raise UsageError(f"duplicate region names: {args.regions}")
     if any("/" in region or os.sep in region for region in args.regions):
         raise UsageError(f"a region name cannot hold a path separator: {args.regions}")
+    _check_draw(len(args.regions) * args.n, f"--n {args.n} for {len(args.regions)} region(s)")
     series = [_fixture_series(region, index, args.n, args.seed) for index, region in enumerate(args.regions)]
     run_dir = _run_dir(args)
     paths = [write_pjm_csv(s, run_dir / f"{s.name}.csv") for s in series]

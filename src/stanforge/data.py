@@ -247,6 +247,12 @@ class ScalerParams:
     std: float
 
     def __post_init__(self):
+        # stored as Python floats, so summary.json and a checkpoint read plain numbers
+        for name in ("mean", "std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise TypeError(f"scaler {name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not np.isfinite(self.mean) or not np.isfinite(self.std) or self.std <= 0.0:
             raise ValueError(f"invalid scaler: mean={self.mean!r}, std={self.std!r}")
 

@@ -6,8 +6,8 @@ validation loss (patience 10, armed from epoch 6), a reduce-on-plateau
 learning-rate schedule (factor 0.25, patience 5, floor 2.5e-5), and
 restoration of the best validation weights at the end. ``TrainConfig`` sets
 the epochs, batch size, rate, stopping start and seed. The rest is fixed:
-``EarlyStopper`` and ``PlateauScheduler`` read the constants below, and
-``adam_step`` ``numerics.ADAM_*``.
+``train`` applies the stopping and plateau rules with the constants below,
+and ``adam_step`` reads ``numerics.ADAM_*``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,14 @@ import numpy as np
 
 from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, mse_loss
 
-# the fixed schedules: an improvement beats the best validation loss by more
-# than ES_MIN_DELTA; early stopping waits ES_PATIENCE epochs, and the plateau
-# schedule PLATEAU_PATIENCE epochs before it scales the rate by
-# PLATEAU_FACTOR, never below LR_MIN
+# the fixed schedules, applied by ``train`` after each epoch. An improvement is
+# material when it beats the best validation loss by more than ES_MIN_DELTA; a
+# new best keeps its weights either way. Early stopping ends the run after
+# ES_PATIENCE epochs without a material improvement, counted from the epoch
+# after es_start_epoch, so "patience 10 from epoch 6" stops at epoch 16 at the
+# earliest. The plateau schedule measures from its own last material
+# improvement; after PLATEAU_PATIENCE epochs without one it scales the rate by
+# PLATEAU_FACTOR, never below LR_MIN, and waits afresh.
 ES_PATIENCE = 10
 ES_MIN_DELTA = 1e-5
 PLATEAU_FACTOR = 0.25
@@ -39,8 +43,6 @@ __all__ = [
     "TrainConfig",
     "EpochRecord",
     "TrainHistory",
-    "EarlyStopper",
-    "PlateauScheduler",
     "train",
 ]
 
@@ -111,65 +113,6 @@ class TrainHistory:
             writer.writerows([repr(value) for value in astuple(r)] for r in self.records)
 
 
-class EarlyStopper:
-    """Stop when validation loss has not improved by ES_MIN_DELTA for ES_PATIENCE epochs.
-
-    Epochs are 1-indexed. "Patience 10 starting from epoch 6" is read as:
-    improvement tracking begins at epoch ``start_epoch``, the wait counter
-    advances from the epoch after it, so the earliest possible stop is epoch
-    ``start_epoch + ES_PATIENCE``. That reading is isolated here so it is easy
-    to change. An improvement must beat the best loss seen so far by more
-    than ``ES_MIN_DELTA``.
-    """
-
-    def __init__(self, start_epoch: int):
-        self.start_epoch = start_epoch
-        self.best = float("inf")
-        self.best_epoch = 0
-        self.wait = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record one epoch; returns True when training should stop now."""
-        if val_loss < self.best - ES_MIN_DELTA:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.wait = 0
-            return False
-        if val_loss < self.best:
-            # still the best weights, but not a material improvement
-            self.best = val_loss
-            self.best_epoch = epoch
-        if epoch <= self.start_epoch:
-            return False
-        self.wait += 1
-        return self.wait >= ES_PATIENCE
-
-
-class PlateauScheduler:
-    """Multiply the learning rate by PLATEAU_FACTOR after PLATEAU_PATIENCE epochs without improvement.
-
-    Improvement uses the same ES_MIN_DELTA convention as EarlyStopper. The
-    rate never drops below LR_MIN; the wait counter resets after a reduction.
-    """
-
-    def __init__(self, lr: float):
-        self.lr = lr
-        self.best = float("inf")
-        self.wait = 0
-
-    def update(self, val_loss: float) -> float:
-        """Record one epoch's validation loss; returns the rate for the next epoch."""
-        if val_loss < self.best - ES_MIN_DELTA:
-            self.best = val_loss
-            self.wait = 0
-            return self.lr
-        self.wait += 1
-        if self.wait >= PLATEAU_PATIENCE:
-            self.lr = max(self.lr * PLATEAU_FACTOR, LR_MIN)
-            self.wait = 0
-        return self.lr
-
-
 def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     """Train ``model`` in place with the shared recipe; returns (model, history).
 
@@ -189,15 +132,17 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     rng = np.random.default_rng(config.seed)
     values = model.params.vector
     state = AdamState.for_param(values, lr=config.lr)
-    stopper = EarlyStopper(start_epoch=config.es_start_epoch)
-    scheduler = PlateauScheduler(config.lr)
     history = TrainHistory()
     best_values = values.copy()
     n = len(train_set.inputs)
+    # epochs since the last material improvement: of the best loss for early
+    # stopping, counted only after es_start_epoch; of plateau_best for the rate
+    stop_wait = plateau_wait = 0
+    plateau_best = math.inf
 
     for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
-        epoch_lr = state.lr = scheduler.lr
+        epoch_lr = state.lr
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, config.batch_size):
@@ -222,18 +167,25 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
             epoch=epoch, train_loss=float(np.mean(batch_losses)),
             val_loss=val_loss, lr=epoch_lr, seconds=seconds,
         ))
-        stop = stopper.update(epoch, val_loss)
-        if stopper.best_epoch == epoch:
+        if val_loss < history.best_val_loss - ES_MIN_DELTA:
+            stop_wait = 0
+        elif epoch > config.es_start_epoch:
+            stop_wait += 1
+        if val_loss < history.best_val_loss:  # a best that is not material still keeps its weights
+            history.best_val_loss, history.best_epoch = val_loss, epoch
             np.copyto(best_values, values)
-        scheduler.update(val_loss)
+        if val_loss < plateau_best - ES_MIN_DELTA:
+            plateau_best, plateau_wait = val_loss, 0
+        else:
+            plateau_wait += 1
+            if plateau_wait >= PLATEAU_PATIENCE:
+                state.lr, plateau_wait = max(state.lr * PLATEAU_FACTOR, LR_MIN), 0
         logger.debug("epoch %d: train %.6f val %.6f lr %.2e", epoch, history.records[-1].train_loss, val_loss, epoch_lr)
-        if stop:
+        if stop_wait >= ES_PATIENCE:
             history.stopped_early = True
             break
 
     np.copyto(values, best_values)
-    history.best_epoch = stopper.best_epoch
-    history.best_val_loss = stopper.best
-    history.final_lr = scheduler.lr
+    history.final_lr = state.lr
     return model, history
 

@@ -34,12 +34,19 @@ def advantage_series() -> TimeSeries:
 
 
 class ConstantModel:
-    """Predicts a constant; gradients are zero, so every epoch looks identical."""
+    """Predicts a constant; gradients are zero, so every epoch looks identical.
+
+    With ``val_losses``, the n-th ``predict`` (``train``'s validation pass
+    after epoch n) predicts ``sqrt(val_losses[n - 1])`` instead, so that on
+    zero targets epoch n's validation loss is that value, up to rounding.
+    Once the sequence runs out it predicts ``value`` again.
+    """
 
     kind = "stub"
 
-    def __init__(self, value: float = 1.0):
+    def __init__(self, value: float = 1.0, val_losses=()):
         self.value = value
+        self.val_losses = iter(val_losses)
         self.params = VectorStore({"w": (1,)}, "ConstantModel")
         self.grads = VectorStore({"w": (1,)}, "ConstantModel")
 
@@ -51,7 +58,9 @@ class ConstantModel:
         return dict(self.grads)
 
     def predict(self, x):
-        return self.forward(x)[0]
+        loss = next(self.val_losses, None)
+        pred = self.forward(x)[0]
+        return pred if loss is None else np.full_like(pred, np.sqrt(loss))
 
 
 @pytest.fixture

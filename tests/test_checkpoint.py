@@ -173,6 +173,12 @@ MALFORMED = {
     "v1-linreg-weights-without-rows": ("linreg", lambda d: d.update(params={"weights": {"shape": [0, 2], "data": []}})),
     "scaler-without-std": ("linear", lambda d: d["scaler"].pop("std")),
     "scaler-as-list": ("linreg", lambda d: d.update(scaler=[1.0, 2.0])),
+    "bool-in-data": ("linear", lambda d: d["params"]["proj.b"].update(data=[True, 0.5])),
+    "number-as-text-in-data": ("linear", lambda d: d["params"]["proj.b"].update(data=["0.5", "0.5"])),
+    "padded-number-as-text-in-data": ("linear", lambda d: d["params"]["proj.b"].update(data=[" 1e3 ", 0.5])),
+    "nested-data": ("linear", lambda d: d["params"]["proj.b"].update(data=[[0.5], [0.5]])),
+    "bool-scaler-mean": ("linear", lambda d: d["scaler"].update(mean=True)),
+    "scaler-integer-past-float-range": ("linear", lambda d: d["scaler"].update(mean=10**400)),
 }
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sine_series
+from stanforge import cli
 from stanforge.checkpoint import load_checkpoint
 from stanforge.cli import _plan_from_args, build_parser, main
 from stanforge.data import TimeSeries, load_pjm_csv, prepare_splits, write_pjm_csv
@@ -442,6 +443,23 @@ def test_huge_networks_are_refused_before_anything_is_allocated(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--n", "1000000000000"], "--n 1000000000000 and --burn-in 0 make 1000000000000 values"),
+    (["simulate", "--n", "10", "--burn-in", "1000000000000"], "--n 10 and --burn-in 1000000000000 make"),
+    (["fixtures", "--n", "1000000000000"], "--n 1000000000000 for 2 region(s) make 2000000000000 values"),
+    (["gradcheck", "--batch", "1000000000000"], "--batch 1000000000000 of lookback 5 and horizon 2 make"),
+], ids=["simulate-n", "simulate-burn-in", "fixtures-n", "gradcheck-batch"])
+def test_oversized_draws_exit_1_naming_the_flag_before_anything_is_drawn(tmp_path, capsys, monkeypatch, argv, named):
+    def refuse(*args, **kwargs):
+        pytest.fail("an oversized request reached the call that draws its arrays")
+
+    monkeypatch.setattr(cli, "simulate_lstar", refuse)
+    monkeypatch.setattr(cli, "gradcheck_problem", refuse)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------- shared plumbing
 
 
@@ -541,6 +559,8 @@ def test_replay_from_echoed_config_is_byte_identical(tmp_path, argv):
     ("gradcheck", {"units": {"a": 1}}),
     ("gradcheck", {"corrupt": "bogus"}),
     ("benchmark", {"horizons": "1,,x"}),
+    ("simulate", {"name": True}),
+    ("fixtures", {"regions": False}),
 ])
 def test_malformed_config_value_exits_1_naming_the_key(tmp_path, capsys, subcommand, config):
     path = tmp_path / "cfg.json"

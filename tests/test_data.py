@@ -420,6 +420,20 @@ def test_scaler_rejects_degenerate_construction():
         fit_scaler([1.0])
 
 
+@pytest.mark.parametrize("field", ["mean", "std"])
+@pytest.mark.parametrize("value", [True, np.True_, "1.0", None, 1j, [1.0]])
+def test_scaler_refuses_a_bool_or_non_real_value(field, value):
+    with pytest.raises(TypeError, match=f"^scaler {field} must be a real number"):
+        ScalerParams(**{"mean": 0.0, "std": 1.0, field: value})
+
+
+def test_scaler_stores_python_floats():
+    scaler = ScalerParams(mean=np.float32(0.5), std=np.int64(2))
+    assert (type(scaler.mean), type(scaler.std)) == (float, float)
+    assert (scaler.mean, scaler.std) == (0.5, 2.0)
+    assert ScalerParams(mean=3, std=1).mean == 3.0
+
+
 # --------------------------------------------------------------- lookback ---
 
 @pytest.mark.parametrize("n_ahead, expected", [(1, 45), (6, 45), (12, 60)])

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import ConstantModel
 from stanforge.baselines import LinearNetwork, MlpNetwork
 from stanforge.data import WindowedDataset, prepare_splits
 from stanforge.numerics import AdamState, NonFiniteError, adam_step, mse_loss
@@ -14,9 +17,8 @@ from stanforge.training import (
     ES_MIN_DELTA,
     ES_PATIENCE,
     LR_MIN,
+    PLATEAU_FACTOR,
     PLATEAU_PATIENCE,
-    EarlyStopper,
-    PlateauScheduler,
     TrainConfig,
     TrainHistory,
     EpochRecord,
@@ -95,67 +97,105 @@ def test_config_with_seed_replaces_only_seed():
     assert cfg.max_epochs == 1000 and cfg.batch_size == 256 and cfg.lr == 0.001
 
 
-# ---------------------------------------------------------- early stopping --
+# ------------------------------------------- early stopping and plateau --
 
-def test_stopper_constant_loss_stops_at_start_plus_patience():
-    stopper = EarlyStopper(start_epoch=6)
-    stopped_at = None
-    for epoch in range(1, 100):
-        if stopper.update(epoch, 1.0):
-            stopped_at = epoch
+def _stub_history(val_losses=(), **config):
+    """``train``'s history for a stub whose epoch n scores ``val_losses[n - 1]``, then 1.0."""
+    ds = _dataset(np.zeros((1, 3)), np.zeros((1, 1)))
+    return train(ConstantModel(val_losses=val_losses), ds, ds, TrainConfig(**config))[1]
+
+
+@pytest.mark.parametrize("es_start_epoch", [1, 20])  # 6, the default: test_train_constant_stub_stops_at_sixteen
+def test_train_never_stops_before_start_epoch_plus_patience(es_start_epoch):
+    hist = _stub_history(es_start_epoch=es_start_epoch)
+    assert len(hist) == es_start_epoch + ES_PATIENCE
+    assert hist.stopped_early
+
+
+def test_train_stopping_wait_resets_on_material_improvement():
+    # ES_PATIENCE - 1 idle epochs, an improvement, then ES_PATIENCE idle epochs again
+    hist = _stub_history([1.0] * ES_PATIENCE + [0.5], es_start_epoch=1)
+    assert len(hist) == 2 * ES_PATIENCE + 1 and hist.stopped_early
+    assert hist.best_epoch == ES_PATIENCE + 1
+    assert hist.best_val_loss == hist.records[ES_PATIENCE].val_loss == pytest.approx(0.5)
+
+
+def test_train_keeps_a_non_material_best_without_resetting_the_wait():
+    # below the best, but not by ES_MIN_DELTA
+    hist = _stub_history([1.0, 1.0 - ES_MIN_DELTA / 2], es_start_epoch=1)
+    assert hist.best_epoch == 2
+    assert hist.best_val_loss == hist.records[1].val_loss == pytest.approx(1.0 - ES_MIN_DELTA / 2)
+    assert len(hist) == 1 + ES_PATIENCE and hist.stopped_early  # epoch 2 counted as a wait
+
+
+def test_train_rate_ladder_reaches_the_floor_with_stopping_disarmed():
+    hist = _stub_history(max_epochs=25, es_start_epoch=100)
+    assert len(hist) == 25 and not hist.stopped_early
+    rates = [r.lr for r in hist.records]
+    assert list(dict.fromkeys(rates)) == [0.001, 0.00025, 6.25e-05, 2.5e-05]
+    assert rates[-1] == hist.final_lr == LR_MIN
+
+
+def test_train_plateau_wait_resets_on_improvement():
+    # PLATEAU_PATIENCE - 1 idle epochs, an improvement, then PLATEAU_PATIENCE idle epochs at 1.0
+    hist = _stub_history([1.0] * PLATEAU_PATIENCE + [0.5], max_epochs=2 * PLATEAU_PATIENCE + 2,
+                         es_start_epoch=100)
+    assert [r.lr for r in hist.records] == [0.001] * (2 * PLATEAU_PATIENCE + 1) + [0.00025]
+
+
+class _RefereeStopper:
+    """The early-stopping rule as a stand-alone class, the referee of ``train``'s bookkeeping below."""
+
+    def __init__(self, start_epoch):
+        self.start_epoch, self.best, self.best_epoch, self.wait = start_epoch, float("inf"), 0, 0
+
+    def update(self, epoch, val_loss):
+        if val_loss < self.best - ES_MIN_DELTA:
+            self.best, self.best_epoch, self.wait = val_loss, epoch, 0
+            return False
+        if val_loss < self.best:
+            self.best, self.best_epoch = val_loss, epoch
+        if epoch <= self.start_epoch:
+            return False
+        self.wait += 1
+        return self.wait >= ES_PATIENCE
+
+
+class _RefereeScheduler:
+    """The plateau rule as a stand-alone class, the other referee."""
+
+    def __init__(self, lr):
+        self.lr, self.best, self.wait = lr, float("inf"), 0
+
+    def update(self, val_loss):
+        if val_loss < self.best - ES_MIN_DELTA:
+            self.best, self.wait = val_loss, 0
+            return
+        self.wait += 1
+        if self.wait >= PLATEAU_PATIENCE:
+            self.lr, self.wait = max(self.lr * PLATEAU_FACTOR, LR_MIN), 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.sampled_from([-3.0, -1.5, -1.0, -0.6, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=60),
+       es_start_epoch=st.integers(1, 15))
+# a non-material best between two losses: the stopper's best moves, the plateau's does not
+@example(steps=[0.0, -0.6, -0.6] + [0.0] * 20, es_start_epoch=1)
+def test_train_bookkeeping_matches_the_stopper_and_scheduler_classes(steps, es_start_epoch):
+    losses = 1.0 + ES_MIN_DELTA * np.cumsum(steps)
+    hist = _stub_history(losses, max_epochs=len(losses), es_start_epoch=es_start_epoch)
+    stopper, scheduler = _RefereeStopper(es_start_epoch), _RefereeScheduler(TrainConfig().lr)
+    rates, stop = [], False
+    for epoch, record in enumerate(hist.records, start=1):
+        rates.append(scheduler.lr)
+        stop = stopper.update(epoch, record.val_loss)
+        scheduler.update(record.val_loss)
+        if stop:
             break
-    assert stopped_at == 16
-
-
-def test_stopper_never_stops_before_start_epoch():
-    stopper = EarlyStopper(start_epoch=20)
-    for epoch in range(1, 30):
-        assert not stopper.update(epoch, 1.0)
-    assert stopper.update(30, 1.0)
-
-
-def test_stopper_resets_on_material_improvement():
-    stopper = EarlyStopper(start_epoch=1)
-    # ES_PATIENCE - 1 idle epochs, an improvement, then ES_PATIENCE - 1 idle epochs again
-    losses = [1.0] * ES_PATIENCE + [0.5] + [1.0] * (ES_PATIENCE - 1)
-    stops = [stopper.update(e, v) for e, v in enumerate(losses, start=1)]
-    assert not any(stops)
-    assert stopper.best == 0.5
-    assert stopper.best_epoch == ES_PATIENCE + 1
-    assert stopper.update(len(losses) + 1, 1.0)
-
-
-def test_stopper_tracks_non_material_best_for_restoration():
-    stopper = EarlyStopper(start_epoch=1)
-    stopper.update(1, 1.0)
-    stopper.update(2, 1.0 - ES_MIN_DELTA / 2)  # below best but not by ES_MIN_DELTA
-    assert stopper.best == 1.0 - ES_MIN_DELTA / 2
-    assert stopper.best_epoch == 2
-    assert stopper.wait == 1
-
-
-# ----------------------------------------------------------------- plateau --
-
-def test_plateau_sequence_with_floor():
-    sched = PlateauScheduler(lr=0.001)
-    seen = []
-    for _ in range(25):
-        seen.append(sched.update(1.0))
-    distinct = [seen[0]]
-    for rate in seen[1:]:
-        if rate != distinct[-1]:
-            distinct.append(rate)
-    assert distinct == [0.001, 0.00025, 6.25e-05, 2.5e-05]
-    assert seen[-1] == 2.5e-05
-
-
-def test_plateau_resets_on_improvement():
-    sched = PlateauScheduler(lr=0.001)
-    # PLATEAU_PATIENCE - 1 idle epochs, an improvement, then PLATEAU_PATIENCE - 1 idle epochs again
-    for loss in [1.0] * PLATEAU_PATIENCE + [0.5] + [1.0] * (PLATEAU_PATIENCE - 1):
-        lr = sched.update(loss)
-    assert lr == 0.001  # the improvement reset the wait counter
-    assert sched.update(1.0) == 0.00025
+    assert len(rates) == len(hist)
+    assert [r.lr for r in hist.records] == rates
+    assert (hist.best_epoch, hist.best_val_loss, hist.final_lr, hist.stopped_early) \
+        == (stopper.best_epoch, stopper.best, scheduler.lr, stop)
 
 
 # ------------------------------------------------------------------- train --
