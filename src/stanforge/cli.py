@@ -17,11 +17,10 @@ that names an option of the subcommand (``burn_in`` for ``--burn-in``) goes
 through that option's own parse: a JSON value means what the same text means
 as a flag, a JSON list means its comma-joined text, ``3.0`` counts as an
 integer, ``true``/``false`` is only for a switch and ``null`` leaves the
-option unset. Flags beat config values, which
-beat the defaults. ``train`` (TrainConfig fields but ``seed``, overridden only
-by flags) and, for ``benchmark``, ``datasets`` and ``models`` have their own
-handlers; other keys, ``benchmark``'s ``data``/``column`` among them, are
-ignored. Their integer fields (a ``train`` field whose default is an integer,
+option unset. Flags beat config values, which beat the defaults. ``train``
+(TrainConfig fields but ``seed``, overridden only by flags) and, for
+``benchmark``, ``datasets`` and ``models`` have their own handlers; other
+keys, ``benchmark``'s ``data``/``column`` among them, are ignored. Their integer fields (a ``train`` field whose default is an integer,
 a model entry's ``units`` and ``depth``) take JSON integers or whole-number
 floats, and ``train``'s other fields take numbers; ``true``/``false`` is neither.
 
