@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -297,6 +298,37 @@ def test_report_json_excludes_wall_time(tmp_path):
         assert "train_seconds" not in entry
         assert set(entry) == {"model", "dataset", "horizon", "seed", "rmse",
                               "epochs", "param_count", "error"}
+
+
+# Every report file but results.json (digest-guarded end to end in
+# test_acceptance) and results_time.csv, for a fixed set of runs: two
+# horizons, an exact tie at (1, D1), a cell whose every run failed, a cell
+# with one failed run among good ones, and a cell never run. Recorded before
+# the report was rebuilt from its cells alone; the bytes are not to move.
+REPORT_SHA256 = {
+    "report.md": "920dcc345a97fe17e38f9d9d3f8fe103073f2ce2fea68442621f8fbd6e2edea5",
+    "results_rmse_mean.csv": "bed5ff8154c6bc8bccdd22ec853d6b806429260d0cddbced32d172e78fa03562",
+    "results_rmse_std.csv": "8013138ccb33ec5480448007f531c5a1c95a277a6bb71d92d3ec6e922b51302b",
+}
+
+
+def _guard_results():
+    failed = [RunResult(model="B", dataset="D1", horizon=6, seed=i, error="NonFiniteError: boom") for i in range(2)]
+    return (_results([0.25, 0.5], model="A", dataset="D1") + _results([0.4, 0.41], model="B", dataset="D1")
+            + _results([0.5, 0.25], model="C", dataset="D1") + _results([0.7], model="A", dataset="D2")
+            + _results([0.65, 0.6], model="B", dataset="D2") + _results([0.91], model="C", dataset="D2")
+            + _results([1.2, 1.1], model="A", dataset="D1", horizon=6) + failed
+            + _results([1.05, 1.3], model="C", dataset="D1", horizon=6)
+            + _results([1.5, 1.7], model="A", dataset="D2", horizon=6)
+            + [RunResult(model="A", dataset="D2", horizon=6, seed=9, error="ValueError: short")]
+            + _results([1.45, 1.62], model="B", dataset="D2", horizon=6))
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    results = _guard_results()
+    write_report(aggregate(results), results, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REPORT_SHA256}
+    assert digests == REPORT_SHA256
 
 
 # --------------------------------------------------------------- benchmark --
