@@ -19,7 +19,7 @@ import numpy as np
 # ``affine_forward`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.baselines.affine_forward``.
 from .numerics import ShapeError, affine_forward, as_matrix  # noqa: F401
-from .stan_core import MAX_PARAMETERS, LayerStack, NetworkSpec, ParamStore, StanNetwork, VectorStore, count_parameters
+from .stan_core import MAX_PARAMETERS, LayerStack, NetworkSpec, ParamStore, StanNetwork, count_parameters
 
 __all__ = [
     "MODEL_KINDS",
@@ -103,24 +103,14 @@ class LinearNetwork(LayerStack):
 
 class LinearRegressionModel(LinearNetwork):
     """Closed-form linear forecaster: the depth-0 stack, its ``proj.W`` and
-    ``proj.b`` solved by ``fit_linear_regression``. A format-v1 store
-    ``{"weights": (q + 1, tau)}``, intercept in row 0, is checked and copied
-    in as ``proj.W = weights[1:]``, ``proj.b = weights[0]``; ``fit`` builds
-    through the same mapping."""
+    ``proj.b`` solved by ``fit_linear_regression``."""
 
     kind = "linreg"
 
-    def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
-        if params is not None and "weights" in params:
-            owner = f"{type(self).__name__}(lookback={lookback}, horizon={horizon})"
-            weights = VectorStore({"weights": (lookback + 1, horizon)}, owner, params)["weights"]
-            params = {"proj.W": weights[1:], "proj.b": weights[0]}
-        super().__init__(lookback, horizon, params, seed)
-
     @classmethod
     def fit(cls, x, y) -> "LinearRegressionModel":
-        weights = fit_linear_regression(x, y)
-        return cls(weights.shape[0] - 1, weights.shape[1], {"weights": weights})
+        w = fit_linear_regression(x, y)  # intercept in row 0
+        return cls(w.shape[0] - 1, w.shape[1], {"proj.W": w[1:], "proj.b": w[0]})
 
 
 @dataclass(frozen=True)

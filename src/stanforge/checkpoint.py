@@ -6,7 +6,10 @@ from) and the named parameter arrays. Floats serialize through ``repr``
 refuses non-finite values and replaces the file atomically. Loading checks
 the document's structure and each array's data, then rebuilds the model
 through the registry, whose store check rejects a missing, extra or
-wrong-shaped parameter before any weights are allocated.
+wrong-shaped parameter before any weights are allocated. A ``linreg`` file
+as format v1 first wrote it, one ``weights`` array of shape
+``(lookback + 1, horizon)`` with the intercept in row 0, is checked against
+that shape and read as ``proj.W = weights[1:]``, ``proj.b = weights[0]``.
 """
 
 from __future__ import annotations
@@ -98,8 +101,15 @@ def _parse(doc):
         raise CheckpointError(f"spec must map {list(kind.spec_keys)} to positive integers, got {spec!r}")
     if not isinstance(raw, dict):
         raise CheckpointError("params must be an object of named arrays")
+    params = {name: _load_array(name, entry) for name, entry in raw.items()}
+    if doc["kind"] == "linreg" and list(params) == ["weights"]:
+        # format v1 stored linreg as one (lookback + 1, horizon) array, intercept in row 0
+        weights, want = params["weights"], (spec["lookback"] + 1, spec["horizon"])
+        if weights.shape != want:
+            raise CheckpointError(f"parameter 'weights' has shape {weights.shape}, linreg needs {want}")
+        params = {"proj.W": weights[1:], "proj.b": weights[0]}
     try:
-        model = kind.build(**spec, params={name: _load_array(name, entry) for name, entry in raw.items()})
+        model = kind.build(**spec, params=params)
     except ShapeError as exc:
         raise CheckpointError(str(exc)) from None
     try:

@@ -35,7 +35,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,7 @@ _NOT_FROM_CONFIG = ("help", "config", "verbose", "max_epochs", "batch_size", "lr
 # options that steer the run but are not part of what ``config.json`` echoes
 _NOT_ECHOED = ("config", "out", "verbose", "subcommand", "func")
 # the ``train`` fields a config sets; not ``seed``: ``--seed`` seeds the run
-_TRAIN_KEYS = ("max_epochs", "batch_size", "lr", "es_start_epoch")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 class UsageError(Exception):
@@ -389,18 +389,16 @@ def cmd_benchmark(args) -> int:
     results = run_benchmark(plan)
     run_dir = _run_dir(args)
     _write_json(run_dir / "config.json", {
-        "datasets": [{"path": d.path, "column": d.column} for d in plan.datasets],
+        "datasets": [asdict(d) for d in plan.datasets],
         "horizons": plan.horizons,
         "lookbacks": [lookback_for(h) for h in plan.horizons],
-        "models": [{"kind": m.kind, "units": m.units, "depth": m.depth, "name": m.name}
-                   for m in plan.models],
+        "models": [asdict(m) for m in plan.models],
         "runs": plan.runs,
         "seed": plan.base_seed,
         "split": plan.split,
         "train": {k: getattr(plan.train, k) for k in _TRAIN_KEYS},
     })
-    table = aggregate(results)
-    written = write_report(table, results, run_dir)
+    written = write_report(aggregate(results), results, run_dir)
     failed = sum(1 for r in results if r.failed)
     print(f"benchmark: {len(results)} run(s), {failed} failed; reports in {run_dir}")
     for path in written:

@@ -16,7 +16,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +39,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
-# the one stamp shape the loader takes; NumPy alone would also take looser ones
+# the one stamp shape the loader and ``hourly_timestamps`` take; NumPy alone would also take looser ones
 _STAMP_SHAPE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 # rows per block that the CSV reader parses and the writer formats at once
 _BLOCK_ROWS = 256
@@ -87,9 +85,11 @@ class TimeSeries:
 
 
 def hourly_timestamps(n: int, start: str = "2015-01-01 00:00:00") -> np.ndarray:
-    """``n`` hourly datetime64 stamps starting at ``start``."""
-    first = np.datetime64(datetime.strptime(start, TIMESTAMP_FORMAT), "s")
-    return first + np.arange(n) * np.timedelta64(3600, "s")
+    """``n`` hourly datetime64 stamps starting at ``start``, a stamp of the
+    shape ``YYYY-MM-DD HH:MM:SS`` that names a calendar time."""
+    if not _STAMP_SHAPE.fullmatch(start):
+        raise ValueError(f"start must have the shape YYYY-MM-DD HH:MM:SS, got {start!r}")
+    return np.datetime64(start, "s") + np.arange(n) * np.timedelta64(3600, "s")
 
 
 def _column_at(fields: list[str], name: str) -> int:
@@ -286,8 +286,6 @@ class WindowedDataset:
 
     inputs: np.ndarray   # (n, lookback)
     targets: np.ndarray  # (n, horizon)
-    lookback: int
-    horizon: int
     anchors: np.ndarray  # (n,) int
 
     def __len__(self) -> int:
@@ -295,13 +293,7 @@ class WindowedDataset:
 
     def subset(self, idx) -> "WindowedDataset":
         idx = np.asarray(idx)
-        return WindowedDataset(
-            inputs=self.inputs[idx],
-            targets=self.targets[idx],
-            lookback=self.lookback,
-            horizon=self.horizon,
-            anchors=self.anchors[idx],
-        )
+        return WindowedDataset(inputs=self.inputs[idx], targets=self.targets[idx], anchors=self.anchors[idx])
 
 
 def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
@@ -326,7 +318,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     inputs = np.ascontiguousarray(window[:, :lookback], dtype=np.float64)
     targets = np.ascontiguousarray(window[:, lookback:], dtype=np.float64)
     anchors = np.arange(lookback, lookback + rows)
-    return WindowedDataset(inputs=inputs, targets=targets, lookback=lookback, horizon=horizon, anchors=anchors)
+    return WindowedDataset(inputs=inputs, targets=targets, anchors=anchors)
 
 
 def _partition_sizes(n: int) -> tuple[int, int]:

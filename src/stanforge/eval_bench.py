@@ -9,7 +9,7 @@ short fit hold the GIL. A run that hits a data or numeric error is recorded
 as failed in the results instead of aborting the matrix; a ``ShapeError``
 and any other exception propagate.
 
-Report files, from a table built in one pass over the runs:
+Report files, from the cells ``aggregate`` builds in one pass over the runs:
 ``results_rmse_mean.csv``, ``results_rmse_std.csv``, ``results_time.csv``,
 ``results.json`` (every ``RunResult`` field but the wall time, which only
 the time report holds, so it is byte-identical across reruns), ``report.md``.
@@ -38,7 +38,6 @@ __all__ = [
     "RunResult",
     "CellStats",
     "fit_model",
-    "ReportTable",
     "rmse",
     "run_benchmark",
     "aggregate",
@@ -244,7 +243,6 @@ class CellStats:
     mean_seconds: float
     runs: int
     failures: int
-    best: bool = False
 
     @property
     def std_x100(self) -> float:
@@ -255,35 +253,24 @@ class CellStats:
         return self.runs == 0
 
 
-@dataclass
-class ReportTable:
-    """Aggregated benchmark cells, shaped rows = (horizon, dataset), columns = models."""
-
-    horizons: list[int]
-    datasets: list[str]
-    models: list[str]
-    cells: dict[tuple[int, str, str], CellStats]
-
-    def rows(self) -> list[tuple[int, str]]:
-        return [(h, ds) for h in self.horizons for ds in self.datasets]
+Cells = dict[tuple[int, str, str], CellStats]  # keyed (horizon, dataset, model)
 
 
-def aggregate(results: list[RunResult]) -> ReportTable:
-    """Per-cell mean and sample (n-1) standard deviation of RMSE across runs.
+def aggregate(results: list[RunResult]) -> Cells:
+    """Per-cell mean and sample (n-1) standard deviation of RMSE across runs,
+    keyed ``(horizon, dataset, model)``.
 
-    One pass groups the runs by (horizon, dataset, model), in the order each
-    cell is first seen: plan order for ``run_benchmark``'s results. Failed
-    runs are excluded from the statistics but counted; a cell with no
-    successful run is kept with NaN stats so reports can mark it FAILED. The
-    best (strictly smallest mean) cell per row is flagged; exact ties flag
-    every tied cell.
+    One pass groups the runs by cell, in the order each cell is first seen:
+    plan order for ``run_benchmark``'s results. Failed runs are excluded from
+    the statistics but counted; a cell with no successful run is kept with
+    NaN stats so reports can mark it FAILED.
     """
     if not results:
         raise ValueError("no results to aggregate")
     groups: dict[tuple[int, str, str], list[RunResult]] = {}
     for r in results:
         groups.setdefault((r.horizon, r.dataset, r.model), []).append(r)
-    cells: dict[tuple[int, str, str], CellStats] = {}
+    cells: Cells = {}
     for key, group in groups.items():
         good = [r for r in group if not r.failed]
         scores = np.array([r.rmse for r in good], dtype=np.float64)
@@ -294,34 +281,34 @@ def aggregate(results: list[RunResult]) -> ReportTable:
             runs=len(good),
             failures=len(group) - len(good),
         )
-    horizons, datasets, models = (list(dict.fromkeys(parts)) for parts in zip(*groups))
-    table = ReportTable(horizons=horizons, datasets=datasets, models=models, cells=cells)
-    for h, ds in table.rows():
-        row = [cells[(h, ds, m)] for m in models if (h, ds, m) in cells]
-        low = min((stats.mean_rmse for stats in row if not stats.failed), default=None)
-        for stats in row:
-            stats.best = (not stats.failed) and stats.mean_rmse == low
-    return table
+    return cells
 
 
-def _cell_text(stats: CellStats | None, value, bold_best: bool = False) -> str:
+def _cell_text(stats: CellStats | None, value, best: float | None = None) -> str:
     """One report cell: blank when the cell was not run, FAILED when no run
-    succeeded, else ``value(stats)`` to three decimals (bold when asked and
-    the cell is its row's best)."""
+    succeeded, else ``value(stats)`` to three decimals, bold when the cell's
+    mean is ``best``."""
     if stats is None:
         return ""
     if stats.failed:
         return "FAILED"
     text = f"{value(stats):.3f}"
-    return f"**{text}**" if bold_best and stats.best else text
+    return f"**{text}**" if stats.mean_rmse == best else text
 
 
-def _grid(table: ReportTable, value, bold_best: bool = False) -> list[list[str]]:
-    """Header row, then one row per (horizon, dataset) with a cell per model."""
-    return [["horizon", "dataset", *table.models]] + [
-        [str(h), ds, *(_cell_text(table.cells.get((h, ds, m)), value, bold_best) for m in table.models)]
-        for h, ds in table.rows()
-    ]
+def _grid(cells: Cells, value, bold_best: bool = False) -> list[list[str]]:
+    """Header row, then one row per (horizon, dataset) with a cell per model,
+    each axis in the order the keys first name it. With ``bold_best`` a row's
+    best cell, the one with the smallest mean, is bold; exact ties bold every
+    tied cell."""
+    horizons, datasets, models = (list(dict.fromkeys(axis)) for axis in zip(*cells))
+    grid = [["horizon", "dataset", *models]]
+    for h in horizons:
+        for ds in datasets:
+            row = [cells.get((h, ds, m)) for m in models]
+            low = min((s.mean_rmse for s in row if s is not None and not s.failed), default=None)
+            grid.append([str(h), ds, *(_cell_text(s, value, low if bold_best else None) for s in row)])
+    return grid
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
@@ -331,35 +318,35 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
         csv.writer(handle).writerows(rows)
 
 
-def _markdown_table(table: ReportTable, value, bold_best: bool = False) -> list[str]:
-    header, *rows = _grid(table, value, bold_best)
+def _markdown_table(cells: Cells, value, bold_best: bool = False) -> list[str]:
+    header, *rows = _grid(cells, value, bold_best)
     return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
             *("| " + " | ".join(row) + " |" for row in rows)]
 
 
-def _markdown_report(table: ReportTable) -> str:
+def _markdown_report(cells: Cells) -> str:
     return "\n".join([
         "# Benchmark report",
         "",
         "Test RMSE in standardized units, mean over runs; best model per row in bold.",
         "",
-        *_markdown_table(table, lambda s: s.mean_rmse, bold_best=True),
+        *_markdown_table(cells, lambda s: s.mean_rmse, bold_best=True),
         "",
         "Standard deviation of RMSE over runs, multiplied by 100:",
         "",
-        *_markdown_table(table, lambda s: s.std_x100),
+        *_markdown_table(cells, lambda s: s.std_x100),
         "",
     ])
 
 
-def write_report(table: ReportTable, results: list[RunResult], out_dir) -> list[Path]:
+def write_report(cells: Cells, results: list[RunResult], out_dir) -> list[Path]:
     """Write every report file; returns the written paths.
 
     results_rmse_mean.csv, results_rmse_std.csv, results_time.csv; results.json
     (full per-run results, no wall times); report.md with the best cell per
     row bolded.
     """
-    if not table.cells:
+    if not cells:
         raise ValueError("cannot write an empty report table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,9 +356,9 @@ def write_report(table: ReportTable, results: list[RunResult], out_dir) -> list[
         "results_time.csv": lambda s: s.mean_seconds,
     }
     for name, value in grids.items():
-        _write_csv(out / name, _grid(table, value))
+        _write_csv(out / name, _grid(cells, value))
     with open(out / "results.json", "w") as handle:
         json.dump({"results": [r.to_json_dict() for r in results]}, handle, indent=2)
         handle.write("\n")
-    (out / "report.md").write_text(_markdown_report(table))
+    (out / "report.md").write_text(_markdown_report(cells))
     return [out / name for name in (*grids, "results.json", "report.md")]

@@ -158,7 +158,7 @@ def test_real_load_data_ordering():
 
 
 def test_training_protocol_mechanics():
-    ds = WindowedDataset(np.zeros((8, 3)), np.zeros((8, 1)), 3, 1, np.arange(8))
+    ds = WindowedDataset(np.zeros((8, 3)), np.zeros((8, 1)), np.arange(8))
     _, history = train(ConstantModel(), ds, ds, TrainConfig())
     schedule = list(dict.fromkeys([r.lr for r in history.records] + [history.final_lr]))
     ok = len(history) == 16 and schedule == [0.001, 0.00025, 6.25e-05, 2.5e-05]

@@ -171,6 +171,8 @@ MALFORMED = {
     "v1-linreg-weights-without-intercept-row": (
         "linreg", lambda d: d.update(params={"weights": {"shape": [6, 2], "data": [0.0] * 12}})),
     "v1-linreg-weights-without-rows": ("linreg", lambda d: d.update(params={"weights": {"shape": [0, 2], "data": []}})),
+    "v1-linreg-weights-beside-the-stack": (
+        "linreg", lambda d: d["params"].update(weights={"shape": [7, 2], "data": [0.0] * 14})),
     "scaler-without-std": ("linear", lambda d: d["scaler"].pop("std")),
     "scaler-as-list": ("linreg", lambda d: d.update(scaler=[1.0, 2.0])),
     "bool-in-data": ("linear", lambda d: d["params"]["proj.b"].update(data=[True, 0.5])),

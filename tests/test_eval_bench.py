@@ -14,7 +14,6 @@ from stanforge.eval_bench import (
     DatasetRef,
     ModelEntry,
     PlanError,
-    ReportTable,
     RunResult,
     aggregate,
     rmse,
@@ -165,14 +164,13 @@ def test_plan_unreadable_dataset_is_plan_error(tmp_path):
 # --------------------------------------------------------------- aggregate --
 
 def test_aggregate_identical_scores_have_zero_std():
-    table = aggregate(_results([0.3] * 5))
-    stats = table.cells[(1, "DS", "A")]
+    stats = aggregate(_results([0.3] * 5))[(1, "DS", "A")]
     assert stats.mean_rmse == 0.3
     assert stats.std_rmse == 0.0
 
 
 def test_aggregate_two_value_cell():
-    stats = aggregate(_results([0.1, 0.2])).cells[(1, "DS", "A")]
+    stats = aggregate(_results([0.1, 0.2]))[(1, "DS", "A")]
     assert stats.mean_rmse == pytest.approx(0.15, abs=1e-12)
     assert stats.std_rmse == pytest.approx(0.07071067811865, abs=1e-9)
     assert stats.std_x100 == pytest.approx(7.071067811865, abs=1e-7)
@@ -180,24 +178,22 @@ def test_aggregate_two_value_cell():
 
 def test_aggregate_mean_within_run_range():
     values = [0.4, 0.1, 0.35, 0.2]
-    stats = aggregate(_results(values)).cells[(1, "DS", "A")]
+    stats = aggregate(_results(values))[(1, "DS", "A")]
     assert min(values) <= stats.mean_rmse <= max(values)
 
 
-def test_aggregate_best_flag_and_ties():
+def test_report_bolds_the_row_best_and_every_exact_tie(tmp_path):
     results = _results([0.2, 0.2], model="A") + _results([0.3, 0.3], model="B") \
         + _results([0.2, 0.2], model="C")
-    table = aggregate(results)
-    assert table.cells[(1, "DS", "A")].best
-    assert not table.cells[(1, "DS", "B")].best
-    assert table.cells[(1, "DS", "C")].best  # exact tie flags both
+    write_report(aggregate(results), results, tmp_path)
+    assert "| 1 | DS | **0.200** | 0.300 | **0.200** |\n" in (tmp_path / "report.md").read_text()
 
 
 def test_aggregate_counts_failures():
     results = _results([0.2, 0.4])
     results.append(RunResult(model="A", dataset="DS", horizon=1, seed=9,
                              error="NonFiniteError: boom"))
-    stats = aggregate(results).cells[(1, "DS", "A")]
+    stats = aggregate(results)[(1, "DS", "A")]
     assert stats.runs == 2
     assert stats.failures == 1
     assert stats.mean_rmse == pytest.approx(0.3, abs=1e-12)
@@ -206,7 +202,7 @@ def test_aggregate_counts_failures():
 def test_aggregate_all_failed_cell_is_marked():
     bad = [RunResult(model="A", dataset="DS", horizon=1, seed=i, error="boom")
            for i in range(2)]
-    stats = aggregate(bad).cells[(1, "DS", "A")]
+    stats = aggregate(bad)[(1, "DS", "A")]
     assert stats.failed
     assert np.isnan(stats.mean_rmse)
 
@@ -216,25 +212,28 @@ def test_aggregate_refuses_no_results():
         aggregate([])
 
 
-def test_aggregate_orders_rows_and_columns_as_first_seen():
+def test_aggregate_orders_rows_and_columns_as_first_seen(tmp_path):
     results = (_results([0.5], model="B", dataset="D2", horizon=6) + _results([0.2], model="A", dataset="D1")
                + _results([0.3], model="B", dataset="D1") + _results([0.4], model="A", dataset="D2", horizon=6))
-    table = aggregate(results)
-    assert (table.horizons, table.datasets, table.models) == ([6, 1], ["D2", "D1"], ["B", "A"])
-    assert table.rows() == [(6, "D2"), (6, "D1"), (1, "D2"), (1, "D1")]
-    assert sorted(table.cells) == [(1, "D1", "A"), (1, "D1", "B"), (6, "D2", "A"), (6, "D2", "B")]
+    cells = aggregate(results)
+    assert list(cells) == [(6, "D2", "B"), (1, "D1", "A"), (1, "D1", "B"), (6, "D2", "A")]
+    write_report(cells, results, tmp_path)
+    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+        assert [row[:2] for row in csv.reader(handle)] == [
+            ["horizon", "dataset"], ["6", "D2"], ["6", "D1"], ["1", "D2"], ["1", "D1"]]
+    assert "| horizon | dataset | B | A |\n" in (tmp_path / "report.md").read_text()
 
 
 # ----------------------------------------------------------------- reports --
 
-def _tiny_table_and_results():
+def _tiny_cells_and_results():
     results = _results([0.1234, 0.2], model="A") + _results([0.34567, 0.4], model="B")
     return aggregate(results), results
 
 
 def test_write_report_produces_all_files(tmp_path):
-    table, results = _tiny_table_and_results()
-    paths = write_report(table, results, tmp_path)
+    cells, results = _tiny_cells_and_results()
+    paths = write_report(cells, results, tmp_path)
     names = {p.name for p in paths}
     assert names == {"results_rmse_mean.csv", "results_rmse_std.csv",
                      "results_time.csv", "results.json", "report.md"}
@@ -243,23 +242,23 @@ def test_write_report_produces_all_files(tmp_path):
 
 
 def test_report_csv_round_trip(tmp_path):
-    table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path)
+    cells, results = _tiny_cells_and_results()
+    write_report(cells, results, tmp_path)
     with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["horizon", "dataset", "A", "B"]
     assert rows[1][0] == "1" and rows[1][1] == "DS"
-    assert float(rows[1][2]) == pytest.approx(table.cells[(1, "DS", "A")].mean_rmse, abs=5e-4)
-    assert rows[1][2] == f"{table.cells[(1, 'DS', 'A')].mean_rmse:.3f}"
+    assert float(rows[1][2]) == pytest.approx(cells[(1, "DS", "A")].mean_rmse, abs=5e-4)
+    assert rows[1][2] == f"{cells[(1, 'DS', 'A')].mean_rmse:.3f}"
 
 
 def test_report_markdown_bolds_best_cell(tmp_path):
-    table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path)
+    cells, results = _tiny_cells_and_results()
+    write_report(cells, results, tmp_path)
     text = (tmp_path / "report.md").read_text()
-    best = table.cells[(1, "DS", "A")].mean_rmse
+    best = cells[(1, "DS", "A")].mean_rmse
     assert f"**{best:.3f}**" in text
-    worse = table.cells[(1, "DS", "B")].mean_rmse
+    worse = cells[(1, "DS", "B")].mean_rmse
     assert f"**{worse:.3f}**" not in text
 
 
@@ -267,8 +266,7 @@ def test_report_marks_failed_cells(tmp_path):
     results = _results([0.2, 0.3], model="A")
     results += [RunResult(model="B", dataset="DS", horizon=1, seed=i, error="boom")
                 for i in range(2)]
-    table = aggregate(results)
-    write_report(table, results, tmp_path)
+    write_report(aggregate(results), results, tmp_path)
     assert "FAILED" in (tmp_path / "results_rmse_mean.csv").read_text()
     assert "FAILED" in (tmp_path / "report.md").read_text()
 
@@ -283,15 +281,14 @@ def test_report_leaves_a_never_run_cell_blank(tmp_path):
 
 
 def test_write_report_refuses_an_empty_table(tmp_path):
-    table = ReportTable(horizons=[], datasets=[], models=[], cells={})
     with pytest.raises(ValueError, match="^cannot write an empty report table$"):
-        write_report(table, [], tmp_path / "out")
+        write_report({}, [], tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
 def test_report_json_excludes_wall_time(tmp_path):
-    table, results = _tiny_table_and_results()
-    write_report(table, results, tmp_path)
+    cells, results = _tiny_cells_and_results()
+    write_report(cells, results, tmp_path)
     doc = json.loads((tmp_path / "results.json").read_text())
     assert len(doc["results"]) == 4
     for entry in doc["results"]:
@@ -425,8 +422,8 @@ def test_benchmark_nonlinear_series_favors_stan(small_plan):
     """Desk-scale regime-switching benchmark: the gated network beats the
     closed-form linear fit by a clear margin on 1-step forecasts."""
     results = run_benchmark(small_plan)
-    table = aggregate(results)
-    stan = table.cells[(1, "LSTAR", "STAN-32-3")]
-    linreg = table.cells[(1, "LSTAR", "LinReg")]
+    cells = aggregate(results)
+    stan = cells[(1, "LSTAR", "STAN-32-3")]
+    linreg = cells[(1, "LSTAR", "LinReg")]
     assert stan.runs == 3 and linreg.runs == 3
     assert stan.mean_rmse <= linreg.mean_rmse - 0.01

@@ -29,8 +29,7 @@ from stanforge.training import (
 def _dataset(inputs, targets):
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    return WindowedDataset(inputs, targets, inputs.shape[1], targets.shape[1],
-                           np.arange(len(inputs)))
+    return WindowedDataset(inputs, targets, np.arange(len(inputs)))
 
 
 def _linear_problem(n=640, q=8, seed=7):
