@@ -23,6 +23,8 @@ option unset. Flags beat config values, which beat the defaults. ``train``
 keys, ``benchmark``'s ``data``/``column`` among them, are ignored. Their integer fields (a ``train`` field whose default is an integer,
 a model entry's ``units`` and ``depth``) take JSON integers or whole-number
 floats, and ``train``'s other fields take numbers; ``true``/``false`` is neither.
+A dataset entry's ``path`` and ``column`` and a model entry's ``name`` are
+passed on as given, and the plan refuses any that is not a JSON string.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric failure.
 """
@@ -357,7 +359,8 @@ def _plan_from_args(args) -> BenchmarkPlan:
         datasets = [DatasetRef(path=args.data, column=args.column)]
     elif cfg.get("datasets"):
         try:
-            datasets = [DatasetRef(path=str(d["path"]), column=str(d["column"])) for d in cfg["datasets"]]
+            # their types are the plan's to check, as for a model entry's name
+            datasets = [DatasetRef(path=d["path"], column=d["column"]) for d in cfg["datasets"]]
         except (TypeError, KeyError) as exc:
             raise UsageError(f"each dataset entry needs 'path' and 'column': {exc}") from None
     else:

@@ -12,7 +12,8 @@ and any other exception propagate.
 Report files, from the cells ``aggregate`` builds in one pass over the runs:
 ``results_rmse_mean.csv``, ``results_rmse_std.csv``, ``results_time.csv``,
 ``results.json`` (every ``RunResult`` field but the wall time, which only
-the time report holds, so it is byte-identical across reruns), ``report.md``.
+the time report holds, so it is byte-identical across reruns), ``report.md``
+(its tables escape a ``|`` in a name as ``\\|``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .baselines import MODEL_KINDS
 from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
-from .numerics import ShapeError, mse_loss
+from .numerics import ShapeError, is_integer, mse_loss
 from .training import TrainConfig, TrainHistory, train
 
 __all__ = [
@@ -84,7 +85,7 @@ class ModelEntry:
     name: str = ""
 
     def __post_init__(self):
-        if not self.name:
+        if self.name == "":
             kind = MODEL_KINDS.get(self.kind)
             name = self.kind if kind is None else kind.column.format(units=self.units, depth=self.depth)
             object.__setattr__(self, "name", name)
@@ -101,8 +102,19 @@ class BenchmarkPlan:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
-        """Raise PlanError listing every problem; called before any run."""
-        problems: list[str] = []
+        """Raise PlanError listing every problem; called before any run or
+        file read. A value of the wrong type is refused before the values
+        are checked: ``runs``, ``base_seed`` and each horizon must be integers
+        (NumPy ones too, not a bool or a float), and a dataset's ``path`` and
+        ``column`` and a model's ``name`` text."""
+        problems = [f"{what} must be an integer, got {value!r}"
+                    for what, value in (("runs", self.runs), ("base_seed", self.base_seed),
+                                        *(("horizon", h) for h in self.horizons)) if not is_integer(value)]
+        problems += [f"dataset {key} must be text, got {getattr(ref, key)!r}"
+                     for ref in self.datasets for key in ("path", "column") if not isinstance(getattr(ref, key), str)]
+        problems += [f"model name must be text, got {m.name!r}" for m in self.models if not isinstance(m.name, str)]
+        if problems:
+            raise PlanError("; ".join(problems))
         if not self.datasets:
             problems.append("no datasets")
         if not self.horizons:
@@ -116,14 +128,14 @@ class BenchmarkPlan:
         if self.split not in ("random", "contiguous"):
             problems.append(f"unknown split mode {self.split!r}")
         for h in self.horizons:
-            if int(h) < 1:
+            if h < 1:
                 problems.append(f"horizon must be positive, got {h}")
         for what, values in (("dataset names", [ref.name for ref in self.datasets]),
                              ("horizons", [int(h) for h in self.horizons]),
                              ("model names", [m.name for m in self.models])):
             if len(set(values)) != len(values):
                 problems.append(f"duplicate {what}: {values}")
-        valid_horizons = [int(h) for h in self.horizons if int(h) >= 1]
+        valid_horizons = [int(h) for h in self.horizons if h >= 1]
         for m in self.models:
             if m.kind not in MODEL_KINDS:
                 problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
@@ -228,7 +240,7 @@ def run_benchmark(plan: BenchmarkPlan) -> list[RunResult]:
     series = load_plan_series(plan)
     logger.info("benchmark: %d cells", len(plan.horizons) * len(plan.datasets) * len(plan.models) * plan.runs)
     return [
-        _run_cell(series[ref.name], model, int(horizon), plan.base_seed + run, plan.split, plan.train)
+        _run_cell(series[ref.name], model, int(horizon), int(plan.base_seed) + run, plan.split, plan.train)
         for horizon in plan.horizons
         for ref in plan.datasets
         for model in plan.models
@@ -319,7 +331,8 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
 
 
 def _markdown_table(cells: Cells, value, bold_best: bool = False) -> list[str]:
-    header, *rows = _grid(cells, value, bold_best)
+    # a "|" in a name would end its cell early, so it is escaped
+    header, *rows = ([text.replace("|", "\\|") for text in row] for row in _grid(cells, value, bold_best))
     return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
             *("| " + " | ".join(row) + " |" for row in rows)]
 

@@ -26,6 +26,7 @@ __all__ = [
     "adam_step",
     "finite_diff_errors",
     "finite_diff_check",
+    "is_integer",
 ]
 
 # loss_fn(params) -> (loss, grads); must be a pure function of the arrays.
@@ -42,6 +43,11 @@ class NonFiniteError(FloatingPointError):
 
 class NondeterministicLossError(RuntimeError):
     """Two evaluations of a supposedly pure loss function disagreed."""
+
+
+def is_integer(value) -> bool:
+    """A Python or NumPy integer; not a bool, which Python counts as one, nor a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:

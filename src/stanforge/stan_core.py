@@ -30,6 +30,7 @@ from .numerics import (
     affine_backward,
     affine_forward,
     as_matrix,
+    is_integer,
     mse_loss,
     relu,
     relu_grad,
@@ -78,7 +79,9 @@ PREDICT_TILE = 256
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture of one forecaster: lookback q, units d, depth L, horizon tau."""
+    """Architecture of one forecaster: lookback q, units d, depth L, horizon tau,
+    each a positive Python or NumPy integer (stored as ``int``); a bool or a
+    float, even a whole one, is refused."""
 
     lookback: int
     units: int
@@ -88,7 +91,7 @@ class NetworkSpec:
     def __post_init__(self):
         for field_name in ("lookback", "units", "depth", "horizon"):
             value = getattr(self, field_name)
-            if int(value) != value or int(value) < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
             object.__setattr__(self, field_name, int(value))
 

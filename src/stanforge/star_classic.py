@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
+from .numerics import is_integer
 
 __all__ = [
     "ExplosiveDynamicsError",
@@ -89,6 +90,8 @@ class LstarParams:
 
     with G the logistic transition with steepness ``gamma`` and midpoint
     ``c``, and eps_t ~ N(0, sigma^2); ``sigma`` is a standard deviation.
+    ``delay`` is a Python or NumPy integer in [1, q], and ``phi0``, ``gamma``,
+    ``c`` and ``sigma`` finite numbers; a bool is refused for any of them.
     """
 
     phi0: float
@@ -108,9 +111,11 @@ class LstarParams:
             )
         if self.phi.size == 0:
             raise ValueError("order must be at least 1")
-        if not 1 <= int(self.delay) <= self.phi.size:
-            raise ValueError(f"delay must lie in [1, {self.phi.size}], got {self.delay}")
+        if not is_integer(self.delay) or not 1 <= self.delay <= self.phi.size:
+            raise ValueError(f"delay must be an integer in [1, {self.phi.size}], got {self.delay!r}")
         for name in ("phi0", "gamma", "c", "sigma"):
+            if isinstance(getattr(self, name), bool):  # math.isfinite would read it as 0 or 1
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)}")
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("phi", "theta"):
@@ -357,11 +362,11 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
     n = len(values)
+    if not is_integer(order) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
     q = int(order)
-    if q < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    if not 1 <= int(delay) <= q:
-        raise ValueError(f"delay must lie in [1, {q}], got {delay}")
+    if not is_integer(delay) or not 1 <= delay <= q:
+        raise ValueError(f"delay must be an integer in [1, {q}], got {delay!r}")
     min_rows = 2 * q + 2
     if n - q < min_rows:
         raise ValueError(

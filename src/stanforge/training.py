@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, mse_loss
+from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, is_integer, mse_loss
 
 # the fixed schedules, applied by ``train`` after each epoch. An improvement is
 # material when it beats the best validation loss by more than ES_MIN_DELTA; a
@@ -63,7 +63,7 @@ class TrainConfig:
         # numpy numbers are stored as Python ones, so history.csv and a JSON dump of the fields read plain numbers
         for name in ("max_epochs", "batch_size", "es_start_epoch", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sine_series
-from stanforge import cli
+from stanforge import cli, eval_bench
 from stanforge.checkpoint import load_checkpoint
 from stanforge.cli import _plan_from_args, build_parser, main
 from stanforge.data import TimeSeries, load_pjm_csv, prepare_splits, write_pjm_csv
@@ -379,6 +379,24 @@ def test_benchmark_exits_2_when_every_run_fails(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "every run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset,model,problem", [
+    ({}, {"kind": "linreg", "name": True}, "model name must be text, got True"),
+    ({}, {"kind": "linreg", "name": None}, "model name must be text, got None"),
+    ({"path": True}, {"kind": "linreg"}, "dataset path must be text, got True"),
+    ({"column": 7}, {"kind": "linreg"}, "dataset column must be text, got 7"),
+])
+def test_benchmark_plan_entries_must_be_text(tmp_path, capsys, monkeypatch, dataset, model, problem):
+    data = _dataset_csv(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"datasets": [{"path": str(data), "column": "EAST_MW", **dataset}],
+                                  "models": [model]}))
+    # refused before any data file is read
+    monkeypatch.setattr(eval_bench, "load_pjm_csv", lambda *args: pytest.fail("a data file was read"))
+    assert main(["benchmark", "--config", str(config), "--runs", "1", "--out", str(tmp_path / "out")]) == 1
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- fixtures

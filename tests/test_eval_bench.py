@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,33 @@ def test_plan_unreadable_dataset_is_plan_error(tmp_path):
     )
     with pytest.raises(PlanError, match="missing.csv"):
         run_benchmark(plan)
+
+
+@pytest.mark.parametrize("change,problem", [
+    ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+    ({"runs": True}, "runs must be an integer, got True"),
+    ({"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
+    ({"horizons": [1.5]}, "horizon must be an integer, got 1.5"),
+    ({"horizons": [1, False]}, "horizon must be an integer, got False"),
+    ({"datasets": [DatasetRef(True, "X_MW")]}, "dataset path must be text, got True"),
+    ({"datasets": [DatasetRef("x.csv", None)]}, "dataset column must be text, got None"),
+    ({"models": [ModelEntry(kind="linreg", name=1)]}, "model name must be text, got 1"),
+])
+def test_plan_refuses_wrong_types_before_reading_a_file(monkeypatch, change, problem):
+    plan = BenchmarkPlan(**{"datasets": [DatasetRef("x.csv", "X_MW")], "horizons": [1],
+                            "models": [ModelEntry(kind="linreg")], **change})
+    monkeypatch.setattr(eval_bench, "load_pjm_csv", lambda *args: pytest.fail("a data file was read"))
+    with pytest.raises(PlanError, match=f"^{re.escape(problem)}$"):
+        run_benchmark(plan)
+
+
+def test_plan_takes_numpy_integers(tmp_path, short_series):
+    path = write_pjm_csv(short_series, tmp_path / "sine.csv")
+    plan = BenchmarkPlan(datasets=[DatasetRef(str(path), "SINE_MW")], horizons=[np.int64(2)],
+                         models=[ModelEntry(kind="linreg")], runs=np.int32(2), base_seed=np.uint8(3))
+    results = run_benchmark(plan)
+    assert [(r.horizon, r.seed) for r in results] == [(2, 3), (2, 4)]
+    assert type(results[0].horizon) is int and type(results[0].seed) is int
 
 
 # --------------------------------------------------------------- aggregate --
@@ -326,6 +354,16 @@ def test_report_bytes_are_pinned(tmp_path):
     write_report(aggregate(results), results, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REPORT_SHA256}
     assert digests == REPORT_SHA256
+
+
+def test_report_markdown_escapes_a_pipe_in_a_name(tmp_path):
+    results = _results([0.2], model="a|b", dataset="D|1") + _results([0.3], model="C", dataset="D|1")
+    write_report(aggregate(results), results, tmp_path)
+    lines = (tmp_path / "report.md").read_text().splitlines()
+    assert "| horizon | dataset | a\\|b | C |" in lines
+    assert "| 1 | D\\|1 | **0.200** | 0.300 |" in lines
+    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+        assert list(csv.reader(handle)) == [["horizon", "dataset", "a|b", "C"], ["1", "D|1", "0.200", "0.300"]]
 
 
 # --------------------------------------------------------------- benchmark --

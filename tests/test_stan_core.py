@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +399,20 @@ def test_spec_rejects_nonpositive(field):
     for bad in (0, -1, 2.5):
         with pytest.raises(ValueError, match=field):
             NetworkSpec(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("field", ["lookback", "units", "depth", "horizon"])
+@pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), "2"])
+def test_spec_refuses_bools_and_floats(field, bad):
+    good = {"lookback": 5, "units": 4, "depth": 2, "horizon": 1}
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got {re.escape(repr(bad))}$"):
+        NetworkSpec(**{**good, field: bad})
+
+
+def test_spec_takes_numpy_integers():
+    spec = NetworkSpec(np.int64(5), np.int32(4), np.uint8(2), np.int16(1))
+    assert [(v, type(v)) for v in (spec.lookback, spec.units, spec.depth, spec.horizon)] == [
+        (5, int), (4, int), (2, int), (1, int)]
 
 
 def test_forward_rejects_wrong_lookback():

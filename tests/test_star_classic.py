@@ -141,6 +141,21 @@ def test_params_refuse_non_finite_values(field, value):
         LstarParams(**fields)
 
 
+@pytest.mark.parametrize("field,value", [("delay", 1.5), ("delay", 1.0), ("delay", True),
+                                         ("phi0", True), ("gamma", True), ("c", False), ("sigma", True)])
+def test_params_refuse_bools_and_fractional_delays(field, value):
+    fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number).*got {value}$"):
+        LstarParams(**fields)
+
+
+def test_params_take_a_numpy_integer_delay():
+    params = LstarParams(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, delay=np.int64(2))
+    assert simulate_lstar(params, n=20, seed=1).values.tobytes() == simulate_lstar(
+        LstarParams(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, delay=2), n=20, seed=1).values.tobytes()
+
+
 def test_sharp_gate_approaches_hard_threshold_switch():
     """As gamma grows the smooth gate becomes a two-regime switch."""
     sharp = LstarParams(phi0=0.0, phi=[0.9], theta=[-1.4], gamma=1e4, c=0.0, sigma=0.05)
@@ -296,6 +311,10 @@ def test_estimation_input_validation():
         estimate_lstar(series, order=0)
     with pytest.raises(ValueError, match="delay"):
         estimate_lstar(series, order=2, delay=3)
+    with pytest.raises(ValueError, match="^order must be a positive integer, got 1.0$"):
+        estimate_lstar(series, order=1.0)
+    with pytest.raises(ValueError, match="^delay must be an integer in \\[1, 2\\], got True$"):
+        estimate_lstar(series, order=2, delay=True)
     with pytest.raises(ValueError, match="too short"):
         estimate_lstar(series.values[:5], order=2)
     with pytest.raises(ValueError, match="positive"):
