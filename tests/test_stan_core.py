@@ -396,17 +396,9 @@ def test_fresh_network_is_affine():
 @pytest.mark.parametrize("field", ["lookback", "units", "depth", "horizon"])
 def test_spec_rejects_nonpositive(field):
     good = {"lookback": 5, "units": 4, "depth": 2, "horizon": 1}
-    for bad in (0, -1, 2.5):
-        with pytest.raises(ValueError, match=field):
+    for bad in (0, -1, 2.5, True, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got {re.escape(repr(bad))}$"):
             NetworkSpec(**{**good, field: bad})
-
-
-@pytest.mark.parametrize("field", ["lookback", "units", "depth", "horizon"])
-@pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), "2"])
-def test_spec_refuses_bools_and_floats(field, bad):
-    good = {"lookback": 5, "units": 4, "depth": 2, "horizon": 1}
-    with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got {re.escape(repr(bad))}$"):
-        NetworkSpec(**{**good, field: bad})
 
 
 def test_spec_takes_numpy_integers():
