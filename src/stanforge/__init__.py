@@ -13,7 +13,7 @@ from .baselines import LinearNetwork, LinearRegressionModel, MlpNetwork
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TimeSeries, lookback_for, load_pjm_csv, make_windows, prepare_splits
 from .eval_bench import BenchmarkPlan, DatasetRef, ModelEntry, RunResult, aggregate, rmse, run_benchmark, write_report
-from .numerics import finite_diff_check, finite_diff_errors
+from .numerics import finite_diff_errors
 from .stan_core import NetworkSpec, StanNetwork, count_parameters, transition_g
 from .star_classic import LstarParams, estimate_lstar, simulate_lstar
 from .training import TrainConfig, TrainHistory, train
@@ -37,7 +37,6 @@ __all__ = [
     "aggregate",
     "count_parameters",
     "estimate_lstar",
-    "finite_diff_check",
     "finite_diff_errors",
     "load_checkpoint",
     "load_pjm_csv",

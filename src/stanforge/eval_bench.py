@@ -106,7 +106,8 @@ class BenchmarkPlan:
         file read. A value of the wrong type is refused before the values
         are checked: ``runs``, ``base_seed`` and each horizon must be integers
         (NumPy ones too, not a bool or a float), and a dataset's ``path`` and
-        ``column`` and a model's ``name`` text."""
+        ``column`` and a model's ``name`` text. A column or a name, which
+        report.md prints in a table row, cannot hold a line break."""
         problems = [f"{what} must be an integer, got {value!r}"
                     for what, value in (("runs", self.runs), ("base_seed", self.base_seed),
                                         *(("horizon", h) for h in self.horizons)) if not is_integer(value)]
@@ -115,6 +116,10 @@ class BenchmarkPlan:
         problems += [f"model name must be text, got {m.name!r}" for m in self.models if not isinstance(m.name, str)]
         if problems:
             raise PlanError("; ".join(problems))
+        problems = [f"{what} cannot hold a line break, got {text!r}"
+                    for what, text in (*(("dataset column", ref.column) for ref in self.datasets),
+                                       *(("model name", m.name) for m in self.models))
+                    if "\n" in text or "\r" in text]
         if not self.datasets:
             problems.append("no datasets")
         if not self.horizons:

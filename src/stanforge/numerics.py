@@ -25,7 +25,6 @@ __all__ = [
     "mse_loss",
     "adam_step",
     "finite_diff_errors",
-    "finite_diff_check",
     "is_integer",
 ]
 
@@ -186,10 +185,3 @@ def finite_diff_errors(loss_fn: LossFn, params: dict[str, np.ndarray], eps: floa
             rels.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
         errors[name] = float(np.max(rels, initial=0.0))  # np.max lets a NaN win
     return errors
-
-
-def finite_diff_check(loss_fn: LossFn, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
-    """Maximum relative gradient error across every entry of every parameter;
-    NaN if any entry's error is NaN."""
-    errors = finite_diff_errors(loss_fn, params, eps)
-    return float(np.max(list(errors.values()), initial=0.0))

@@ -75,13 +75,6 @@ def _logistic(t):
     return out
 
 
-def _logistic_scalar(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 @dataclass
 class LstarParams:
     """Coefficients of a logistic STAR process of order q.
@@ -90,8 +83,9 @@ class LstarParams:
 
     with G the logistic transition with steepness ``gamma`` and midpoint
     ``c``, and eps_t ~ N(0, sigma^2); ``sigma`` is a standard deviation.
-    ``delay`` is a Python or NumPy integer in [1, q], and ``phi0``, ``gamma``,
-    ``c`` and ``sigma`` finite numbers; a bool is refused for any of them.
+    ``delay`` is a Python or NumPy integer in [1, q], ``phi0``, ``gamma``,
+    ``c`` and ``sigma`` finite numbers, and ``phi`` and ``theta`` sequences
+    of them; a bool is refused anywhere, and so is text in ``phi``/``theta``.
     """
 
     phi0: float
@@ -103,6 +97,10 @@ class LstarParams:
     sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("phi", "theta"):  # float64 conversion would read True as 1.0 and "0.5" as 0.5
+            entries = np.asarray(getattr(self, name), dtype=object)
+            if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in entries.flat):
+                raise ValueError(f"{name} must be real numbers, got {entries.tolist()!r}")
         self.phi = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
         if self.phi.ndim != 1 or self.theta.shape != self.phi.shape:
@@ -133,22 +131,20 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
                    name: str = "lstar") -> TimeSeries:
     """Simulate ``n`` observations after discarding ``burn_in``.
 
-    Initial conditions are zero (the implicit pre-sample lags are zeros).
-    Noise is drawn from numpy's PCG64 generator, so the same seed always
-    yields the same series. Raises ExplosiveDynamicsError as soon as a value
-    exceeds 1e12 in magnitude.
+    The pre-sample lags are zeros and the noise comes from numpy's PCG64
+    generator, so the same seed always yields the same series. Raises
+    ExplosiveDynamicsError as soon as a value exceeds 1e12 in magnitude or is
+    NaN (an overflowed product, as inf - inf), so every lag read is finite.
 
-    The recursion runs on Python floats: the lag window, the coefficients,
-    ``phi0``, ``gamma`` and ``c``. Each AR sum starts from 0.0 and adds the
-    products lag 1 first, and y_t adds ``phi0``, the AR sum, the gated sum
-    and the noise in that order. That is the order of the float64 array form
-    ``phi0 + lags @ phi + gate * (lags @ theta) + eps``, where ``lags`` is
-    the reversed view ``y[t-q:t][::-1]`` and NumPy sums a dot product over a
-    view with a negative stride element by element from 0.0, so the series
-    is the same bit for bit.
-
-    The noise is converted to floats and the values written back a block of
-    steps at a time, so no full-length list is held.
+    The recursion runs on Python floats a block of 256 steps at a time, so no
+    full-length list is held: a block list starts with the last q values of
+    the one before (zeros at first), then its noise, and step i reads y_{t-k}
+    as ``block[i - k]`` and writes y_t over its draw. Each AR sum adds lag 1
+    first, from 0.0, and y_t adds ``phi0``, that sum, the gated sum and the
+    noise: the order NumPy takes for ``phi0 + lags @ phi + gate * (lags @
+    theta) + eps`` with ``lags = y[t-q:t][::-1]``, so the bits are the same.
+    Zero coefficients are skipped, as a finite lag times a zero is a zero and
+    a zero added to a sum that starts at +0.0 never changes its bits.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -159,25 +155,28 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
     # the noise buffer becomes the series: step t reads its draw, then writes y_t
     y = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
     phi0, gamma, c = float(params.phi0), float(params.gamma), float(params.c)
-    phi, theta = params.phi.tolist(), params.theta.tolist()
-    at = int(params.delay) - 1
-    lags = [0.0] * params.order  # y_{t-1}, ..., y_{t-q}
+    q, delay = params.order, int(params.delay)
+    ar = [(k, p) for k, p in enumerate(params.phi.tolist(), 1) if p]
+    gated = [(k, th) for k, th in enumerate(params.theta.tolist(), 1) if th]
+    block = [0.0] * q
     for start in range(0, total, _SIM_BLOCK):
-        block = y[start: start + _SIM_BLOCK].tolist()
-        for i, eps in enumerate(block):
+        block = block[-q:] + y[start: start + _SIM_BLOCK].tolist()
+        for i in range(q, len(block)):
             linear = nonlinear = 0.0
-            for lag, p, th in zip(lags, phi, theta):
-                linear += lag * p
-                nonlinear += lag * th
-            value = phi0 + linear + _logistic_scalar(gamma * (lags[at] - c)) * nonlinear + eps
-            if abs(value) > DIVERGENCE_LIMIT:
+            for k, p in ar:
+                linear += block[i - k] * p
+            for k, th in gated:
+                nonlinear += block[i - k] * th
+            # the two-branch logistic gate, both branches from one exp(-|t|)
+            t = gamma * (block[i - delay] - c)
+            e = math.exp(-abs(t))
+            value = phi0 + linear + (1.0 if t >= 0.0 else e) / (1.0 + e) * nonlinear + block[i]
+            if not abs(value) <= DIVERGENCE_LIMIT:  # NaN too: it would pass a > test
                 raise ExplosiveDynamicsError(
-                    f"series diverged at step {start + i}: |y| = {abs(value):.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
+                    f"series diverged at step {start + i - q}: |y| = {abs(value):.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
                 )
             block[i] = value
-            lags.pop()
-            lags.insert(0, value)
-        y[start: start + len(block)] = block
+        y[start: start + _SIM_BLOCK] = block[q:]
     values = y[burn_in:].copy() if burn_in else y
     return TimeSeries(name=name, timestamps=np.arange(n, dtype=np.int64), values=values)
 

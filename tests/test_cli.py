@@ -386,6 +386,9 @@ def test_benchmark_exits_2_when_every_run_fails(tmp_path, capsys):
     ({}, {"kind": "linreg", "name": None}, "model name must be text, got None"),
     ({"path": True}, {"kind": "linreg"}, "dataset path must be text, got True"),
     ({"column": 7}, {"kind": "linreg"}, "dataset column must be text, got 7"),
+    ({"column": "EAST\nMW"}, {"kind": "linreg"}, "dataset column cannot hold a line break, got 'EAST\\nMW'"),
+    ({}, {"kind": "linreg", "name": "a\rb"}, "model name cannot hold a line break, got 'a\\rb'"),
+    ({}, {"kind": "linreg", "name": "a\nb"}, "model name cannot hold a line break, got 'a\\nb'"),
 ])
 def test_benchmark_plan_entries_must_be_text(tmp_path, capsys, monkeypatch, dataset, model, problem):
     data = _dataset_csv(tmp_path)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import nonlinear_generator
 from stanforge.star_classic import (
     DEFAULT_GAMMA_GRID,
     DIVERGENCE_LIMIT,
@@ -142,11 +145,13 @@ def test_params_refuse_non_finite_values(field, value):
 
 
 @pytest.mark.parametrize("field,value", [("delay", 1.5), ("delay", 1.0), ("delay", True),
-                                         ("phi0", True), ("gamma", True), ("c", False), ("sigma", True)])
+                                         ("phi0", True), ("gamma", True), ("c", False), ("sigma", True),
+                                         ("phi", [True, 0.1]), ("phi", [0.5, np.True_]),
+                                         ("theta", ["0.5", 0.0]), ("theta", [0.0, b"1"])])
 def test_params_refuse_bools_and_fractional_delays(field, value):
     fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number).*got {value}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number|real numbers).*got {re.escape(str(value))}$"):
         LstarParams(**fields)
 
 
@@ -197,6 +202,34 @@ def test_simulation_matches_array_loop_reference(params, n, burn_in, seed):
         assert str(raised.value) == str(exc)
         return
     assert simulate_lstar(params, n=n, burn_in=burn_in, seed=seed).values.tobytes() == expected.tobytes()
+
+
+# sha256 of the float64 bytes of the series the benchmark simulates
+SIMULATION_SHA256 = {
+    # the lstar_oracle input: 20000 steps, 78 block boundaries
+    "nonlinear_generator_n20000_seed1": "ba47ead435b9a60b625d2f711421e3dfbf3df89d281baf7d601b0211a808e06f",
+    # the LSTAR(1) of `fixtures` and of `simulate` at its defaults, at --n 4000 --burn-in 200
+    "lstar1_n4000_burn200_seed0": "b14b640979fb063c5990c371b3ce248862f42f3d128ddcd07a25ca474c91604a",
+}
+
+
+def test_simulation_keeps_its_bytes_at_the_benchmark_series():
+    lstar1 = LstarParams(phi0=0.0, phi=[0.9], theta=[-1.4], gamma=20.0, c=0.0, sigma=0.05)
+    series = {
+        "nonlinear_generator_n20000_seed1": simulate_lstar(nonlinear_generator(), n=20_000, seed=1),
+        "lstar1_n4000_burn200_seed0": simulate_lstar(lstar1, n=4000, burn_in=200, seed=0),
+    }
+    digests = {name: hashlib.sha256(s.values.tobytes()).hexdigest() for name, s in series.items()}
+    assert digests == SIMULATION_SHA256
+
+
+def test_nan_step_raises_as_divergence():
+    # at this seed theta_2 y_0 overflows to inf, and the gate of y_0 - 1e11 is 0.0,
+    # so y_2 = 0.0 * inf is NaN; the finite-lag sums skip zero coefficients only as
+    # long as no NaN is written
+    params = LstarParams(phi0=0.0, phi=[0.0, 0.5], theta=[0.0, 1e300], gamma=1.0, c=1e11, delay=2, sigma=1e8)
+    with pytest.raises(ExplosiveDynamicsError, match=r"^series diverged at step 2: \|y\| = nan exceeds 1e\+12$"):
+        simulate_lstar(params, n=1, burn_in=3, seed=68)
 
 
 def test_simulation_peak_memory_stays_bounded():
