@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import is_integer, is_real
+
 __all__ = [
     "DataFormatError",
     "ZeroVarianceError",
@@ -97,51 +99,54 @@ def _column_at(fields: list[str], name: str) -> int:
     return len(fields) - 1 - fields[::-1].index(name)
 
 
-def _check_rows(path: Path, lines: list[int], stamps: list[str], values: list[float]) -> None:
-    """Raise DataFormatError naming the first row whose stamp is no calendar
-    time or, stamp first, whose value is not finite; ``values`` may lack the
-    last row's, which did not parse."""
-    for row, (lineno, raw_stamp) in enumerate(zip(lines, stamps)):
-        try:
-            np.datetime64(raw_stamp, "s")
-        except ValueError:
-            raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
-        if row < len(values) and not math.isfinite(values[row]):
-            raise DataFormatError(f"{path.name} line {lineno}: non-finite value {values[row]!r}")
+def _check_row(path: Path, lineno: int, raw_stamp: str, raw_value: str) -> None:
+    """Raise DataFormatError if the row is bad, checking its stamp's shape,
+    then its calendar time, then that its value parses, then that it is finite."""
+    try:
+        if not _STAMP_SHAPE.fullmatch(raw_stamp):
+            raise ValueError
+        np.datetime64(raw_stamp, "s")
+    except ValueError:
+        raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}") from None
+    try:
+        value = float(raw_value)
+    except ValueError:
+        raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path.name} line {lineno}: non-finite value {value!r}")
 
 
 def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Stamps and values of the rows that have a value, in file order, and
     the count of rows whose value cell is blank.
 
-    Rows are parsed a block at a time, so no list of every row's text is
-    held. A blank row is skipped, as ``csv.DictReader`` skips it. The first
-    bad row in file order raises DataFormatError naming the file line its
-    record starts on, blank lines and lines inside quoted cells counted: a
-    row's stamp shape and value are checked as it is read, and whether its
-    stamp names a calendar time and its value is finite (``nan``, ``inf`` and
-    ``1e400`` parse, but are refused) when its block is converted, or when a
-    later row of the block turns out bad. A record with a cell past
-    ``csv.field_size_limit()`` raises DataFormatError naming its line.
+    Rows are gathered and converted a block at a time, so no list of every
+    row's text is held. A blank row is skipped, as ``csv.DictReader`` skips
+    it. A block is converted at once; only if that fails are its rows walked
+    by ``_check_row``, so the first bad row in file order raises
+    DataFormatError naming the file line its record starts on, blank lines
+    and lines inside quoted cells counted. A record with a cell past
+    ``csv.field_size_limit()`` raises DataFormatError naming its line, after
+    the rows read before it are checked.
     """
-    lines: list[int] = []
-    stamps: list[str] = []
-    values: list[float] = []
+    rows: list[tuple[int, str, str]] = []  # (file line, stamp text, value text)
     stamp_blocks: list[np.ndarray] = []
     value_blocks: list[np.ndarray] = []
 
     def flush():
-        value_blocks.append(np.array(values, dtype=np.float64))
+        _, stamps, values = zip(*rows) if rows else ((), (), ())
         try:
+            if not all(map(_STAMP_SHAPE.fullmatch, stamps)):
+                raise ValueError("a stamp of another shape")
             stamp_blocks.append(np.array(stamps, dtype="datetime64[s]"))
+            value_blocks.append(np.fromiter(map(float, values), np.float64, len(values)))
+            if not np.isfinite(value_blocks[-1]).all():
+                raise ValueError("a non-finite value")
         except ValueError:
-            _check_rows(path, lines, stamps, values)
+            for row in rows:
+                _check_row(path, *row)
             raise
-        if not np.isfinite(value_blocks[-1]).all():
-            _check_rows(path, lines, stamps, values)
-        lines.clear()
-        stamps.clear()
-        values.clear()
+        rows.clear()
 
     missing, next_line = 0, 1
     with open(path, newline="") as handle:
@@ -163,20 +168,11 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
                 if raw_value.strip() == "":
                     missing += 1
                     continue
-                raw_stamp = row[stamp_at] if stamp_at < len(row) else ""
-                if not _STAMP_SHAPE.fullmatch(raw_stamp):
-                    _check_rows(path, lines, stamps, values)
-                    raise DataFormatError(f"{path.name} line {lineno}: unparseable timestamp {raw_stamp!r}")
-                lines.append(lineno)
-                stamps.append(raw_stamp)
-                try:
-                    values.append(float(raw_value))
-                except ValueError:
-                    _check_rows(path, lines, stamps, values)
-                    raise DataFormatError(f"{path.name} line {lineno}: unparseable value {raw_value!r}") from None
-                if len(stamps) == _BLOCK_ROWS:
+                rows.append((lineno, row[stamp_at] if stamp_at < len(row) else "", raw_value))
+                if len(rows) == _BLOCK_ROWS:
                     flush()
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            flush()  # a bad row read before this record is named first
             raise DataFormatError(f"{path.name} line {next_line}: {exc}") from None
     flush()
     return np.concatenate(stamp_blocks), np.concatenate(value_blocks), missing
@@ -192,26 +188,27 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     ``T`` separator or missing seconds, are rejected. Rows are sorted by
     timestamp; among duplicate timestamps the first row in file order is
     kept; rows with an empty value cell are dropped. Drops are logged as
-    warnings. Unparseable timestamps, unparseable or non-finite values, or a
-    cell too long for the csv module, raise DataFormatError naming the line the
-    offending record starts on.
+    warnings.
+
+    The first bad row in file order raises DataFormatError naming the line
+    its record starts on. A row is checked for its stamp's shape, then its
+    calendar time, then that its value parses, then that it is finite
+    (``nan``, ``inf`` and ``1e400`` parse, but are refused). A cell too long
+    for the csv module stops the read at its record, so it is named only if
+    no earlier row is bad.
     """
     path = Path(path)
     stamp_arr, value_arr, missing = _read_rows(path, column_name)
     if not value_arr.size:
         raise DataFormatError(f"{path.name}: no usable rows for column {column_name!r}")
-    order = np.argsort(stamp_arr, kind="stable")
-    stamp_arr = stamp_arr[order]
-    value_arr = value_arr[order]
-    keep = np.ones(len(stamp_arr), dtype=bool)
-    keep[1:] = stamp_arr[1:] != stamp_arr[:-1]
-    duplicates = int((~keep).sum())
+    stamp_arr, first = np.unique(stamp_arr, return_index=True)  # sorted; each stamp's first row in file order
+    duplicates = len(value_arr) - len(first)
     if missing:
         logger.warning("%s: dropped %d row(s) with missing %s values", path.name, missing, column_name)
     if duplicates:
         logger.warning("%s: dropped %d duplicate timestamp row(s)", path.name, duplicates)
     name = column_name.removesuffix("_MW")
-    return TimeSeries(name=name, timestamps=stamp_arr[keep], values=value_arr[keep])
+    return TimeSeries(name=name, timestamps=stamp_arr, values=value_arr[first])
 
 
 def write_pjm_csv(series: TimeSeries, path) -> Path:
@@ -250,7 +247,7 @@ class ScalerParams:
         # stored as Python floats, so summary.json and a checkpoint read plain numbers
         for name in ("mean", "std"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            if not is_real(value):
                 raise TypeError(f"scaler {name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not np.isfinite(self.mean) or not np.isfinite(self.std) or self.std <= 0.0:
@@ -271,6 +268,8 @@ def fit_scaler(values) -> ScalerParams:
 
 def lookback_for(horizon: int) -> int:
     """Window length used for a ``horizon``-step forecast: max(45, 5 * horizon)."""
+    if not is_integer(horizon):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     return max(45, 5 * int(horizon))
@@ -305,8 +304,9 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     touch their own statistics.
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
-    if lookback < 1 or horizon < 1:
-        raise ValueError(f"lookback and horizon must be positive, got {lookback} and {horizon}")
+    for name, size in (("lookback", lookback), ("horizon", horizon)):
+        if not is_integer(size) or size < 1:
+            raise ValueError(f"{name} must be a positive integer, got {size!r}")
     n = len(values)
     rows = n - lookback - horizon + 1
     if rows < 1:
@@ -371,7 +371,7 @@ def prepare_splits(series, horizon: int, lookback: int | None = None, mode: str 
     subsets. Test windows therefore never contribute to the statistics that
     transform them.
     """
-    q = lookback_for(horizon) if lookback is None else int(lookback)
+    q = lookback_for(horizon) if lookback is None else lookback
     train, val, test = split_windows(make_windows(series, q, horizon), seed, mode)
     scaler = fit_scaler(np.concatenate([train.inputs.ravel(), val.inputs.ravel()]))
     for subset in (train, val, test):

@@ -26,6 +26,7 @@ __all__ = [
     "adam_step",
     "finite_diff_errors",
     "is_integer",
+    "is_real",
 ]
 
 # loss_fn(params) -> (loss, grads); must be a pure function of the arrays.
@@ -47,6 +48,11 @@ class NondeterministicLossError(RuntimeError):
 def is_integer(value) -> bool:
     """A Python or NumPy integer; not a bool, which Python counts as one, nor a float."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or NumPy integer or float; not a bool, text, ``None`` or a complex number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:

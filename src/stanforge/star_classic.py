@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
-from .numerics import is_integer
+from .numerics import is_integer, is_real
 
 __all__ = [
     "ExplosiveDynamicsError",
@@ -84,8 +84,9 @@ class LstarParams:
     with G the logistic transition with steepness ``gamma`` and midpoint
     ``c``, and eps_t ~ N(0, sigma^2); ``sigma`` is a standard deviation.
     ``delay`` is a Python or NumPy integer in [1, q], ``phi0``, ``gamma``,
-    ``c`` and ``sigma`` finite numbers, and ``phi`` and ``theta`` sequences
-    of them; a bool is refused anywhere, and so is text in ``phi``/``theta``.
+    ``c`` and ``sigma`` finite Python or NumPy numbers, and ``phi`` and
+    ``theta`` sequences of them; a bool, text or ``None`` is refused anywhere,
+    by a ValueError naming the field.
     """
 
     phi0: float
@@ -99,7 +100,7 @@ class LstarParams:
     def __post_init__(self):
         for name in ("phi", "theta"):  # float64 conversion would read True as 1.0 and "0.5" as 0.5
             entries = np.asarray(getattr(self, name), dtype=object)
-            if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in entries.flat):
+            if not all(map(is_real, entries.flat)):
                 raise ValueError(f"{name} must be real numbers, got {entries.tolist()!r}")
         self.phi = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -112,10 +113,11 @@ class LstarParams:
         if not is_integer(self.delay) or not 1 <= self.delay <= self.phi.size:
             raise ValueError(f"delay must be an integer in [1, {self.phi.size}], got {self.delay!r}")
         for name in ("phi0", "gamma", "c", "sigma"):
-            if isinstance(getattr(self, name), bool):  # math.isfinite would read it as 0 or 1
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)}")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_real(value):  # math.isfinite would read a bool as 0 or 1, and refuse text naming no field
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("phi", "theta"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite, got {getattr(self, name).tolist()}")
@@ -185,6 +187,15 @@ def default_c_grid(values, count: int = 15) -> np.ndarray:
     """Evenly spaced interior quantiles of the observed values."""
     probs = np.arange(1, count + 1) / (count + 1)
     return np.quantile(np.asarray(values, dtype=np.float64), probs)
+
+
+def _sorted_grid(name: str, grid) -> list[float]:
+    """The entries of a grid as sorted floats; each must be a finite real number."""
+    entries = list(grid)
+    for entry in entries:
+        if not is_real(entry) or not math.isfinite(entry):
+            raise ValueError(f"{name} entries must be finite real numbers, got {entry!r}")
+    return sorted(map(float, entries))
 
 
 def _gamma_n(count: int) -> float:
@@ -347,12 +358,16 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
 
     Parameters
     ----------
-    series : TimeSeries or 1-D array of observations.
+    series : TimeSeries or 1-D array of finite observations.
     order : autoregressive order q.
     delay : index of the lag used as transition variable, in [1, order].
     gamma_grid : candidate steepness values; defaults to DEFAULT_GAMMA_GRID.
     c_grid : candidate midpoints; defaults to 15 evenly spaced interior
         quantiles of the series.
+
+    Every grid entry must be a finite Python or NumPy number (not a bool or
+    text) and every gamma positive; a bad entry or a non-finite series
+    value raises ValueError naming the grid or the series before any work.
 
     Returns
     -------
@@ -360,6 +375,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         standard deviation) and the winning sum of squared residuals.
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("series values must be finite")
     n = len(values)
     if not is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
@@ -371,8 +388,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         raise ValueError(
             f"series of length {n} is too short to fit order {q}: need at least {q + min_rows} points"
         )
-    gamma_candidates = sorted(float(g) for g in (DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid))
-    c_candidates = sorted(float(c) for c in (default_c_grid(values) if c_grid is None else np.asarray(c_grid, dtype=np.float64)))
+    gamma_candidates = _sorted_grid("gamma_grid", DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
+    c_candidates = _sorted_grid("c_grid", default_c_grid(values) if c_grid is None else c_grid)
     if not gamma_candidates or not c_candidates:
         raise ValueError("gamma_grid and c_grid must be non-empty")
     if any(g <= 0 for g in gamma_candidates):

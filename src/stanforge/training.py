@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, is_integer, mse_loss
+from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, is_integer, is_real, mse_loss
 
 # the fixed schedules, applied by ``train`` after each epoch. An improvement is
 # material when it beats the best validation loss by more than ES_MIN_DELTA; a
@@ -66,7 +66,7 @@ class TrainConfig:
             if not is_integer(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):
+        if not is_real(self.lr):
             raise TypeError(f"lr must be a number, got {self.lr!r}")
         if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
             raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")

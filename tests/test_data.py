@@ -1,5 +1,6 @@
 import csv
 import logging
+import re
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -235,8 +236,11 @@ _PAST_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)
     (f"Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n2015-01-01 01:00:00,{_PAST_FIELD_LIMIT}\n",
      f"line 3: field larger than field limit ({csv.field_size_limit()})"),
     (f"Datetime,{_PAST_FIELD_LIMIT}\n", f"line 1: field larger than field limit ({csv.field_size_limit()})"),
+    # a bad date on line 3 comes before a cell past the field limit on line 5, in the same block of rows
+    ("Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n2015-02-30 01:00:00,2.0\n2015-01-01 02:00:00,3.0\n"
+     f"2015-01-01 03:00:00,{_PAST_FIELD_LIMIT}\n", "line 3: unparseable timestamp '2015-02-30 01:00:00'"),
 ], ids=["blank-line", "two-blank-lines", "quoted-cell-before", "quoted-bad-value",
-        "cell-past-field-limit", "header-cell-past-field-limit"])
+        "cell-past-field-limit", "header-cell-past-field-limit", "bad-date-before-cell-past-field-limit"])
 def test_load_names_the_file_line_the_record_starts_on(tmp_path, text, message):
     path = tmp_path / "lines.csv"
     path.write_text(text)
@@ -343,10 +347,20 @@ def test_csv_io_matches_references_across_blocks(tmp_path):
 
 
 
+# the kinds of bad row: (cell it spoils, 0 the stamp and 1 the value, its text, the message naming it)
+_BAD_ROW_KINDS = {
+    "stamp shape": (0, "2015-03-01T00:00:00", "unparseable timestamp '2015-03-01T00:00:00'"),
+    "calendar date": (0, "2015-02-30 00:00:00", "unparseable timestamp '2015-02-30 00:00:00'"),
+    "unparseable value": (1, "oops", "unparseable value 'oops'"),
+    "non-finite value": (1, "1e400", "non-finite value inf"),
+    "over-long cell": (1, _PAST_FIELD_LIMIT, f"field larger than field limit ({csv.field_size_limit()})"),
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(bad_stamp_row=st.integers(250, 520), bad_value_row=st.integers(250, 520),
+@given(bad=st.lists(st.tuples(st.integers(250, 520), st.sampled_from(sorted(_BAD_ROW_KINDS))), min_size=2, max_size=2),
        blank_before=st.sets(st.integers(0, 599), max_size=6), seed=st.integers(0, 2**32 - 1))
-def test_one_pass_load_names_the_first_bad_row_across_blocks(bad_stamp_row, bad_value_row, blank_before, seed):
+def test_one_pass_load_names_the_first_bad_row_across_blocks(bad, blank_before, seed):
     # rows 0..599 span three blocks of rows; a blank line before row k shifts
     # the file line of every later row, so the error must carry its own line
     n = 600
@@ -354,28 +368,29 @@ def test_one_pass_load_names_the_first_bad_row_across_blocks(bad_stamp_row, bad_
                         values=np.random.default_rng(seed).standard_normal(n))
     with tempfile.TemporaryDirectory() as tmp:
         good = write_pjm_csv(series, Path(tmp) / "good.csv")
-        rows = good.read_text().splitlines()[1:]
+        rows = [row.split(",") for row in good.read_text().splitlines()[1:]]
         file_line = {r: 2 + r + sum(k <= r for k in blank_before) for r in range(n)}
 
         def write(path, rows):
             path.write_text("Datetime,EDGE_MW\n" + "".join(
-                ("\n" if r in blank_before else "") + row + "\n" for r, row in enumerate(rows)))
+                ("\n" if r in blank_before else "") + ",".join(row) + "\n" for r, row in enumerate(rows)))
             return path
 
         back = load_pjm_csv(write(Path(tmp) / "valid.csv", rows), "EDGE_MW")
         stamps, values, _ = _reference_load(Path(tmp) / "valid.csv", "EDGE_MW")
         assert np.array_equal(back.timestamps, stamps) and back.values.tobytes() == values.tobytes()
 
-        bad_stamp = f"2015-02-30 {bad_stamp_row % 24:02d}:00:00"
-        rows[bad_stamp_row] = f"{bad_stamp},{rows[bad_stamp_row].split(',')[1]}"
-        rows[bad_value_row] = f"{rows[bad_value_row].split(',')[0]},oops"
-        if bad_stamp_row <= bad_value_row:  # a row with both is named for its stamp
-            message = f"line {file_line[bad_stamp_row]}: unparseable timestamp {bad_stamp!r}"
-        else:
-            message = f"line {file_line[bad_value_row]}: unparseable value 'oops'"
+        kinds = {}  # row: {cell: kind}; a second kind on the same cell replaces the first
+        for row, kind in bad:
+            cell, text, _ = _BAD_ROW_KINDS[kind]
+            rows[row][cell] = text
+            kinds.setdefault(row, {})[cell] = kind
+        first = min(kinds)
+        # the csv module refuses an over-long cell as it reads the record; otherwise the stamp is checked first
+        kind = "over-long cell" if "over-long cell" in kinds[first].values() else kinds[first][min(kinds[first])]
         with pytest.raises(DataFormatError) as raised:
             load_pjm_csv(write(Path(tmp) / "bad.csv", rows), "EDGE_MW")
-        assert str(raised.value) == f"bad.csv {message}"
+        assert str(raised.value) == f"bad.csv line {file_line[first]}: {_BAD_ROW_KINDS[kind][2]}"
 
 # ------------------------------------------------------------- TimeSeries ---
 
@@ -450,6 +465,28 @@ def test_scaler_stores_python_floats():
 @pytest.mark.parametrize("n_ahead, expected", [(1, 45), (6, 45), (12, 60)])
 def test_lookback_rule(n_ahead, expected):
     assert lookback_for(n_ahead) == expected
+
+
+@pytest.mark.parametrize("call,name,size", [
+    (lambda: lookback_for(2.5), "horizon", 2.5),
+    (lambda: lookback_for(True), "horizon", True),
+    (lambda: lookback_for(np.float64(2.0)), "horizon", np.float64(2.0)),
+    (lambda: make_windows(sine_series(60), True, 1), "lookback", True),
+    (lambda: make_windows(sine_series(60), 5, 2.0), "horizon", 2.0),
+    (lambda: make_windows(sine_series(60), 0, 1), "lookback", 0),
+    (lambda: prepare_splits(sine_series(200), 1, lookback=2.7), "lookback", 2.7),
+    (lambda: prepare_splits(sine_series(200), 1.5), "horizon", 1.5),
+    (lambda: prepare_splits(sine_series(200), 1, lookback=np.False_), "lookback", np.False_),
+], ids=["horizon-fraction", "horizon-bool", "horizon-numpy-float", "lookback-bool", "horizon-whole-float",
+        "lookback-zero", "split-lookback-fraction", "split-horizon-fraction", "split-lookback-numpy-bool"])
+def test_window_sizes_must_be_integers_naming_the_size(call, name, size):
+    with pytest.raises(ValueError, match=f"^{name} must be (an|a positive) integer, got {re.escape(repr(size))}$"):
+        call()
+
+
+def test_window_sizes_take_numpy_integers():
+    assert lookback_for(np.int64(12)) == 60
+    assert prepare_splits(sine_series(200), np.int32(2), lookback=np.int64(10)).lookback == 10
 
 
 def test_lookback_monotone_and_floored():

@@ -146,12 +146,13 @@ def test_params_refuse_non_finite_values(field, value):
 
 @pytest.mark.parametrize("field,value", [("delay", 1.5), ("delay", 1.0), ("delay", True),
                                          ("phi0", True), ("gamma", True), ("c", False), ("sigma", True),
+                                         ("phi0", np.True_), ("gamma", "1"), ("sigma", None),
                                          ("phi", [True, 0.1]), ("phi", [0.5, np.True_]),
                                          ("theta", ["0.5", 0.0]), ("theta", [0.0, b"1"])])
 def test_params_refuse_bools_and_fractional_delays(field, value):
     fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number|real numbers).*got {re.escape(str(value))}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number|real numbers).*got {re.escape(repr(value))}$"):
         LstarParams(**fields)
 
 
@@ -355,6 +356,17 @@ def test_estimation_input_validation():
     for grids in ({"gamma_grid": ()}, {"c_grid": []}):
         with pytest.raises(ValueError, match="^gamma_grid and c_grid must be non-empty$"):
             estimate_lstar(series, order=1, **grids)
+    for name, grid, shown in [("gamma_grid", [True, 2.0], "True"), ("c_grid", ["0.1"], "'0.1'"),
+                              ("gamma_grid", [math.nan, 2.0], "nan"), ("c_grid", [math.inf, 0.0], "inf"),
+                              ("c_grid", [math.nan], "nan"), ("gamma_grid", [math.inf], "inf"),
+                              ("c_grid", [0.0, None], "None"), ("gamma_grid", np.array([1.0, np.nan]), "np.float64(nan)")]:
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite real numbers, got {re.escape(shown)}$"):
+            estimate_lstar(series, order=1, **{name: grid})
+    for bad in (math.nan, math.inf):
+        values = series.values.copy()
+        values[20] = bad
+        with pytest.raises(ValueError, match="^series values must be finite$"):
+            estimate_lstar(values, order=1)
 
 
 def test_default_c_grid_spans_interior_quantiles():
