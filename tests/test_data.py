@@ -462,7 +462,7 @@ def test_scaler_stores_python_floats():
 
 # --------------------------------------------------------------- lookback ---
 
-@pytest.mark.parametrize("n_ahead, expected", [(1, 45), (6, 45), (12, 60)])
+@pytest.mark.parametrize("n_ahead, expected", [(1, 45), (6, 45), (12, 60), (np.int64(12), 60)])
 def test_lookback_rule(n_ahead, expected):
     assert lookback_for(n_ahead) == expected
 
@@ -482,11 +482,6 @@ def test_lookback_rule(n_ahead, expected):
 def test_window_sizes_must_be_integers_naming_the_size(call, name, size):
     with pytest.raises(ValueError, match=f"^{name} must be (an|a positive) integer, got {re.escape(repr(size))}$"):
         call()
-
-
-def test_window_sizes_take_numpy_integers():
-    assert lookback_for(np.int64(12)) == 60
-    assert prepare_splits(sine_series(200), np.int32(2), lookback=np.int64(10)).lookback == 10
 
 
 def test_lookback_monotone_and_floored():
