@@ -114,7 +114,7 @@ def _parse(doc):
         raise CheckpointError(str(exc)) from None
     try:
         return model, None if scaler is None else ScalerParams(mean=scaler["mean"], std=scaler["std"])
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"scaler needs finite 'mean' and positive 'std': {exc!r}") from None
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import is_integer, is_real
+from .numerics import finite_real, is_integer
 
 __all__ = [
     "DataFormatError",
@@ -32,6 +32,7 @@ __all__ = [
     "load_pjm_csv",
     "write_pjm_csv",
     "hourly_timestamps",
+    "series_values",
     "fit_scaler",
     "lookback_for",
     "make_windows",
@@ -67,16 +68,14 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = series_values(self.values, "values")
         self.timestamps = np.asarray(self.timestamps)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError(f"values must be a non-empty 1-D array, got shape {self.values.shape}")
+        if self.values.size == 0:
+            raise ValueError("values must be non-empty")
         if self.timestamps.shape != self.values.shape:
             raise ValueError(
                 f"{len(self.timestamps)} timestamps for {len(self.values)} values"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values contain NaN or infinity")
         if len(self.timestamps) > 1:
             diffs = np.diff(self.timestamps)
             if not np.all(diffs > diffs.dtype.type(0)):
@@ -84,6 +83,22 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def series_values(series, name: str = "series") -> np.ndarray:
+    """A TimeSeries's values, or a 1-D sequence of integers or floats as float64 (a float64 array as itself, not
+    a copy); any other shape or dtype, or a NaN or infinity, raises a ValueError naming ``name`` (and the index)."""
+    if isinstance(series, TimeSeries):
+        return series.values
+    values = np.asarray(series)
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a 1-D array of integers or floats, got {values.dtype} of shape {values.shape}")
+    values = values.astype(np.float64, copy=False)
+    # min and max carry a NaN or an infinity through, with no n-element temporary
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        first = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"{name} must hold no NaN or infinity, got {values[first].item()!r} at index {first}")
+    return values
 
 
 def hourly_timestamps(n: int, start: str = "2015-01-01 00:00:00") -> np.ndarray:
@@ -246,24 +261,20 @@ class ScalerParams:
     def __post_init__(self):
         # stored as Python floats, so summary.json and a checkpoint read plain numbers
         for name in ("mean", "std"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise TypeError(f"scaler {name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not np.isfinite(self.mean) or not np.isfinite(self.std) or self.std <= 0.0:
+            object.__setattr__(self, name, finite_real(getattr(self, name), f"scaler {name}"))
+        if self.std <= 0.0:
             raise ValueError(f"invalid scaler: mean={self.mean!r}, std={self.std!r}")
 
 
 def fit_scaler(values) -> ScalerParams:
-    """Population mean/std (divide by N) of the flattened values."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    """Population mean/std (divide by N) of a 1-D series of values."""
+    v = series_values(values, "values")
     if v.size < 2:
         raise ValueError(f"need at least 2 values to fit a scaler, got {v.size}")
-    mean = float(v.mean())
-    std = float(v.std())
+    std = v.std()
     if std <= 1e-12:
         raise ZeroVarianceError(f"values have (numerically) zero variance: std={std:g}")
-    return ScalerParams(mean=mean, std=std)
+    return ScalerParams(mean=v.mean(), std=std)
 
 
 def lookback_for(horizon: int) -> int:
@@ -303,7 +314,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     ``prepare_splits`` standardizes after splitting so held-out windows never
     touch their own statistics.
     """
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
+    values = series_values(series)
     for name, size in (("lookback", lookback), ("horizon", horizon)):
         if not is_integer(size) or size < 1:
             raise ValueError(f"{name} must be a positive integer, got {size!r}")
@@ -315,8 +326,8 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
             f"need at least {lookback + horizon} points"
         )
     window = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon)
-    inputs = np.ascontiguousarray(window[:, :lookback], dtype=np.float64)
-    targets = np.ascontiguousarray(window[:, lookback:], dtype=np.float64)
+    inputs = np.ascontiguousarray(window[:, :lookback])
+    targets = np.ascontiguousarray(window[:, lookback:])
     anchors = np.arange(lookback, lookback + rows)
     return WindowedDataset(inputs=inputs, targets=targets, anchors=anchors)
 

@@ -8,6 +8,7 @@ to answer to.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ __all__ = [
     "adam_step",
     "finite_diff_errors",
     "is_integer",
-    "is_real",
+    "finite_real",
 ]
 
 # loss_fn(params) -> (loss, grads); must be a pure function of the arrays.
@@ -50,9 +51,16 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """A Python or NumPy integer or float; not a bool, text, ``None`` or a complex number."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def finite_real(value, name: str) -> float:
+    """A finite Python or NumPy integer or float, as a float; anything else (a bool, text, bytes, ``None``, a
+    complex number, NaN, infinity, an integer past float range) raises a ValueError that starts with ``name``."""
+    try:
+        number = float(value) if is_integer(value) or isinstance(value, (float, np.floating)) else math.nan
+    except OverflowError:  # an integer no float can hold
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return number
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:

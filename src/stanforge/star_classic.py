@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries
-from .numerics import is_integer, is_real
+from .data import TimeSeries, series_values
+from .numerics import finite_real, is_integer
 
 __all__ = [
     "ExplosiveDynamicsError",
@@ -84,9 +84,9 @@ class LstarParams:
     with G the logistic transition with steepness ``gamma`` and midpoint
     ``c``, and eps_t ~ N(0, sigma^2); ``sigma`` is a standard deviation.
     ``delay`` is a Python or NumPy integer in [1, q], ``phi0``, ``gamma``,
-    ``c`` and ``sigma`` finite Python or NumPy numbers, and ``phi`` and
-    ``theta`` sequences of them; a bool, text or ``None`` is refused anywhere,
-    by a ValueError naming the field.
+    ``c`` and ``sigma`` finite Python or NumPy numbers, stored as floats, and
+    ``phi`` and ``theta`` sequences of them; ``numerics.finite_real`` refuses
+    anything else naming the field or the entry, as ``phi entry 1``.
     """
 
     phi0: float
@@ -98,12 +98,12 @@ class LstarParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("phi", "theta"):  # float64 conversion would read True as 1.0 and "0.5" as 0.5
-            entries = np.asarray(getattr(self, name), dtype=object)
-            if not all(map(is_real, entries.flat)):
-                raise ValueError(f"{name} must be real numbers, got {entries.tolist()!r}")
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
+        for name in ("phi0", "gamma", "c", "sigma"):
+            setattr(self, name, finite_real(getattr(self, name), name))
+        for name in ("phi", "theta"):  # entry by entry: float64 conversion would read True as 1.0 and "0.5" as 0.5
+            entries = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
+            setattr(self, name, np.array([finite_real(e, f"{name} entry {i}") for i, e in enumerate(entries.flat)],
+                                         dtype=np.float64).reshape(entries.shape))
         if self.phi.ndim != 1 or self.theta.shape != self.phi.shape:
             raise ValueError(
                 f"phi and theta must be 1-D and the same length, got {self.phi.shape} and {self.theta.shape}"
@@ -112,15 +112,6 @@ class LstarParams:
             raise ValueError("order must be at least 1")
         if not is_integer(self.delay) or not 1 <= self.delay <= self.phi.size:
             raise ValueError(f"delay must be an integer in [1, {self.phi.size}], got {self.delay!r}")
-        for name in ("phi0", "gamma", "c", "sigma"):
-            value = getattr(self, name)
-            if not is_real(value):  # math.isfinite would read a bool as 0 or 1, and refuse text naming no field
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("phi", "theta"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} entries must be finite, got {getattr(self, name).tolist()}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
@@ -156,7 +147,7 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
     rng = np.random.default_rng(seed)
     # the noise buffer becomes the series: step t reads its draw, then writes y_t
     y = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
-    phi0, gamma, c = float(params.phi0), float(params.gamma), float(params.c)
+    phi0, gamma, c = params.phi0, params.gamma, params.c
     q, delay = params.order, int(params.delay)
     ar = [(k, p) for k, p in enumerate(params.phi.tolist(), 1) if p]
     gated = [(k, th) for k, th in enumerate(params.theta.tolist(), 1) if th]
@@ -186,16 +177,12 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
 def default_c_grid(values, count: int = 15) -> np.ndarray:
     """Evenly spaced interior quantiles of the observed values."""
     probs = np.arange(1, count + 1) / (count + 1)
-    return np.quantile(np.asarray(values, dtype=np.float64), probs)
+    return np.quantile(series_values(values), probs)
 
 
 def _sorted_grid(name: str, grid) -> list[float]:
     """The entries of a grid as sorted floats; each must be a finite real number."""
-    entries = list(grid)
-    for entry in entries:
-        if not is_real(entry) or not math.isfinite(entry):
-            raise ValueError(f"{name} entries must be finite real numbers, got {entry!r}")
-    return sorted(map(float, entries))
+    return sorted(finite_real(entry, f"{name} entry {i}") for i, entry in enumerate(grid))
 
 
 def _gamma_n(count: int) -> float:
@@ -225,9 +212,11 @@ def _screen_grid(lags, target, z, gammas, cs):
         np.multiply(block[:, pair_i], block[:, pair_j], out=row[:, :pairs])
         row[:, pairs: pairs + q] = block
         np.multiply(block, target[start: start + b, None], out=row[:, pairs + q:])
-        # the same elementwise operations as the verifier's gamma * (z - c)
-        gate = np.subtract(z[start: start + b], cs[:, None])
-        gate *= gammas[:, None]
+        # the same elementwise operations as the verifier's gamma * (z - c); past
+        # float range they give an infinity, which saturates the gate at 0 or 1
+        with np.errstate(over="ignore"):
+            gate = np.subtract(z[start: start + b], cs[:, None])
+            gate *= gammas[:, None]
         gate = _logistic(gate)
         cross += gate @ row
         gate *= gate
@@ -290,7 +279,9 @@ def _qr_sse(lags, target, z, points) -> np.ndarray:
     tmp = np.empty_like(gated)
     sse = np.empty(len(points))
     for i, (gamma, c) in enumerate(points):
-        np.multiply(lags, _logistic(gamma * (z - c))[:, None], out=gated)
+        with np.errstate(over="ignore"):  # as in _screen_grid
+            t = gamma * (z - c)
+        np.multiply(lags, _logistic(t)[:, None], out=gated)
         gated -= np.matmul(basis, basis.T @ gated, out=tmp)
         sse[i] = np.linalg.qr(aug, mode="r")[q, q] ** 2
     return sse
@@ -365,18 +356,16 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     c_grid : candidate midpoints; defaults to 15 evenly spaced interior
         quantiles of the series.
 
-    Every grid entry must be a finite Python or NumPy number (not a bool or
-    text) and every gamma positive; a bad entry or a non-finite series
-    value raises ValueError naming the grid or the series before any work.
+    Every grid entry must pass ``numerics.finite_real``, every gamma be
+    positive and the series pass ``data.series_values``, or a ValueError
+    naming the entry, or the series and its index, is raised before any work.
 
     Returns
     -------
     (params, sse) : the fitted LstarParams (its ``sigma`` is the residual
         standard deviation) and the winning sum of squared residuals.
     """
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("series values must be finite")
+    values = series_values(series)
     n = len(values)
     if not is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
@@ -424,7 +413,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
                 "the series may not excite both regimes"
             )
         gamma, c = points[flat]
-        gate = _logistic(gamma * (z - c))
+        with np.errstate(over="ignore"):  # as in _screen_grid
+            gate = _logistic(gamma * (z - c))
         # row-major, as column_stack of row-major lags makes it: the layout moves lstsq's bits
         design = np.empty((m, ncols))
         design[:, 0] = 1.0
@@ -438,8 +428,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     best_sse = float(resid @ resid)
     params = LstarParams(
         phi0=float(coef[0]),
-        phi=coef[1: q + 1].copy(),
-        theta=coef[q + 1:].copy(),
+        phi=coef[1: q + 1],
+        theta=coef[q + 1:],
         gamma=gamma,
         c=c,
         delay=int(delay),

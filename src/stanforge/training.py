@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, is_integer, is_real, mse_loss
+from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, finite_real, is_integer, mse_loss
 
 # the fixed schedules, applied by ``train`` after each epoch. An improvement is
 # material when it beats the best validation loss by more than ES_MIN_DELTA; a
@@ -66,17 +66,11 @@ class TrainConfig:
             if not is_integer(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not is_real(self.lr):
-            raise TypeError(f"lr must be a number, got {self.lr!r}")
         if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
             raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")
-        try:
-            lr = float(self.lr)
-        except OverflowError:  # an integer no float can hold
-            lr = math.inf
-        if not LR_MIN <= lr < math.inf:  # also refuses NaN
+        object.__setattr__(self, "lr", finite_real(self.lr, "lr"))
+        if self.lr < LR_MIN:
             raise ValueError(f"lr must be finite and at least the plateau floor {LR_MIN:g}, got {self.lr!r}")
-        object.__setattr__(self, "lr", lr)
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)

@@ -199,11 +199,14 @@ def test_train_config_fixed_recipe_keys_refuse_another_value(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("subcommand,lr,config", [
-    ("train", "nan", None), ("train", "inf", None), ("train", "1e-6", None),
-    ("benchmark", None, {"train": {"lr": math.nan}}), ("benchmark", None, {"train": {"lr": math.inf}}),
+@pytest.mark.parametrize("subcommand,lr,config,message", [
+    ("train", "nan", None, "lr must be a finite real number"), ("train", "inf", None, "lr must be a finite real number"),
+    ("train", "1e-6", None, "lr must be finite and at least the plateau floor"),
+    ("benchmark", None, {"train": {"lr": math.nan}}, "lr must be a finite real number"),
+    ("benchmark", None, {"train": {"lr": math.inf}}, "lr must be a finite real number"),
 ])
-def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path, capsys, subcommand, lr, config):
+def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path, capsys, subcommand, lr, config,
+                                                                        message):
     argv = [subcommand, "--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW",
             "--out", str(tmp_path / "out")]
     if lr is not None:
@@ -212,7 +215,7 @@ def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path,
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 1
-    assert "lr must be finite and at least the plateau floor" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -22,9 +22,11 @@ from stanforge.data import (
     lookback_for,
     make_windows,
     prepare_splits,
+    series_values,
     split_windows,
     write_pjm_csv,
 )
+from stanforge.star_classic import LstarParams, default_c_grid, estimate_lstar
 
 WELL_FORMED = """Datetime,AEP_MW
 2015-01-01 00:00:00,100.0
@@ -417,6 +419,65 @@ def test_hourly_timestamps_start_at_a_loader_shaped_stamp():
         hourly_timestamps(3, start="2015-02-30 00:00:00")
 
 
+# ---------------------------------------------------------- the two gates ---
+
+def _with(values, index, bad):
+    values = np.array(values, dtype=np.float64)
+    values[index] = bad
+    return values
+
+
+_SINE = np.sin(np.arange(200.0))
+_TEXT = [str(x) for x in _SINE[:60]]
+
+
+def _refused(name, values):
+    values = np.asarray(values)
+    return re.escape(f"{name} must be a 1-D array of integers or floats, got {values.dtype} of shape {values.shape}")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: prepare_splits(_with(_SINE, 50, np.nan), 1, lookback=10),
+     "series must hold no NaN or infinity, got nan at index 50"),
+    (lambda: estimate_lstar(_TEXT, order=1), _refused("series", _TEXT)),
+    (lambda: LstarParams(phi0=10 ** 400, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0),
+     f"phi0 must be a finite real number, got {10 ** 400}"),
+    (lambda: estimate_lstar(_SINE, order=1, gamma_grid=[10 ** 400]),
+     f"gamma_grid entry 0 must be a finite real number, got {10 ** 400}"),
+    (lambda: ScalerParams(mean=10 ** 400, std=1.0), f"scaler mean must be a finite real number, got {10 ** 400}"),
+    (lambda: TimeSeries("X", hourly_timestamps(3), ["1", "2", "3"]), _refused("values", ["1", "2", "3"])),
+    (lambda: TimeSeries("X", hourly_timestamps(3), [True, False, True]), _refused("values", [True, False, True])),
+    (lambda: make_windows(_SINE + 1j, 5, 1), _refused("series", _SINE + 1j)),
+    (lambda: estimate_lstar(_SINE + 1j, order=1), _refused("series", _SINE + 1j)),
+    (lambda: make_windows(_SINE.reshape(100, 2), 5, 1), _refused("series", _SINE.reshape(100, 2))),
+    (lambda: estimate_lstar(_SINE.reshape(100, 2), order=1), _refused("series", _SINE.reshape(100, 2))),
+    (lambda: make_windows(np.array([1.0, None] * 30), 5, 1), _refused("series", np.array([1.0, None] * 30))),
+    (lambda: make_windows(hourly_timestamps(60), 5, 1), _refused("series", hourly_timestamps(60))),
+    (lambda: make_windows(_with(_SINE, 7, -np.inf), 5, 1), "series must hold no NaN or infinity, got -inf at index 7"),
+    (lambda: estimate_lstar(_with(_SINE, 120, np.inf), order=1),
+     "series must hold no NaN or infinity, got inf at index 120"),
+    (lambda: fit_scaler(_with(_SINE, 3, np.nan)), "values must hold no NaN or infinity, got nan at index 3"),
+    (lambda: default_c_grid(_with(_SINE, 0, np.inf)), "series must hold no NaN or infinity, got inf at index 0"),
+], ids=["nan-in-prepare_splits", "text-to-estimate_lstar", "huge-int-phi0", "huge-int-gamma_grid", "huge-int-scaler",
+        "text-TimeSeries", "bool-TimeSeries", "complex-make_windows", "complex-estimate_lstar", "2d-make_windows",
+        "2d-estimate_lstar", "object-make_windows", "datetime-make_windows", "inf-make_windows", "inf-estimate_lstar",
+        "nan-fit_scaler", "inf-default_c_grid"])
+def test_the_gates_name_the_field_or_the_series_and_index(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_the_series_gate_passes_float64_through_and_converts_integers():
+    values = _SINE.copy()
+    assert series_values(values) is values
+    assert TimeSeries("X", hourly_timestamps(200), values).values is values
+    series = sine_series(50)
+    assert series_values(series) is series.values
+    ints = series_values(np.arange(5, dtype=np.uint8))
+    assert ints.dtype == np.float64 and ints.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert series_values([1, 2.5]).tolist() == [1.0, 2.5]
+
+
 # ----------------------------------------------------------------- scaler ---
 
 def test_scaler_population_convention():
@@ -449,7 +510,7 @@ def test_scaler_rejects_degenerate_construction():
 @pytest.mark.parametrize("field", ["mean", "std"])
 @pytest.mark.parametrize("value", [True, np.True_, "1.0", None, 1j, [1.0]])
 def test_scaler_refuses_a_bool_or_non_real_value(field, value):
-    with pytest.raises(TypeError, match=f"^scaler {field} must be a real number"):
+    with pytest.raises(ValueError, match=f"^scaler {field} must be a finite real number"):
         ScalerParams(**{"mean": 0.0, "std": 1.0, field: value})
 
 

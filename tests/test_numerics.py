@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stanforge.data import ScalerParams
 from stanforge.numerics import (
     AdamState,
     NondeterministicLossError,
@@ -13,9 +16,12 @@ from stanforge.numerics import (
     affine_forward,
     finite_diff_errors,
     mse_loss,
+    finite_real,
     relu,
     relu_grad,
 )
+from stanforge.star_classic import LstarParams, estimate_lstar, simulate_lstar
+from stanforge.training import LR_MIN, TrainConfig
 
 
 # ---------------------------------------------------------------- affine ----
@@ -269,3 +275,52 @@ def test_finite_diff_rejects_bad_eps_and_bad_grads():
         finite_diff_errors(wrong_shape, {"p": np.zeros(2)})
     with pytest.raises(TypeError, match="^parameter 'p' must be a float64 ndarray$"):
         finite_diff_errors(_quadratic, {"p": np.zeros(2, dtype=np.float32)})
+
+
+# ------------------------------------------------------------ scalar gate ---
+
+_SCALARS = st.one_of(
+    st.booleans(), st.just(np.True_), st.text(max_size=4), st.binary(max_size=2), st.none(), st.complex_numbers(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, np.float64(np.nan), np.float32(np.inf)]),
+    st.integers(-2 ** 1100, 2 ** 1100), st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+)
+_LSTAR_SERIES = simulate_lstar(LstarParams(phi0=0.0, phi=[0.9], theta=[-1.4], gamma=20.0, c=0.0, sigma=0.1), n=80, seed=3)
+
+
+def _finite_real_number(value) -> bool:
+    """The rule, written out apart from ``finite_real``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _verdict(call, field):
+    try:
+        call()
+    except ValueError as exc:
+        assert str(exc).startswith(f"{field} must be a finite real number, got "), str(exc)
+        return "refused"
+    return "accepted"
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_SCALARS)
+def test_every_scalar_site_accepts_and_refuses_the_same_values(value):
+    sites = {
+        "c": lambda: LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=value),
+        "phi entry 1": lambda: LstarParams(phi0=0.0, phi=[0.5, value], theta=[0.0, 0.0], gamma=1.0, c=0.0),
+        "c_grid entry 1": lambda: estimate_lstar(_LSTAR_SERIES, order=1, gamma_grid=[20.0], c_grid=[0.0, value]),
+        "scaler mean": lambda: ScalerParams(mean=value, std=1.0),
+        "value": lambda: finite_real(value, "value"),
+    }
+    expected = _finite_real_number(value)
+    if not expected or value >= LR_MIN:  # a finite rate below the floor is refused by the floor, not the gate
+        sites["lr"] = lambda: TrainConfig(lr=value)
+    verdicts = {field: _verdict(call, field) for field, call in sites.items()}
+    assert set(verdicts.values()) == {"accepted" if expected else "refused"}, verdicts
+    if expected:
+        assert type(finite_real(value, "value")) is float and finite_real(value, "value") == float(value)

@@ -122,6 +122,7 @@ def test_simulation_input_validation():
         simulate_lstar(params, n=10, burn_in=-1)
 
 
+
 def test_params_validation():
     with pytest.raises(ValueError, match="same length"):
         LstarParams(phi0=0.0, phi=[0.5, 0.1], theta=[0.0], gamma=1.0, c=0.0)
@@ -140,7 +141,7 @@ def test_params_validation():
 def test_params_refuse_non_finite_values(field, value):
     fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^{field} .*must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} .*must be a finite real number"):
         LstarParams(**fields)
 
 
@@ -152,7 +153,8 @@ def test_params_refuse_non_finite_values(field, value):
 def test_params_refuse_bools_and_fractional_delays(field, value):
     fields = dict(phi0=0.0, phi=[0.5, 0.1], theta=[0.0, 0.0], gamma=1.0, c=0.0, sigma=0.1)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number|real numbers).*got {re.escape(repr(value))}$"):
+    shown = repr(next(v for v in value if type(v) is not float) if isinstance(value, list) else value)
+    with pytest.raises(ValueError, match=f"^{field}( entry [01])? must be (an integer|a finite real number).*got {re.escape(shown)}$"):
         LstarParams(**fields)
 
 
@@ -360,12 +362,12 @@ def test_estimation_input_validation():
                               ("gamma_grid", [math.nan, 2.0], "nan"), ("c_grid", [math.inf, 0.0], "inf"),
                               ("c_grid", [math.nan], "nan"), ("gamma_grid", [math.inf], "inf"),
                               ("c_grid", [0.0, None], "None"), ("gamma_grid", np.array([1.0, np.nan]), "np.float64(nan)")]:
-        with pytest.raises(ValueError, match=f"^{name} entries must be finite real numbers, got {re.escape(shown)}$"):
+        with pytest.raises(ValueError, match=f"^{name} entry [01] must be a finite real number, got {re.escape(shown)}$"):
             estimate_lstar(series, order=1, **{name: grid})
     for bad in (math.nan, math.inf):
         values = series.values.copy()
         values[20] = bad
-        with pytest.raises(ValueError, match="^series values must be finite$"):
+        with pytest.raises(ValueError, match=f"^series must hold no NaN or infinity, got {bad!r} at index 20$"):
             estimate_lstar(values, order=1)
 
 
@@ -375,6 +377,14 @@ def test_default_c_grid_spans_interior_quantiles():
     assert len(grid) == 15
     assert np.all(np.diff(grid) > 0)
     assert values.min() < grid[0] and grid[-1] < values.max()
+
+
+def test_a_gate_input_past_float_range_saturates_the_gate():
+    """gamma * (z - c) past float range is an infinity, a gate of exactly 0 or 1, not an overflow warning."""
+    series = simulate_lstar(LstarParams(phi0=0.0, phi=[0.9], theta=[-1.4], gamma=20.0, c=0.0, sigma=0.1), n=80, seed=3)
+    expected = estimate_lstar(series, order=1, c_grid=[0.0])
+    for far in (8.98846567431158e306, -1.7e308, 1.7e308):
+        assert estimate_lstar(series, order=1, c_grid=[0.0, far]) == expected
 
 
 def test_estimate_accepts_plain_arrays():

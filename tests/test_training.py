@@ -48,15 +48,18 @@ def test_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(es_start_epoch=0)
-    for lr in (0.0, LR_MIN / 2, math.nan, math.inf, 10 ** 400):
+    for lr in (0.0, LR_MIN / 2):
         with pytest.raises(ValueError, match="lr must be finite and at least the plateau floor"):
+            TrainConfig(lr=lr)
+    for lr in (math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="^lr must be a finite real number"):
             TrainConfig(lr=lr)
     assert TrainConfig(lr=LR_MIN).lr == LR_MIN
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "0.01", None, [0.01], 1j])
 def test_config_lr_refuses_a_bool_or_non_number(value):
-    with pytest.raises(TypeError, match="^lr must be a number"):
+    with pytest.raises(ValueError, match="^lr must be a finite real number"):
         TrainConfig(lr=value)
 
 
