@@ -350,7 +350,10 @@ def split_windows(dataset: WindowedDataset, seed: int = 0, mode: str = "random")
     train, then validation, then test). The first ``TRAIN_FRAC`` (0.8) of
     the order form the training pool and the rest the test set, then the
     last ``VAL_FRAC_OF_TRAIN`` (0.2) of the pool becomes validation.
+    ``seed`` must be a non-negative integer, even where the order ignores it.
     """
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if mode == "random":
         order = np.random.default_rng(seed).permutation(len(dataset))
     elif mode == "contiguous":

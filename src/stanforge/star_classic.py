@@ -138,11 +138,11 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
     theta) + eps`` with ``lags = y[t-q:t][::-1]``, so the bits are the same.
     Zero coefficients are skipped, as a finite lag times a zero is a zero and
     a zero added to a sum that starts at +0.0 never changes its bits.
+    ``n``, ``burn_in`` and ``seed`` must be Python or NumPy integers, not bools.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
+    for field, value, least in (("n", n, 1), ("burn_in", burn_in, 0), ("seed", seed, 0)):
+        if not is_integer(value) or value < least:
+            raise ValueError(f"{field} must be an integer of at least {least}, got {value!r}")
     total = n + burn_in
     rng = np.random.default_rng(seed)
     # the noise buffer becomes the series: step t reads its draw, then writes y_t
@@ -175,7 +175,9 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
 
 
 def default_c_grid(values, count: int = 15) -> np.ndarray:
-    """Evenly spaced interior quantiles of the observed values."""
+    """``count`` evenly spaced interior quantiles of the observed values; ``count`` is a positive integer."""
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     probs = np.arange(1, count + 1) / (count + 1)
     return np.quantile(series_values(values), probs)
 

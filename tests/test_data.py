@@ -620,6 +620,22 @@ def test_split_rejects_empty_subsets():
         split_windows(ds)
 
 
+@pytest.mark.parametrize("seed", [True, np.False_, 1.0, np.float64(2.0), -1, "1", None])
+@pytest.mark.parametrize("mode", ["random", "contiguous"])
+def test_split_seed_must_be_a_non_negative_integer(seed, mode):
+    message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        split_windows(make_windows(sine_series(107), lookback=5, horizon=3), seed=seed, mode=mode)
+    with pytest.raises(ValueError, match=message):
+        prepare_splits(sine_series(107), 3, lookback=5, seed=seed, mode=mode)
+
+
+def test_split_takes_a_numpy_integer_seed():
+    ds = make_windows(sine_series(107), lookback=5, horizon=3)
+    for x, y in zip(split_windows(ds, seed=np.int64(7)), split_windows(ds, seed=7)):
+        assert np.array_equal(x.anchors, y.anchors)
+
+
 def test_contiguous_split_is_chronological():
     ds = make_windows(sine_series(107), lookback=5, horizon=3)
     train, val, test = split_windows(ds, mode="contiguous")

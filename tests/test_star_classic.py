@@ -122,6 +122,23 @@ def test_simulation_input_validation():
         simulate_lstar(params, n=10, burn_in=-1)
 
 
+@pytest.mark.parametrize("field,value,least", [
+    ("n", True, 1), ("n", 3.0, 1), ("n", np.float64(5.0), 1), ("n", "5", 1), ("n", 0, 1),
+    ("burn_in", 2.0, 0), ("burn_in", np.True_, 0), ("burn_in", -1, 0),
+    ("seed", True, 0), ("seed", 1.0, 0), ("seed", None, 0), ("seed", -1, 0),
+])
+def test_simulation_sizes_and_seed_must_be_integers_naming_the_field(field, value, least):
+    params = LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, sigma=0.1)
+    kwargs = {"n": 10, "burn_in": 0, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least {least}, got {re.escape(repr(value))}$"):
+        simulate_lstar(params, **kwargs)
+
+
+def test_simulation_takes_numpy_integer_sizes_and_seed():
+    params = LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, sigma=0.1)
+    a = simulate_lstar(params, n=np.int64(30), burn_in=np.uint8(5), seed=np.int32(4))
+    assert a.values.tobytes() == simulate_lstar(params, n=30, burn_in=5, seed=4).values.tobytes()
+
 
 def test_params_validation():
     with pytest.raises(ValueError, match="same length"):
@@ -377,6 +394,17 @@ def test_default_c_grid_spans_interior_quantiles():
     assert len(grid) == 15
     assert np.all(np.diff(grid) > 0)
     assert values.min() < grid[0] and grid[-1] < values.max()
+
+
+@pytest.mark.parametrize("count", [0, -3, True, 2.5, np.float64(3.0), "15", None])
+def test_default_c_grid_count_must_be_a_positive_integer(count):
+    with pytest.raises(ValueError, match=f"^count must be a positive integer, got {re.escape(repr(count))}$"):
+        default_c_grid(np.arange(160.0), count)
+
+
+def test_default_c_grid_takes_a_numpy_integer_count():
+    assert default_c_grid(np.arange(160.0), np.int64(4)).tolist() == default_c_grid(np.arange(160.0), 4).tolist()
+    assert len(default_c_grid(np.arange(160.0), 1)) == 1
 
 
 def test_a_gate_input_past_float_range_saturates_the_gate():
