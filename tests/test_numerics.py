@@ -15,8 +15,8 @@ from stanforge.numerics import (
     affine_backward,
     affine_forward,
     finite_diff_errors,
-    mse_loss,
     finite_real,
+    mse_loss,
     relu,
     relu_grad,
 )
