@@ -18,7 +18,7 @@ import numpy as np
 
 # ``affine_forward`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.baselines.affine_forward``.
-from .numerics import ShapeError, affine_forward, as_matrix  # noqa: F401
+from .numerics import ShapeError, affine_forward, as_matrix, integer_in  # noqa: F401
 from .stan_core import MAX_PARAMETERS, LayerStack, NetworkSpec, ParamStore, StanNetwork, count_parameters
 
 __all__ = [
@@ -90,7 +90,8 @@ class MlpNetwork(LayerStack):
 
 
 class LinearNetwork(LayerStack):
-    """Single affine map trained by gradient descent (the depth-0 stack); the sanity floor."""
+    """Single affine map trained by gradient descent (the depth-0 stack); the sanity floor. Its ``lookback``
+    and ``horizon`` are positive integers."""
 
     kind = "linear"
     gated = False
@@ -98,7 +99,7 @@ class LinearNetwork(LayerStack):
     forward, backward, predict = LayerStack.forward, LayerStack.backward, LayerStack.predict
 
     def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
-        super().__init__(int(lookback), int(horizon), 0, 0, params, seed)
+        super().__init__(integer_in(lookback, "lookback", 1), integer_in(horizon, "horizon", 1), 0, 0, params, seed)
 
 
 class LinearRegressionModel(LinearNetwork):

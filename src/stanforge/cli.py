@@ -64,7 +64,7 @@ from .eval_bench import (
     run_benchmark,
     write_report,
 )
-from .numerics import NondeterministicLossError, finite_diff_errors
+from .numerics import NondeterministicLossError, finite_diff_errors, integer_in
 from .stan_core import MAX_PARAMETERS, NetworkSpec, gradcheck_problem
 from .star_classic import ExplosiveDynamicsError, LstarParams, simulate_lstar
 # ``train`` is unused here but kept as a module binding: the perfbench
@@ -247,7 +247,7 @@ def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
             merged[key] = getattr(args, key)
     try:
         return TrainConfig(**{key: merged[key] for key in _TRAIN_KEYS})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid training configuration: {exc}") from None
 
 
@@ -314,8 +314,7 @@ def _group_of(name: str) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.batch < 1:
-        raise UsageError(f"--batch must be a positive integer, got {args.batch}")
+    integer_in(args.batch, "--batch", 1)
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import finite_real, is_integer
+from .numerics import finite_real, integer_in
 
 __all__ = [
     "DataFormatError",
@@ -103,7 +103,9 @@ def series_values(series, name: str = "series") -> np.ndarray:
 
 def hourly_timestamps(n: int, start: str = "2015-01-01 00:00:00") -> np.ndarray:
     """``n`` hourly datetime64 stamps starting at ``start``, a stamp of the
-    shape ``YYYY-MM-DD HH:MM:SS`` that names a calendar time."""
+    shape ``YYYY-MM-DD HH:MM:SS`` that names a calendar time; ``n`` is a
+    non-negative integer."""
+    n = integer_in(n, "n", 0)
     if not _STAMP_SHAPE.fullmatch(start):
         raise ValueError(f"start must have the shape YYYY-MM-DD HH:MM:SS, got {start!r}")
     return np.datetime64(start, "s") + np.arange(n) * np.timedelta64(3600, "s")
@@ -278,12 +280,8 @@ def fit_scaler(values) -> ScalerParams:
 
 
 def lookback_for(horizon: int) -> int:
-    """Window length used for a ``horizon``-step forecast: max(45, 5 * horizon)."""
-    if not is_integer(horizon):
-        raise ValueError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    return max(45, 5 * int(horizon))
+    """Window length used for a ``horizon``-step forecast: max(45, 5 * horizon); ``horizon`` is a positive integer."""
+    return max(45, 5 * integer_in(horizon, "horizon", 1))
 
 
 @dataclass
@@ -315,9 +313,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     touch their own statistics.
     """
     values = series_values(series)
-    for name, size in (("lookback", lookback), ("horizon", horizon)):
-        if not is_integer(size) or size < 1:
-            raise ValueError(f"{name} must be a positive integer, got {size!r}")
+    lookback, horizon = integer_in(lookback, "lookback", 1), integer_in(horizon, "horizon", 1)
     n = len(values)
     rows = n - lookback - horizon + 1
     if rows < 1:
@@ -352,8 +348,7 @@ def split_windows(dataset: WindowedDataset, seed: int = 0, mode: str = "random")
     last ``VAL_FRAC_OF_TRAIN`` (0.2) of the pool becomes validation.
     ``seed`` must be a non-negative integer, even where the order ignores it.
     """
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = integer_in(seed, "seed", 0)
     if mode == "random":
         order = np.random.default_rng(seed).permutation(len(dataset))
     elif mode == "contiguous":

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import MODEL_KINDS
 from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
-from .numerics import ShapeError, is_integer, mse_loss
+from .numerics import ShapeError, integer_in, mse_loss
 from .training import TrainConfig, TrainHistory, train
 
 __all__ = [
@@ -103,50 +103,48 @@ class BenchmarkPlan:
 
     def validate(self) -> None:
         """Raise PlanError listing every problem; called before any run or
-        file read. A value of the wrong type is refused before the values
-        are checked: ``runs``, ``base_seed`` and each horizon must be integers
-        (NumPy ones too, not a bool or a float), and a dataset's ``path`` and
-        ``column`` and a model's ``name`` text. A column or a name, which
+        file read. ``runs``, ``base_seed`` and each horizon go through
+        ``numerics.integer_in`` (at least 1, 0 and 1), and a dataset's
+        ``path`` and ``column`` and a model's ``name`` must be text, checked
+        before the checks that read them as text. A column or a name, which
         report.md prints in a table row, cannot hold a line break."""
-        problems = [f"{what} must be an integer, got {value!r}"
-                    for what, value in (("runs", self.runs), ("base_seed", self.base_seed),
-                                        *(("horizon", h) for h in self.horizons)) if not is_integer(value)]
-        problems += [f"dataset {key} must be text, got {getattr(ref, key)!r}"
-                     for ref in self.datasets for key in ("path", "column") if not isinstance(getattr(ref, key), str)]
-        problems += [f"model name must be text, got {m.name!r}" for m in self.models if not isinstance(m.name, str)]
-        if problems:
-            raise PlanError("; ".join(problems))
-        problems = [f"{what} cannot hold a line break, got {text!r}"
-                    for what, text in (*(("dataset column", ref.column) for ref in self.datasets),
-                                       *(("model name", m.name) for m in self.models))
-                    if "\n" in text or "\r" in text]
+        problems, horizons = [], []  # every problem found; the valid horizons
+        for what, value, least in (("runs", self.runs, 1), ("base_seed", self.base_seed, 0),
+                                   *(("horizon", h, 1) for h in self.horizons)):
+            try:
+                number = integer_in(value, what, least)
+            except ValueError as exc:
+                problems.append(str(exc))
+            else:
+                if what == "horizon":
+                    horizons.append(number)
+        text_problems = [f"dataset {key} must be text, got {getattr(ref, key)!r}" for ref in self.datasets
+                         for key in ("path", "column") if not isinstance(getattr(ref, key), str)]
+        text_problems += [f"model name must be text, got {m.name!r}" for m in self.models if not isinstance(m.name, str)]
+        if text_problems:
+            raise PlanError("; ".join(problems + text_problems))
+        problems += [f"{what} cannot hold a line break, got {text!r}"
+                     for what, text in (*(("dataset column", ref.column) for ref in self.datasets),
+                                        *(("model name", m.name) for m in self.models))
+                     if "\n" in text or "\r" in text]
         if not self.datasets:
             problems.append("no datasets")
         if not self.horizons:
             problems.append("no horizons")
         if not self.models:
             problems.append("no models")
-        if self.runs < 1:
-            problems.append(f"runs must be at least 1, got {self.runs}")
-        if self.base_seed < 0:
-            problems.append(f"base_seed must be non-negative, got {self.base_seed}")
         if self.split not in ("random", "contiguous"):
             problems.append(f"unknown split mode {self.split!r}")
-        for h in self.horizons:
-            if h < 1:
-                problems.append(f"horizon must be positive, got {h}")
-        for what, values in (("dataset names", [ref.name for ref in self.datasets]),
-                             ("horizons", [int(h) for h in self.horizons]),
+        for what, values in (("dataset names", [ref.name for ref in self.datasets]), ("horizons", horizons),
                              ("model names", [m.name for m in self.models])):
             if len(set(values)) != len(values):
                 problems.append(f"duplicate {what}: {values}")
-        valid_horizons = [int(h) for h in self.horizons if h >= 1]
         for m in self.models:
             if m.kind not in MODEL_KINDS:
                 problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
-            elif valid_horizons:
+            elif horizons:
                 # the largest horizon and its lookback make the largest network
-                h = max(valid_horizons)
+                h = max(horizons)
                 try:
                     MODEL_KINDS[m.kind].check_size(lookback_for(h), h, m.units, m.depth)
                 except ValueError as exc:

@@ -26,7 +26,7 @@ __all__ = [
     "mse_loss",
     "adam_step",
     "finite_diff_errors",
-    "is_integer",
+    "integer_in",
     "finite_real",
 ]
 
@@ -49,6 +49,17 @@ class NondeterministicLossError(RuntimeError):
 def is_integer(value) -> bool:
     """A Python or NumPy integer; not a bool, which Python counts as one, nor a float."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer_in(value, name: str, least: int, most: int | None = None) -> int:
+    """A Python or NumPy integer in [least, most] (no upper end if ``most`` is None), as an ``int``; anything else (a
+    bool, any float, even ``2.0``, text, ``None``, an integer out of range) raises a ValueError that starts with
+    ``name``."""
+    if is_integer(value) and least <= value and (most is None or value <= most):
+        return int(value)
+    rule = (f"an integer in [{least}, {most}]" if most is not None
+            else {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer of at least {least}"))
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def finite_real(value, name: str) -> float:

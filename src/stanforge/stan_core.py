@@ -30,7 +30,7 @@ from .numerics import (
     affine_backward,
     affine_forward,
     as_matrix,
-    is_integer,
+    integer_in,
     mse_loss,
     relu,
     relu_grad,
@@ -90,10 +90,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         for field_name in ("lookback", "units", "depth", "horizon"):
-            value = getattr(self, field_name)
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, field_name, int(value))
+            object.__setattr__(self, field_name, integer_in(getattr(self, field_name), field_name, 1))
 
 
 def transition_g(z, gamma, c):
@@ -256,8 +253,9 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
     """Fresh parameters of the given names and shapes, deterministic per seed
     (PCG64 generator): Glorot-uniform dense maps drawn in ``shapes`` order,
-    zero biases, and per-unit coefficients at their start values."""
-    rng = np.random.default_rng(seed)
+    zero biases, and per-unit coefficients at their start values. ``seed`` is
+    a non-negative integer."""
+    rng = np.random.default_rng(integer_in(seed, "seed", 0))
     return {
         name: glorot_uniform(rng, *shape) if len(shape) == 2
         else np.full(shape, _UNIT_START.get(name.rsplit(".", 1)[1], 0.0))
@@ -432,8 +430,8 @@ def gradcheck_problem(spec: NetworkSpec, seed: int, batch: int):
     STAN network drawn at ``seed``, its phi, theta, gamma and c re-drawn off
     their start values (theta=0 would zero the gamma and c gradients, hiding
     bugs), on a standard normal batch and target."""
-    rng = np.random.default_rng(seed)
     model = StanNetwork(spec, seed=seed)
+    rng = np.random.default_rng(seed)
     for i in range(spec.depth):
         for field_name, (low, high) in _GRADCHECK_COEFS.items():
             model.params[f"layers.{i}.{field_name}"] = rng.uniform(low, high, spec.units)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries, series_values
-from .numerics import finite_real, is_integer
+from .numerics import finite_real, integer_in
 
 __all__ = [
     "ExplosiveDynamicsError",
@@ -83,10 +83,11 @@ class LstarParams:
 
     with G the logistic transition with steepness ``gamma`` and midpoint
     ``c``, and eps_t ~ N(0, sigma^2); ``sigma`` is a standard deviation.
-    ``delay`` is a Python or NumPy integer in [1, q], ``phi0``, ``gamma``,
-    ``c`` and ``sigma`` finite Python or NumPy numbers, stored as floats, and
-    ``phi`` and ``theta`` sequences of them; ``numerics.finite_real`` refuses
-    anything else naming the field or the entry, as ``phi entry 1``.
+    ``delay`` is a Python or NumPy integer in [1, q], stored as an ``int``,
+    ``phi0``, ``gamma``, ``c`` and ``sigma`` finite Python or NumPy numbers,
+    stored as floats, and ``phi`` and ``theta`` sequences of them;
+    ``numerics.integer_in`` and ``numerics.finite_real`` refuse anything
+    else naming the field or the entry, as ``phi entry 1``.
     """
 
     phi0: float
@@ -110,8 +111,7 @@ class LstarParams:
             )
         if self.phi.size == 0:
             raise ValueError("order must be at least 1")
-        if not is_integer(self.delay) or not 1 <= self.delay <= self.phi.size:
-            raise ValueError(f"delay must be an integer in [1, {self.phi.size}], got {self.delay!r}")
+        self.delay = integer_in(self.delay, "delay", 1, self.phi.size)
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
@@ -138,17 +138,15 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
     theta) + eps`` with ``lags = y[t-q:t][::-1]``, so the bits are the same.
     Zero coefficients are skipped, as a finite lag times a zero is a zero and
     a zero added to a sum that starts at +0.0 never changes its bits.
-    ``n``, ``burn_in`` and ``seed`` must be Python or NumPy integers, not bools.
+    ``n`` is a positive integer, ``burn_in`` and ``seed`` non-negative ones.
     """
-    for field, value, least in (("n", n, 1), ("burn_in", burn_in, 0), ("seed", seed, 0)):
-        if not is_integer(value) or value < least:
-            raise ValueError(f"{field} must be an integer of at least {least}, got {value!r}")
+    n, burn_in, seed = integer_in(n, "n", 1), integer_in(burn_in, "burn_in", 0), integer_in(seed, "seed", 0)
     total = n + burn_in
     rng = np.random.default_rng(seed)
     # the noise buffer becomes the series: step t reads its draw, then writes y_t
     y = rng.normal(0.0, params.sigma, size=total) if params.sigma > 0 else np.zeros(total)
     phi0, gamma, c = params.phi0, params.gamma, params.c
-    q, delay = params.order, int(params.delay)
+    q, delay = params.order, params.delay
     ar = [(k, p) for k, p in enumerate(params.phi.tolist(), 1) if p]
     gated = [(k, th) for k, th in enumerate(params.theta.tolist(), 1) if th]
     block = [0.0] * q
@@ -176,8 +174,7 @@ def simulate_lstar(params: LstarParams, n: int, burn_in: int = 0, seed: int = 0,
 
 def default_c_grid(values, count: int = 15) -> np.ndarray:
     """``count`` evenly spaced interior quantiles of the observed values; ``count`` is a positive integer."""
-    if not is_integer(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    count = integer_in(count, "count", 1)
     probs = np.arange(1, count + 1) / (count + 1)
     return np.quantile(series_values(values), probs)
 
@@ -369,11 +366,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     """
     values = series_values(series)
     n = len(values)
-    if not is_integer(order) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    q = int(order)
-    if not is_integer(delay) or not 1 <= delay <= q:
-        raise ValueError(f"delay must be an integer in [1, {q}], got {delay!r}")
+    q = integer_in(order, "order", 1)
+    delay = integer_in(delay, "delay", 1, q)
     min_rows = 2 * q + 2
     if n - q < min_rows:
         raise ValueError(
@@ -389,7 +383,7 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     target = values[q:]
     # column-major, so the verifier's per-point product streams
     lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
-    z = values[q - int(delay): n - int(delay)]
+    z = values[q - delay: n - delay]
     m, ncols = n - q, 1 + 2 * q  # rows and columns of the full design
     # grid points in flat order: gamma major, then c
     points = [(gamma, c) for gamma in gamma_candidates for c in c_candidates]
@@ -434,7 +428,7 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         theta=coef[q + 1:],
         gamma=gamma,
         c=c,
-        delay=int(delay),
+        delay=delay,
         sigma=float(np.sqrt(best_sse / m)),
     )
     return params, best_sse

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, finite_real, is_integer, mse_loss
+from .numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, NonFiniteError, adam_step, finite_real, integer_in, mse_loss
 
 # the fixed schedules, applied by ``train`` after each epoch. An improvement is
 # material when it beats the best validation loss by more than ES_MIN_DELTA; a
@@ -61,13 +61,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # numpy numbers are stored as Python ones, so history.csv and a JSON dump of the fields read plain numbers
-        for name in ("max_epochs", "batch_size", "es_start_epoch", "seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.max_epochs < 1 or self.batch_size < 1 or self.es_start_epoch < 1:
-            raise ValueError("max_epochs, batch_size and es_start_epoch must be positive")
+        for name, least in (("max_epochs", 1), ("batch_size", 1), ("es_start_epoch", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer_in(getattr(self, name), name, least))
         object.__setattr__(self, "lr", finite_real(self.lr, "lr"))
         if self.lr < LR_MIN:
             raise ValueError(f"lr must be finite and at least the plateau floor {LR_MIN:g}, got {self.lr!r}")

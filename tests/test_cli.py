@@ -630,7 +630,7 @@ def test_refused_configurations_exit_1_naming_the_problem_without_a_run_director
 def test_train_names_a_horizon_below_one(tmp_path, capsys):
     argv = ["train", "--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW", "--horizon", "0"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
+    assert capsys.readouterr().err == "error: horizon must be a positive integer, got 0\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -96,7 +96,7 @@ def test_plan_validate_lists_every_problem():
 def test_plan_refuses_a_negative_base_seed():
     plan = BenchmarkPlan(datasets=[DatasetRef("x.csv", "X_MW")], horizons=[1], models=[ModelEntry(kind="linreg")],
                          base_seed=-1)
-    with pytest.raises(PlanError, match="^base_seed must be non-negative, got -1$"):
+    with pytest.raises(PlanError, match="^base_seed must be a non-negative integer, got -1$"):
         plan.validate()
 
 
@@ -163,11 +163,11 @@ def test_plan_unreadable_dataset_is_plan_error(tmp_path):
 
 
 @pytest.mark.parametrize("change,problem", [
-    ({"runs": 2.5}, "runs must be an integer, got 2.5"),
-    ({"runs": True}, "runs must be an integer, got True"),
-    ({"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
-    ({"horizons": [1.5]}, "horizon must be an integer, got 1.5"),
-    ({"horizons": [1, False]}, "horizon must be an integer, got False"),
+    ({"runs": 2.5}, "runs must be a positive integer, got 2.5"),
+    ({"runs": True}, "runs must be a positive integer, got True"),
+    ({"base_seed": 1.0}, "base_seed must be a non-negative integer, got 1.0"),
+    ({"horizons": [1.5]}, "horizon must be a positive integer, got 1.5"),
+    ({"horizons": [1, False]}, "horizon must be a positive integer, got False"),
     ({"datasets": [DatasetRef(True, "X_MW")]}, "dataset path must be text, got True"),
     ({"datasets": [DatasetRef("x.csv", None)]}, "dataset column must be text, got None"),
     ({"models": [ModelEntry(kind="linreg", name=1)]}, "model name must be text, got 1"),

@@ -130,7 +130,8 @@ def test_simulation_input_validation():
 def test_simulation_sizes_and_seed_must_be_integers_naming_the_field(field, value, least):
     params = LstarParams(phi0=0.0, phi=[0.5], theta=[0.0], gamma=1.0, c=0.0, sigma=0.1)
     kwargs = {"n": 10, "burn_in": 0, "seed": 0, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least {least}, got {re.escape(repr(value))}$"):
+    rule = "a positive integer" if least == 1 else "a non-negative integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {re.escape(repr(value))}$"):
         simulate_lstar(params, **kwargs)
 
 

@@ -70,7 +70,7 @@ def test_config_lr_takes_python_and_numpy_numbers():
 @pytest.mark.parametrize("field", ["max_epochs", "batch_size", "es_start_epoch", "seed"])
 @pytest.mark.parametrize("value", [2.5, 8.0, True, np.float64(3.0), "3"])
 def test_config_integer_fields_refuse_non_integers(field, value):
-    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{field} must be a (positive|non-negative) integer"):
         TrainConfig(**{field: value})
 
 
