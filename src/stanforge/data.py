@@ -15,6 +15,7 @@ import csv
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,7 @@ __all__ = [
     "write_pjm_csv",
     "hourly_timestamps",
     "series_values",
+    "overflow_refused",
     "fit_scaler",
     "lookback_for",
     "make_windows",
@@ -61,7 +63,8 @@ class ZeroVarianceError(ValueError):
 
 @dataclass
 class TimeSeries:
-    """A single named series with strictly increasing timestamps."""
+    """A single named series with strictly increasing timestamps, a 1-D array of integers, floats or datetime64
+    values, one per value."""
 
     name: str
     timestamps: np.ndarray
@@ -70,16 +73,18 @@ class TimeSeries:
     def __post_init__(self):
         self.values = series_values(self.values, "values")
         self.timestamps = np.asarray(self.timestamps)
+        if self.timestamps.ndim != 1 or self.timestamps.dtype.kind not in "iufM":
+            raise ValueError(f"timestamps must be a 1-D array of integers, floats or datetime64 values, "
+                             f"got {self.timestamps.dtype} of shape {self.timestamps.shape}")
         if self.values.size == 0:
             raise ValueError("values must be non-empty")
         if self.timestamps.shape != self.values.shape:
             raise ValueError(
                 f"{len(self.timestamps)} timestamps for {len(self.values)} values"
             )
-        if len(self.timestamps) > 1:
-            diffs = np.diff(self.timestamps)
-            if not np.all(diffs > diffs.dtype.type(0)):
-                raise ValueError("timestamps must be strictly increasing")
+        # compared pairwise, not by np.diff, whose unsigned differences wrap round
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
+            raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -99,6 +104,20 @@ def series_values(series, name: str = "series") -> np.ndarray:
         first = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"{name} must hold no NaN or infinity, got {values[first].item()!r} at index {first}")
     return values
+
+
+@contextmanager
+def overflow_refused(values: np.ndarray, name: str):
+    """Run the block with float overflow raised, as a ValueError naming ``name`` and the largest magnitude in
+    ``values``, so a series whose squares leave float range is refused, not warned about; a product meant to
+    saturate keeps its own ``np.errstate(over="ignore")``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        magnitude = float(max(values.max(), -values.min()))
+        raise ValueError(f"{name} must be small enough to square in float64, "
+                         f"got largest magnitude {magnitude!r}") from None
 
 
 def hourly_timestamps(n: int, start: str = "2015-01-01 00:00:00") -> np.ndarray:
@@ -269,11 +288,12 @@ class ScalerParams:
 
 
 def fit_scaler(values) -> ScalerParams:
-    """Population mean/std (divide by N) of a 1-D series of values."""
+    """Population mean/std (divide by N) of a 1-D series of values; values whose squares overflow are refused."""
     v = series_values(values, "values")
     if v.size < 2:
         raise ValueError(f"need at least 2 values to fit a scaler, got {v.size}")
-    std = v.std()
+    with overflow_refused(v, "values"):
+        std = v.std()
     if std <= 1e-12:
         raise ZeroVarianceError(f"values have (numerically) zero variance: std={std:g}")
     return ScalerParams(mean=v.mean(), std=std)

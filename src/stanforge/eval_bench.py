@@ -120,7 +120,8 @@ class BenchmarkPlan:
                     horizons.append(number)
         text_problems = [f"dataset {key} must be text, got {getattr(ref, key)!r}" for ref in self.datasets
                          for key in ("path", "column") if not isinstance(getattr(ref, key), str)]
-        text_problems += [f"model name must be text, got {m.name!r}" for m in self.models if not isinstance(m.name, str)]
+        text_problems += [f"model name must be text, got {m.name!r}"
+                          for m in self.models if not isinstance(m.name, str)]
         if text_problems:
             raise PlanError("; ".join(problems + text_problems))
         problems += [f"{what} cannot hold a line break, got {text!r}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries, series_values
+from .data import TimeSeries, overflow_refused, series_values
 from .numerics import finite_real, integer_in
 
 __all__ = [
@@ -358,6 +358,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     Every grid entry must pass ``numerics.finite_real``, every gamma be
     positive and the series pass ``data.series_values``, or a ValueError
     naming the entry, or the series and its index, is raised before any work.
+    A series whose squares leave float range raises a ValueError naming its
+    largest magnitude (``data.overflow_refused``).
 
     Returns
     -------
@@ -373,55 +375,56 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
         raise ValueError(
             f"series of length {n} is too short to fit order {q}: need at least {q + min_rows} points"
         )
-    gamma_candidates = _sorted_grid("gamma_grid", DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
-    c_candidates = _sorted_grid("c_grid", default_c_grid(values) if c_grid is None else c_grid)
-    if not gamma_candidates or not c_candidates:
-        raise ValueError("gamma_grid and c_grid must be non-empty")
-    if any(g <= 0 for g in gamma_candidates):
-        raise ValueError("gamma candidates must be positive")
+    with overflow_refused(values, "series"):  # squares past float range are refused, not warned about
+        gamma_candidates = _sorted_grid("gamma_grid", DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
+        c_candidates = _sorted_grid("c_grid", default_c_grid(values) if c_grid is None else c_grid)
+        if not gamma_candidates or not c_candidates:
+            raise ValueError("gamma_grid and c_grid must be non-empty")
+        if any(g <= 0 for g in gamma_candidates):
+            raise ValueError("gamma candidates must be positive")
 
-    target = values[q:]
-    # column-major, so the verifier's per-point product streams
-    lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
-    z = values[q - delay: n - delay]
-    m, ncols = n - q, 1 + 2 * q  # rows and columns of the full design
-    # grid points in flat order: gamma major, then c
-    points = [(gamma, c) for gamma in gamma_candidates for c in c_candidates]
-    lower, upper = _screen_grid(lags, target, z, np.repeat(gamma_candidates, len(c_candidates)),
-                                np.tile(c_candidates, len(gamma_candidates)))
+        target = values[q:]
+        # column-major, so the verifier's per-point product streams
+        lags = np.stack([values[q - i: n - i] for i in range(1, q + 1)]).T
+        z = values[q - delay: n - delay]
+        m, ncols = n - q, 1 + 2 * q  # rows and columns of the full design
+        # grid points in flat order: gamma major, then c
+        points = [(gamma, c) for gamma in gamma_candidates for c in c_candidates]
+        lower, upper = _screen_grid(lags, target, z, np.repeat(gamma_candidates, len(c_candidates)),
+                                    np.tile(c_candidates, len(gamma_candidates)))
 
-    sse = np.full(len(points), np.nan)
-    factored = np.zeros(len(points), dtype=bool)
-    refused = np.zeros(len(points), dtype=bool)
-    while True:
-        walk = np.flatnonzero(factored & ~refused)
-        # the next point of the walk: least SSE, then least flat index; NaN last
-        flat = walk[np.argsort(sse[walk], kind="stable")[0]] if walk.size else None
-        reach = np.fmin(np.inf if flat is None else sse[flat], upper[~factored].min(initial=np.inf))
-        due = np.flatnonzero(~factored & (lower <= reach))
-        if due.size:
-            sse[due] = _qr_sse(lags, target, z, [points[i] for i in due])
-            factored[due] = True
-            continue
-        if flat is None:
-            raise EstimationError(
-                f"regressor matrix was rank deficient at all {len(points)} grid points; "
-                "the series may not excite both regimes"
-            )
-        gamma, c = points[flat]
-        with np.errstate(over="ignore"):  # as in _screen_grid
-            gate = _logistic(gamma * (z - c))
-        # row-major, as column_stack of row-major lags makes it: the layout moves lstsq's bits
-        design = np.empty((m, ncols))
-        design[:, 0] = 1.0
-        design[:, 1: q + 1] = lags
-        np.multiply(lags, gate[:, None], out=design[:, q + 1:])
-        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank == ncols:
-            break
-        refused[flat] = True
-    resid = target - design @ coef
-    best_sse = float(resid @ resid)
+        sse = np.full(len(points), np.nan)
+        factored = np.zeros(len(points), dtype=bool)
+        refused = np.zeros(len(points), dtype=bool)
+        while True:
+            walk = np.flatnonzero(factored & ~refused)
+            # the next point of the walk: least SSE, then least flat index; NaN last
+            flat = walk[np.argsort(sse[walk], kind="stable")[0]] if walk.size else None
+            reach = np.fmin(np.inf if flat is None else sse[flat], upper[~factored].min(initial=np.inf))
+            due = np.flatnonzero(~factored & (lower <= reach))
+            if due.size:
+                sse[due] = _qr_sse(lags, target, z, [points[i] for i in due])
+                factored[due] = True
+                continue
+            if flat is None:
+                raise EstimationError(
+                    f"regressor matrix was rank deficient at all {len(points)} grid points; "
+                    "the series may not excite both regimes"
+                )
+            gamma, c = points[flat]
+            with np.errstate(over="ignore"):  # as in _screen_grid
+                gate = _logistic(gamma * (z - c))
+            # row-major, as column_stack of row-major lags makes it: the layout moves lstsq's bits
+            design = np.empty((m, ncols))
+            design[:, 0] = 1.0
+            design[:, 1: q + 1] = lags
+            np.multiply(lags, gate[:, None], out=design[:, q + 1:])
+            coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            if rank == ncols:
+                break
+            refused[flat] = True
+        resid = target - design @ coef
+        best_sse = float(resid @ resid)
     params = LstarParams(
         phi0=float(coef[0]),
         phi=coef[1: q + 1],

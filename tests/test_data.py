@@ -431,9 +431,18 @@ _SINE = np.sin(np.arange(200.0))
 _TEXT = [str(x) for x in _SINE[:60]]
 
 
-def _refused(name, values):
+def _refused(name, values, kinds="integers or floats"):
     values = np.asarray(values)
-    return re.escape(f"{name} must be a 1-D array of integers or floats, got {values.dtype} of shape {values.shape}")
+    return re.escape(f"{name} must be a 1-D array of {kinds}, got {values.dtype} of shape {values.shape}")
+
+
+def _too_large(name, values):
+    magnitude = float(np.abs(values).max())
+    return re.escape(f"{name} must be small enough to square in float64, got largest magnitude {magnitude!r}")
+
+
+_STAMP_KINDS = "integers, floats or datetime64 values"
+_HUGE = np.tile([1e300, -1e300], 40)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -458,10 +467,19 @@ def _refused(name, values):
      "series must hold no NaN or infinity, got inf at index 120"),
     (lambda: fit_scaler(_with(_SINE, 3, np.nan)), "values must hold no NaN or infinity, got nan at index 3"),
     (lambda: default_c_grid(_with(_SINE, 0, np.inf)), "series must hold no NaN or infinity, got inf at index 0"),
+    (lambda: fit_scaler(np.array([1e308, -1e308, 1e308])), _too_large("values", [1e308])),
+    (lambda: prepare_splits(_HUGE, 1, lookback=5), _too_large("values", _HUGE)),
+    (lambda: estimate_lstar(_SINE * 1e200, order=1), _too_large("series", _SINE * 1e200)),
+    (lambda: TimeSeries("X", ["a", "b", "c"], [1.0, 2.0, 3.0]), _refused("timestamps", ["a", "b", "c"], _STAMP_KINDS)),
+    (lambda: TimeSeries("X", None, [1.0, 2.0, 3.0]), _refused("timestamps", None, _STAMP_KINDS)),
+    (lambda: TimeSeries("X", np.zeros((2, 1)), [1.0, 2.0]), _refused("timestamps", np.zeros((2, 1)), _STAMP_KINDS)),
+    (lambda: TimeSeries("X", np.array([3, 2, 1], dtype=np.uint8), [1.0, 2.0, 3.0]),
+     "timestamps must be strictly increasing"),
 ], ids=["nan-in-prepare_splits", "text-to-estimate_lstar", "huge-int-phi0", "huge-int-gamma_grid", "huge-int-scaler",
         "text-TimeSeries", "bool-TimeSeries", "complex-make_windows", "complex-estimate_lstar", "2d-make_windows",
         "2d-estimate_lstar", "object-make_windows", "datetime-make_windows", "inf-make_windows", "inf-estimate_lstar",
-        "nan-fit_scaler", "inf-default_c_grid"])
+        "nan-fit_scaler", "inf-default_c_grid", "squares-overflow-fit_scaler", "squares-overflow-prepare_splits",
+        "squares-overflow-estimate_lstar", "text-stamps", "none-stamps", "2d-stamps", "unsigned-stamps-decreasing"])
 def test_the_gates_name_the_field_or_the_series_and_index(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stanforge.data import ScalerParams
+from stanforge.baselines import LinearNetwork
+from stanforge.data import ScalerParams, hourly_timestamps, lookback_for, make_windows, split_windows
+from stanforge.eval_bench import BenchmarkPlan, DatasetRef, ModelEntry
 from stanforge.numerics import (
     AdamState,
     NondeterministicLossError,
@@ -16,11 +19,13 @@ from stanforge.numerics import (
     affine_forward,
     finite_diff_errors,
     finite_real,
+    integer_in,
     mse_loss,
     relu,
     relu_grad,
 )
-from stanforge.star_classic import LstarParams, estimate_lstar, simulate_lstar
+from stanforge.stan_core import NetworkSpec, StanNetwork
+from stanforge.star_classic import LstarParams, default_c_grid, estimate_lstar, simulate_lstar
 from stanforge.training import LR_MIN, TrainConfig
 
 
@@ -324,3 +329,94 @@ def test_every_scalar_site_accepts_and_refuses_the_same_values(value):
     assert set(verdicts.values()) == {"accepted" if expected else "refused"}, verdicts
     if expected:
         assert type(finite_real(value, "value")) is float and finite_real(value, "value") == float(value)
+
+
+# ----------------------------------------------------------- integer gate ---
+
+_INTEGER_CANDIDATES = st.one_of(
+    st.booleans(), st.just(np.True_), st.text(max_size=4), st.none(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, 1.0, 2.0, np.float32(3.0), 1j, b"1", [1]]), st.integers(-3, 70),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-3, 70).map(np.int64), st.integers(0, 70).map(np.uint8),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 2 ** 64 - 1).map(np.uint64),
+)
+_PLAN = {"datasets": [DatasetRef("x.csv", "X_MW")], "horizons": [1], "models": [ModelEntry(kind="linreg")]}
+_WINDOWS = make_windows(_LSTAR_SERIES, 5, 1)
+
+
+def _ran(_) -> None:
+    """What a site keeps of the value when it keeps nothing: the call ran."""
+
+
+def _lstar(**kwargs):
+    return LstarParams(phi0=0.0, phi=[0.5, 0.0, 0.0], theta=[0.0, 0.0, 0.0], gamma=1.0, c=0.0, **kwargs)
+
+
+# (field, least, most, cap, call): ``call(value)`` returns what the site keeps of the value, or None if it keeps
+# nothing; an integer above ``cap`` would allocate that much or fail a later size rule, so it is not tried there
+_INTEGER_SITES = [
+    *((field, 1, None, None, lambda v, i=i, field=field: getattr(NetworkSpec(*([1] * i + [v] + [1] * (3 - i))), field))
+      for i, field in enumerate(("lookback", "units", "depth", "horizon"))),
+    ("seed", 0, None, None, lambda v: _ran(StanNetwork(NetworkSpec(2, 1, 1, 1), seed=v))),
+    ("lookback", 1, None, 70, lambda v: LinearNetwork(v, 1).lookback),
+    ("horizon", 1, None, 70, lambda v: LinearNetwork(1, v).horizon),
+    *((field, least, None, None, lambda v, field=field: getattr(TrainConfig(**{field: v}), field))
+      for field, least in (("max_epochs", 1), ("batch_size", 1), ("es_start_epoch", 1), ("seed", 0))),
+    ("n", 0, None, 70, lambda v: _ran(hourly_timestamps(v))),
+    ("horizon", 1, None, None, lambda v: _ran(lookback_for(v))),
+    ("lookback", 1, None, 70, lambda v: _ran(make_windows(_LSTAR_SERIES, v, 1))),
+    ("horizon", 1, None, 70, lambda v: _ran(make_windows(_LSTAR_SERIES, 1, v))),
+    ("seed", 0, None, None, lambda v: _ran(split_windows(_WINDOWS, seed=v))),
+    ("delay", 1, 3, None, lambda v: _lstar(delay=v).delay),
+    ("n", 1, None, 70, lambda v: _ran(simulate_lstar(_lstar(), n=v))),
+    ("burn_in", 0, None, 70, lambda v: _ran(simulate_lstar(_lstar(), n=5, burn_in=v))),
+    ("seed", 0, None, None, lambda v: _ran(simulate_lstar(_lstar(), n=5, seed=v))),
+    ("count", 1, None, 70, lambda v: _ran(default_c_grid(_LSTAR_SERIES, v))),
+    ("order", 1, None, 3, lambda v: _ran(estimate_lstar(_LSTAR_SERIES, order=v, gamma_grid=[20.0], c_grid=[0.0]))),
+    ("delay", 1, 2, None, lambda v: estimate_lstar(_LSTAR_SERIES, order=2, delay=v, gamma_grid=[20.0], c_grid=[0.0])[
+        0].delay),
+    ("runs", 1, None, None, lambda v: BenchmarkPlan(**_PLAN, runs=v).validate()),
+    ("base_seed", 0, None, None, lambda v: BenchmarkPlan(**_PLAN, base_seed=v).validate()),
+    ("horizon", 1, None, None, lambda v: BenchmarkPlan(**{**_PLAN, "horizons": [v]}).validate()),
+    ("value", -2, 5, None, lambda v: integer_in(v, "value", -2, 5)),
+    ("value", 0, None, None, lambda v: integer_in(v, "value", 0)),
+]
+
+
+def _integer_rule(least, most) -> str:
+    """The wording the gate's refusal must use, written out apart from ``integer_in``."""
+    if most is not None:
+        return f"an integer in [{least}, {most}]"
+    return "a positive integer" if least == 1 else "a non-negative integer"
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_INTEGER_CANDIDATES)
+def test_every_integer_site_accepts_and_refuses_the_same_values(value):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    for field, least, most, cap, call in _INTEGER_SITES:
+        expected = integer and least <= value and (most is None or value <= most)
+        if expected and cap is not None and value > cap:
+            continue
+        try:
+            kept = call(value)
+        except ValueError as exc:
+            assert not expected, f"{field} refused {value!r}: {exc}"
+            assert str(exc) == f"{field} must be {_integer_rule(least, most)}, got {value!r}"
+            continue
+        assert expected, f"{field} accepted {value!r}"
+        assert kept is None or (type(kept) is int and kept == value), (field, kept)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TrainConfig(seed=-1), "seed must be a non-negative integer, got -1"),
+    (lambda: LinearNetwork(2.7, 1), "lookback must be a positive integer, got 2.7"),
+    (lambda: LinearNetwork(True, 1), "lookback must be a positive integer, got True"),
+    (lambda: LinearNetwork(0, 1), "lookback must be a positive integer, got 0"),
+    (lambda: LinearNetwork(1, -1), "horizon must be a positive integer, got -1"),
+    (lambda: hourly_timestamps(2.5), "n must be a non-negative integer, got 2.5"),
+    (lambda: StanNetwork(NetworkSpec(2, 1, 1, 1), seed=-1), "seed must be a non-negative integer, got -1"),
+], ids=["TrainConfig-seed", "LinearNetwork-float", "LinearNetwork-bool", "LinearNetwork-zero",
+        "LinearNetwork-negative", "hourly_timestamps-float", "StanNetwork-seed"])
+def test_sizes_and_seeds_that_numpy_or_a_cast_used_to_judge_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
