@@ -339,8 +339,10 @@ _INTEGER_CANDIDATES = st.one_of(
     st.integers(-2 ** 70, 2 ** 70), st.integers(-3, 70).map(np.int64), st.integers(0, 70).map(np.uint8),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 2 ** 64 - 1).map(np.uint64),
 )
+_SPEC = {"lookback": 1, "units": 1, "depth": 1, "horizon": 1}
 _PLAN = {"datasets": [DatasetRef("x.csv", "X_MW")], "horizons": [1], "models": [ModelEntry(kind="linreg")]}
 _WINDOWS = make_windows(_LSTAR_SERIES, 5, 1)
+_ONE_POINT_GRID = {"gamma_grid": [20.0], "c_grid": [0.0]}
 
 
 def _ran(_) -> None:
@@ -354,8 +356,8 @@ def _lstar(**kwargs):
 # (field, least, most, cap, call): ``call(value)`` returns what the site keeps of the value, or None if it keeps
 # nothing; an integer above ``cap`` would allocate that much or fail a later size rule, so it is not tried there
 _INTEGER_SITES = [
-    *((field, 1, None, None, lambda v, i=i, field=field: getattr(NetworkSpec(*([1] * i + [v] + [1] * (3 - i))), field))
-      for i, field in enumerate(("lookback", "units", "depth", "horizon"))),
+    *((field, 1, None, None, lambda v, field=field: getattr(NetworkSpec(**{**_SPEC, field: v}), field))
+      for field in _SPEC),
     ("seed", 0, None, None, lambda v: _ran(StanNetwork(NetworkSpec(2, 1, 1, 1), seed=v))),
     ("lookback", 1, None, 70, lambda v: LinearNetwork(v, 1).lookback),
     ("horizon", 1, None, 70, lambda v: LinearNetwork(1, v).horizon),
@@ -371,9 +373,8 @@ _INTEGER_SITES = [
     ("burn_in", 0, None, 70, lambda v: _ran(simulate_lstar(_lstar(), n=5, burn_in=v))),
     ("seed", 0, None, None, lambda v: _ran(simulate_lstar(_lstar(), n=5, seed=v))),
     ("count", 1, None, 70, lambda v: _ran(default_c_grid(_LSTAR_SERIES, v))),
-    ("order", 1, None, 3, lambda v: _ran(estimate_lstar(_LSTAR_SERIES, order=v, gamma_grid=[20.0], c_grid=[0.0]))),
-    ("delay", 1, 2, None, lambda v: estimate_lstar(_LSTAR_SERIES, order=2, delay=v, gamma_grid=[20.0], c_grid=[0.0])[
-        0].delay),
+    ("order", 1, None, 3, lambda v: _ran(estimate_lstar(_LSTAR_SERIES, order=v, **_ONE_POINT_GRID))),
+    ("delay", 1, 2, None, lambda v: estimate_lstar(_LSTAR_SERIES, order=2, delay=v, **_ONE_POINT_GRID)[0].delay),
     ("runs", 1, None, None, lambda v: BenchmarkPlan(**_PLAN, runs=v).validate()),
     ("base_seed", 0, None, None, lambda v: BenchmarkPlan(**_PLAN, base_seed=v).validate()),
     ("horizon", 1, None, None, lambda v: BenchmarkPlan(**{**_PLAN, "horizons": [v]}).validate()),
