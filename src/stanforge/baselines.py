@@ -4,7 +4,8 @@ and ``MODEL_KINDS``, the one registry of model kinds.
 Every baseline is a ``stan_core.LayerStack`` without gates: a plain relu MLP
 of matching width and depth, a single affine map trained by gradient descent
 (the depth-0 stack), and closed-form multi-output linear regression, the same
-depth-0 stack solved once by least squares instead of trained. The CLI, the
+depth-0 stack solved once by least squares instead of trained. The trained
+kinds run in float32 and linear regression in float64. The CLI, the
 benchmark matrix and checkpoints name, size, build and fit every kind through
 the registry; a new kind is one entry there.
 """
@@ -85,8 +86,8 @@ class MlpNetwork(LayerStack):
     # the benchmark's tracer wraps only methods in the class's own __dict__
     forward, backward, predict = LayerStack.forward, LayerStack.backward, LayerStack.predict
 
-    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
-        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed)
+    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0, dtype=None):
+        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed, dtype)
 
 
 class LinearNetwork(LayerStack):
@@ -98,15 +99,19 @@ class LinearNetwork(LayerStack):
     # the benchmark's tracer wraps only methods in the class's own __dict__
     forward, backward, predict = LayerStack.forward, LayerStack.backward, LayerStack.predict
 
-    def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0):
-        super().__init__(integer_in(lookback, "lookback", 1), integer_in(horizon, "horizon", 1), 0, 0, params, seed)
+    def __init__(self, lookback: int, horizon: int, params: ParamStore | None = None, seed: int = 0,
+                 dtype=None):
+        lookback, horizon = integer_in(lookback, "lookback", 1), integer_in(horizon, "horizon", 1)
+        super().__init__(lookback, horizon, 0, 0, params, seed, dtype)
 
 
 class LinearRegressionModel(LinearNetwork):
     """Closed-form linear forecaster: the depth-0 stack, its ``proj.W`` and
-    ``proj.b`` solved by ``fit_linear_regression``."""
+    ``proj.b`` solved by ``fit_linear_regression``; float64, the precision
+    the normal equations are solved in."""
 
     kind = "linreg"
+    dtype = np.dtype(np.float64)
 
     @classmethod
     def fit(cls, x, y) -> "LinearRegressionModel":
@@ -124,12 +129,13 @@ class ModelKind:
     fit: Callable[..., LayerStack] | None = None  # closed-form fit(x, y), no gradient descent
 
     def build(self, lookback: int, horizon: int, units: int | None = None, depth: int | None = None,
-              params: ParamStore | None = None, seed: int = 0) -> LayerStack:
+              params: ParamStore | None = None, seed: int = 0, dtype=None) -> LayerStack:
         """The model rebuilt from ``params`` after its store check, or drawn from
-        ``seed``; unsized kinds ignore units and depth, sized ones reject depth 0."""
+        ``seed``, in the kind's dtype unless ``dtype`` is given; unsized kinds
+        ignore units and depth, sized ones reject depth 0."""
         if self.sized:
-            return self.cls(NetworkSpec(lookback, units, depth, horizon), params, seed)
-        return self.cls(lookback, horizon, params, seed)
+            return self.cls(NetworkSpec(lookback, units, depth, horizon), params, seed, dtype)
+        return self.cls(lookback, horizon, params, seed, dtype)
 
     def check_size(self, lookback: int, horizon: int, units: int, depth: int) -> None:
         """The one size gate: for a sized kind, a ValueError naming units and

@@ -1,8 +1,12 @@
 """Self-describing JSON checkpoints for every kind in ``baselines.MODEL_KINDS``.
 
 A checkpoint holds the kind, its ``spec`` (the sizes the registry builds it
-from) and the named parameter arrays. Floats serialize through ``repr``
-(shortest round-trip form), so a saved model reloads bit-identically. Saving
+from), the ``dtype`` the model computes in and the named parameter arrays.
+Floats serialize through ``repr`` (shortest round-trip form) of their float64
+value, which a float32 value converts to exactly, so a saved model reloads
+bit-identically in its dtype. A file without ``dtype``, as written before
+models trained in float32, loads as float64. A value past float32 range meant
+for a float32 model is refused, naming its parameter. Saving
 refuses non-finite values and replaces the file atomically. Loading checks
 the document's structure and each array's data, then rebuilds the model
 through the registry, whose store check rejects a missing, extra or
@@ -28,6 +32,7 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 FORMAT = "stanforge-checkpoint"
 VERSION = 1
+DTYPES = ("float32", "float64")
 
 
 class CheckpointError(ValueError):
@@ -46,6 +51,7 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
         "version": VERSION,
         "kind": model.kind,
         "spec": {key: getattr(model, key) for key in kind.spec_keys},
+        "dtype": params.vector.dtype.name,
         "param_order": order,
     }
     scaler_doc = None if scaler is None else {"mean": scaler.mean, "std": scaler.std}
@@ -69,7 +75,7 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
     return path
 
 
-def _load_array(name: str, entry) -> np.ndarray:
+def _load_array(name: str, entry, dtype: str) -> np.ndarray:
     try:
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
@@ -83,7 +89,10 @@ def _load_array(name: str, entry) -> np.ndarray:
         raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
     if not np.isfinite(arr).all():
         raise CheckpointError(f"parameter {name!r} has non-finite values")
-    return arr
+    peak = float(np.abs(arr).max(initial=0.0))
+    if peak > float(np.finfo(dtype).max):
+        raise CheckpointError(f"parameter {name!r} has values past {dtype} range, up to magnitude {peak!r}")
+    return arr.astype(dtype, copy=False)
 
 
 def _parse(doc):
@@ -99,9 +108,12 @@ def _parse(doc):
     if not isinstance(spec, dict) or sorted(spec) != sorted(kind.spec_keys) \
             or not all(type(v) is int and v >= 1 for v in spec.values()):
         raise CheckpointError(f"spec must map {list(kind.spec_keys)} to positive integers, got {spec!r}")
+    dtype = doc.get("dtype", "float64")
+    if dtype not in DTYPES:
+        raise CheckpointError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     if not isinstance(raw, dict):
         raise CheckpointError("params must be an object of named arrays")
-    params = {name: _load_array(name, entry) for name, entry in raw.items()}
+    params = {name: _load_array(name, entry, dtype) for name, entry in raw.items()}
     if doc["kind"] == "linreg" and list(params) == ["weights"]:
         # format v1 stored linreg as one (lookback + 1, horizon) array, intercept in row 0
         weights, want = params["weights"], (spec["lookback"] + 1, spec["horizon"])
@@ -109,7 +121,7 @@ def _parse(doc):
             raise CheckpointError(f"parameter 'weights' has shape {weights.shape}, linreg needs {want}")
         params = {"proj.W": weights[1:], "proj.b": weights[0]}
     try:
-        model = kind.build(**spec, params=params)
+        model = kind.build(**spec, params=params, dtype=dtype)
     except ShapeError as exc:
         raise CheckpointError(str(exc)) from None
     try:

@@ -64,7 +64,7 @@ class ZeroVarianceError(ValueError):
 @dataclass
 class TimeSeries:
     """A single named series with strictly increasing timestamps, a 1-D array of integers, floats or datetime64
-    values, one per value."""
+    values, one per value; a NaN or NaT stamp is refused by its index."""
 
     name: str
     timestamps: np.ndarray
@@ -82,6 +82,9 @@ class TimeSeries:
             raise ValueError(
                 f"{len(self.timestamps)} timestamps for {len(self.values)} values"
             )
+        if self.timestamps.dtype.kind in "fM" and np.isnan(self.timestamps).any():  # unordered, so named apart
+            first = int(np.flatnonzero(np.isnan(self.timestamps))[0])
+            raise ValueError(f"timestamps must hold no NaN or NaT, got {self.timestamps[first]} at index {first}")
         # compared pairwise, not by np.diff, whose unsigned differences wrap round
         if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
@@ -400,7 +403,8 @@ def prepare_splits(series, horizon: int, lookback: int | None = None, mode: str 
     subsets. Test windows therefore never contribute to the statistics that
     transform them.
     """
-    q = lookback_for(horizon) if lookback is None else lookback
+    horizon = integer_in(horizon, "horizon", 1)  # stored as the Python ints the gate returns
+    q = lookback_for(horizon) if lookback is None else integer_in(lookback, "lookback", 1)
     train, val, test = split_windows(make_windows(series, q, horizon), seed, mode)
     scaler = fit_scaler(np.concatenate([train.inputs.ravel(), val.inputs.ravel()]))
     for subset in (train, val, test):

@@ -1,9 +1,12 @@
 """Dense layer math, losses, Adam, and a finite-difference gradient referee.
 
-Everything in this package runs on float64 numpy arrays: "matrices" are 2-D
-row-major, "vectors" are 1-D. All gradients are derived by hand, so the
+The kernels run on float32 or float64 numpy arrays, in the dtype of their
+operands: "matrices" are 2-D row-major, "vectors" are 1-D. A float32
+operand stays float32 and anything else is read as float64, so the trained
+networks run in float32 while the least-squares fit, the gradient check and
+the classical oracles keep float64. All gradients are derived by hand, so the
 checker at the bottom of this module is the oracle every backward pass has
-to answer to.
+to answer to; it runs in float64.
 """
 
 from __future__ import annotations
@@ -74,8 +77,14 @@ def finite_real(value, name: str) -> float:
     return number
 
 
+def float_array(x) -> np.ndarray:
+    """``x`` as an array: a float32 array as itself, anything else as float64 (a float64 array as itself)."""
+    a = np.asarray(x)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def as_matrix(x, name: str = "x") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = float_array(x)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
     return a
@@ -84,7 +93,7 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Compute ``x @ w + b``: (m, p) @ (p, q) + (q,) -> (m, q).
 
-    Takes conforming float64 arrays, as ``LayerStack`` passes them.
+    Takes conforming arrays of one float dtype, as ``LayerStack`` passes them.
     """
     return x @ w + b
 
@@ -95,7 +104,7 @@ def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, dw: np.ndarray
     with ``dx = dy @ w.T``, ``dw = x.T @ dy`` and ``db`` the column sums of
     ``dy``; ``dw`` and ``db`` are written into the given arrays if any.
 
-    Takes conforming float64 arrays, as ``LayerStack`` passes them.
+    Takes conforming arrays of one float dtype, as ``LayerStack`` passes them.
     """
     return dy @ w.T, np.matmul(x.T, dy, out=dw), dy.sum(axis=0, out=db)
 
@@ -106,14 +115,17 @@ def relu(x):
 
 
 def relu_grad(x):
-    """Derivative of relu; the subgradient at exactly zero is taken as 0."""
-    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
+    """Derivative of relu, in ``x``'s float dtype; the subgradient at exactly zero is taken as 0."""
+    x = float_array(x)
+    return (x > 0.0).astype(x.dtype)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     """Mean squared error over all entries plus its gradient in ``pred``.
 
     Returns ``(loss, dpred)`` with ``dpred = 2 * (pred - target) / pred.size``.
+    The difference and the loss are taken in float64 whatever the dtypes, and
+    ``dpred`` is returned in ``pred``'s dtype, the one its model computes in.
     """
     pred = as_matrix(pred, "pred")
     target = as_matrix(target, "target")
@@ -121,9 +133,9 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
         raise ShapeError(f"pred shape {pred.shape} does not match target shape {target.shape}")
     if pred.size == 0:
         raise ShapeError("mse_loss needs at least one element")
-    diff = pred - target
+    diff = pred.astype(np.float64, copy=False) - target
     loss = float(np.mean(diff * diff))
-    dpred = (2.0 / pred.size) * diff
+    dpred = ((2.0 / pred.size) * diff).astype(pred.dtype, copy=False)
     return loss, dpred
 
 
@@ -144,14 +156,15 @@ class AdamState:
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float) -> "AdamState":
-        param = np.asarray(param, dtype=np.float64)
+        """Zero moments in ``param``'s float dtype."""
+        param = float_array(param)
         return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``param`` in place.
 
-    Takes float64 ``param``, ``grad``, ``state.m`` and ``state.v`` of one shape, as ``training`` passes them.
+    Takes ``param``, ``grad``, ``state.m`` and ``state.v`` of one shape and float dtype, as ``training`` passes them.
     Raises NonFiniteError if the gradient holds NaN or infinity; the caller names the parameter.
     """
     if not np.all(np.isfinite(grad)):

@@ -11,9 +11,11 @@ a rectifier-style layer when the gates saturate. ``LayerStack`` stacks
 ``depth`` such layers (relu layers when not gated) and finishes with an affine
 projection onto the forecast horizon; the STAN, MLP and linear networks are
 all layer stacks. A layer kernel takes ``w``, ``b`` and a (4, d) block of rows
-phi, theta, gamma and c, views of its stack's parameter vector. Backward passes
-are derived by hand; the finite-difference checker in ``numerics`` referees
-them in the test suite.
+phi, theta, gamma and c, views of its stack's parameter vector, and computes in
+the stack's dtype: float32 for the networks, float64 for the least-squares
+``linreg`` and for the gradient check. Backward passes are derived by hand; the
+finite-difference checker in ``numerics`` referees them, on float64 stacks, in
+the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .numerics import (
     affine_backward,
     affine_forward,
     as_matrix,
+    float_array,
     integer_in,
     mse_loss,
     relu,
@@ -67,11 +70,6 @@ _UNIT_START = {"phi": 1.0, "theta": 0.0, "gamma": 1.0, "c": 0.0}
 # The most trainable scalars a network may hold: 1 GiB as float64.
 MAX_PARAMETERS = 2 ** 27
 
-# Hard bounds on logistic output keep downstream g*(1-g) factors well defined
-# while staying within one ulp of the ideal saturated value.
-_G_LO = np.nextafter(0.0, 1.0)
-_G_HI = np.nextafter(1.0, 0.0)
-
 # Rows per tile of ``LayerStack.predict``'s gate and mix: the training batch,
 # so a tile's temporaries are the size training already allocates.
 PREDICT_TILE = 256
@@ -104,16 +102,15 @@ def transition_g(z, gamma, c):
     ``maximum(t >= 0, exp(-|t|))``, exactly ``exp(min(t, 0))``, since
     ``-|t|`` is ``t`` where ``t < 0`` and ``exp(-|t|) <= 1`` elsewhere. The
     result is clipped to the open interval (0, 1) at one ulp from each end,
-    which keeps it strictly inside while staying within 1e-15 of the
-    saturated limits. The shorter ``0.5 * (1 + tanh(t / 2))`` is not used:
-    it differs in the last bits and loses relative precision deep in the
-    negative tail, where the gate's ``g * (1 - g)`` slope feeds the gamma
-    and c gradients.
+    which keeps downstream ``g * (1 - g)`` factors well defined while staying
+    within one ulp of the saturated limits. It computes in ``z``'s dtype:
+    float32 for a float32 ``z``, float64 otherwise. The shorter
+    ``0.5 * (1 + tanh(t / 2))`` is not used: it differs in the last bits and
+    loses relative precision deep in the negative tail, where the gate's
+    ``g * (1 - g)`` slope feeds the gamma and c gradients.
     """
-    t = np.asarray(
-        np.asarray(gamma, dtype=np.float64)
-        * (np.asarray(z, dtype=np.float64) - np.asarray(c, dtype=np.float64))
-    )
+    z = float_array(z)
+    t = np.asarray(np.asarray(gamma, dtype=z.dtype) * (z - np.asarray(c, dtype=z.dtype)))
     scalar = t.ndim == 0
     t = np.atleast_1d(t)  # a fresh array, reused below for exp(-|t|) and the denominator
     out = np.greater_equal(t, 0.0, out=np.empty_like(t))
@@ -123,7 +120,8 @@ def transition_g(z, gamma, c):
     np.maximum(out, t, out=out)
     t += 1.0
     out /= t
-    np.clip(out, _G_LO, _G_HI, out=out)
+    zero, one = t.dtype.type(0.0), t.dtype.type(1.0)
+    np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
     return float(out[0]) if scalar else out
 
 
@@ -164,7 +162,7 @@ def stan_layer_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     ``coefs``, the (4, d) block of rows phi, theta, gamma and c, to a batch
     ``x`` (m, p); returns ``(y, cache)`` with y of shape (m, d).
 
-    Takes conforming float64 arrays, as ``LayerStack`` passes them.
+    Takes conforming arrays of one float dtype, as ``LayerStack`` passes them.
     """
     pre = affine_forward(x, w, b)
     y, act, gate = _gate_and_mix(pre, coefs)
@@ -175,7 +173,7 @@ def stan_layer_backward(cache: StanLayerCache, coefs: np.ndarray, dy: np.ndarray
                         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Backward pass of one layer's gate and mix, down to its pre-activation.
 
-    Takes a float64 ``dy`` of the cached pre-activation's shape, as ``LayerStack`` passes it.
+    Takes a ``dy`` of the cached pre-activation's shape and dtype, as ``LayerStack`` passes it.
 
     With u the pre-activation, a = relu(u), g the gate and s = g*(1-g):
 
@@ -193,7 +191,7 @@ def stan_layer_backward(cache: StanLayerCache, coefs: np.ndarray, dy: np.ndarray
     """
     phi, theta, gamma, c = coefs
     pre, act, gate = cache.pre, cache.act, cache.gate
-    terms = np.empty((4, *pre.shape))  # the four column-sum operands, reduced together
+    terms = np.empty((4, *pre.shape), dtype=pre.dtype)  # the four column-sum operands, reduced together
     slope = np.subtract(1.0, gate)
     slope *= gate
     np.multiply(dy, pre, out=terms[0])
@@ -250,36 +248,38 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamStore:
+def init_params(shapes: dict[str, tuple[int, ...]], seed: int, dtype=np.float64) -> ParamStore:
     """Fresh parameters of the given names and shapes, deterministic per seed
     (PCG64 generator): Glorot-uniform dense maps drawn in ``shapes`` order,
-    zero biases, and per-unit coefficients at their start values. ``seed`` is
-    a non-negative integer."""
+    zero biases, and per-unit coefficients at their start values, in
+    ``dtype`` (the draws are float64, rounded to it). ``seed`` is a
+    non-negative integer."""
     rng = np.random.default_rng(integer_in(seed, "seed", 0))
     return {
-        name: glorot_uniform(rng, *shape) if len(shape) == 2
-        else np.full(shape, _UNIT_START.get(name.rsplit(".", 1)[1], 0.0))
+        name: glorot_uniform(rng, *shape).astype(dtype, copy=False) if len(shape) == 2
+        else np.full(shape, _UNIT_START.get(name.rsplit(".", 1)[1], 0.0), dtype=dtype)
         for name, shape in shapes.items()
     }
 
 
 class VectorStore(Mapping):
-    """Name -> array store over one flat float64 ``vector``, each entry a
+    """Name -> array store over one flat ``vector`` of ``dtype``, each entry a
     view of its slice in ``shapes`` order; the names are fixed. Arrays put
     in, as ``values`` (every name, checked before the zero-filled vector is
     allocated) or by assigning an entry, are checked and copied into their
     views: ShapeError for a missing, extra, unknown or wrong-shaped array,
-    naming ``owner``; TypeError for one that is not a float64 ndarray."""
+    naming ``owner``; TypeError for one that is not an ndarray of ``dtype``."""
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], owner: str, values: ParamStore | None = None):
-        self.shapes, self.owner = shapes, owner
+    def __init__(self, shapes: dict[str, tuple[int, ...]], owner: str, values: ParamStore | None = None,
+                 dtype=np.float64):
+        self.shapes, self.owner, self.dtype = shapes, owner, np.dtype(dtype)
         if values is not None and set(values) != set(shapes):
             missing, extra = sorted(set(shapes) - set(values)), sorted(set(values) - set(shapes))
             raise ShapeError(f"parameter store does not match {owner}: missing {missing}, unexpected {extra}")
         for name, arr in (values or {}).items():
             self._check(name, arr)
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.vector = np.zeros(sum(sizes))
+        self.vector = np.zeros(sum(sizes), dtype=self.dtype)
         parts = np.split(self.vector, np.cumsum(sizes)[:-1])
         self._views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
         for name, arr in (values or {}).items():
@@ -288,8 +288,8 @@ class VectorStore(Mapping):
     def _check(self, name: str, arr) -> None:
         if name not in self.shapes:
             raise ShapeError(f"{self.owner} has no parameter '{name}'")
-        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
-            raise TypeError(f"parameter '{name}' must be a float64 ndarray")
+        if not isinstance(arr, np.ndarray) or arr.dtype != self.dtype:
+            raise TypeError(f"parameter '{name}' must be a {self.dtype} ndarray")
         if arr.shape != self.shapes[name]:
             raise ShapeError(f"parameter '{name}' has shape {arr.shape}, {self.owner} needs {self.shapes[name]}")
 
@@ -317,9 +317,13 @@ class LayerStack:
     in this package: ``params`` and ``grads``, ``forward(x) -> (pred, cache)``,
     ``backward(cache, dpred) -> grads``, ``predict(x)`` and ``num_params()``.
 
-    The model owns one parameter vector and one gradient vector, in
-    ``stack_shapes`` order: ``params`` and ``grads`` are ``VectorStore``s of
-    views into them. A given store, and an array assigned to
+    The model computes in one ``dtype``: the class's, float32 unless a
+    subclass says otherwise, or float64 when the constructor is given
+    ``dtype=np.float64``, as the gradient check and old checkpoints need.
+    ``forward``, ``backward`` and ``predict`` cast their inputs to it.
+    The model owns one parameter vector and one gradient vector of that
+    dtype, in ``stack_shapes`` order: ``params`` and ``grads`` are
+    ``VectorStore``s of views into them. A given store, and an array assigned to
     ``params[name]``, is checked and copied in. ``backward`` writes into
     ``grads`` and returns a fresh name -> view mapping of it, valid until
     the next ``backward``. A gated stack's coefficients are the tail of each
@@ -329,24 +333,30 @@ class LayerStack:
 
     kind: ClassVar[str]
     gated: ClassVar[bool]
+    dtype: np.dtype = np.dtype(np.float32)
 
     def __init__(self, lookback: int, horizon: int, units: int, depth: int,
-                 params: ParamStore | None, seed: int):
+                 params: ParamStore | None, seed: int, dtype=None):
         self.lookback, self.horizon, self.units, self.depth = lookback, horizon, units, depth
+        if dtype is not None:
+            if np.dtype(dtype) not in (np.float32, np.float64):
+                raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+            self.dtype = np.dtype(dtype)
         owner = f"{type(self).__name__}(lookback={lookback}, units={units}, depth={depth}, horizon={horizon})"
         if params is not None and depth > len(params):
             # every layer stores its own arrays; refused here, a depth read from a
             # file never makes ``stack_shapes`` list more names than the store holds
             raise ShapeError(f"parameter store does not match {owner}: {len(params)} arrays cannot hold {depth} layers")
         expected = stack_shapes(lookback, horizon, units, depth, self.gated)
-        self.params = VectorStore(expected, owner, init_params(expected, seed) if params is None else params)
-        self.grads = VectorStore(expected, owner)
+        values = init_params(expected, seed, self.dtype) if params is None else params
+        self.params = VectorStore(expected, owner, values, self.dtype)
+        self.grads = VectorStore(expected, owner, dtype=self.dtype)
         if self.gated:  # stack_shapes lists each layer's phi, theta, gamma and c last, layer by layer
             self._coefs, self._coef_grads = (
                 store.vector[-4 * units * depth:].reshape(depth, 4, units) for store in (self.params, self.grads))
 
     def _check_input(self, x) -> np.ndarray:
-        x = as_matrix(x, "x")
+        x = as_matrix(x, "x").astype(self.dtype, copy=False)
         if x.shape[1] != self.lookback:
             raise ShapeError(f"input shape {x.shape} has {x.shape[1]} columns, network expects lookback {self.lookback}")
         return x
@@ -367,7 +377,7 @@ class LayerStack:
         return pred, NetworkCache(layers=caches, proj_input=h)
 
     def backward(self, cache: NetworkCache, dpred) -> ParamStore:
-        dpred = as_matrix(dpred, "dpred")
+        dpred = as_matrix(dpred, "dpred").astype(self.dtype, copy=False)
         if dpred.shape != (cache.proj_input.shape[0], self.horizon):
             raise ShapeError(
                 f"dpred shape {dpred.shape} does not match batch {cache.proj_input.shape[0]} "
@@ -417,8 +427,8 @@ class StanNetwork(LayerStack):
     # the benchmark's tracer wraps only methods in the class's own __dict__
     forward, backward = LayerStack.forward, LayerStack.backward
 
-    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0):
-        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed)
+    def __init__(self, spec: NetworkSpec, params: ParamStore | None = None, seed: int = 0, dtype=None):
+        super().__init__(spec.lookback, spec.horizon, spec.units, spec.depth, params, seed, dtype)
 
 
 # Ranges the gradient check re-draws each layer's coefficients from, in draw order
@@ -427,10 +437,12 @@ _GRADCHECK_COEFS = {"phi": (0.5, 1.5), "theta": (0.5, 1.5), "gamma": (0.5, 2.0),
 
 def gradcheck_problem(spec: NetworkSpec, seed: int, batch: int):
     """``(loss_fn, params)`` for ``numerics.finite_diff_errors``: the MSE of a
-    STAN network drawn at ``seed``, its phi, theta, gamma and c re-drawn off
-    their start values (theta=0 would zero the gamma and c gradients, hiding
-    bugs), on a standard normal batch and target."""
-    model = StanNetwork(spec, seed=seed)
+    float64 STAN network drawn at ``seed``, its phi, theta, gamma and c
+    re-drawn off their start values (theta=0 would zero the gamma and c
+    gradients, hiding bugs), on a standard normal batch and target. Float64,
+    since central differences at eps=1e-5 need its precision; the kernels
+    are the ones the float32 networks train with."""
+    model = StanNetwork(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     for i in range(spec.depth):
         for field_name, (low, high) in _GRADCHECK_COEFS.items():

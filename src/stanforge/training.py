@@ -105,10 +105,15 @@ class TrainHistory:
 def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
     """Train ``model`` in place with the shared recipe; returns (model, history).
 
-    ``train_set`` and ``val_set`` expose float64 ``inputs`` and ``targets``
-    matrices (WindowedDataset does). Batches are drawn by a seeded shuffle
-    each epoch, the full validation loss is computed after every epoch, and
-    the weights of the best validation epoch are restored before returning.
+    ``train_set`` and ``val_set`` expose float ``inputs`` and ``targets``
+    matrices (WindowedDataset does). The inputs are cast once per call to the
+    dtype of the model's parameter vector, float32 for the networks; the
+    targets are read as given by ``mse_loss``, which takes the loss in
+    float64, so a recorded validation loss reads the same as
+    ``mse_loss(model.predict(val_set.inputs), val_set.targets)`` at the
+    weights it was taken at. Batches are drawn by a seeded shuffle each
+    epoch, the full validation loss is computed after every epoch, and the
+    weights of the best validation epoch are restored before returning.
     Identical inputs, seed and config reproduce the identical history.
 
     ``model.params`` holds views of the model's one parameter vector (an
@@ -120,10 +125,11 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
     values = model.params.vector
+    train_x, val_x = (np.asarray(subset.inputs, dtype=values.dtype) for subset in (train_set, val_set))
     state = AdamState.for_param(values, lr=config.lr)
     history = TrainHistory()
     best_values = values.copy()
-    n = len(train_set.inputs)
+    n = len(train_x)
     # epochs since the last material improvement: of the best loss for early
     # stopping, counted only after es_start_epoch; of plateau_best for the rate
     stop_wait = plateau_wait = 0
@@ -136,7 +142,7 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
         batch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start: start + config.batch_size]
-            pred, cache = model.forward(train_set.inputs[batch])
+            pred, cache = model.forward(train_x[batch])
             loss, dpred = mse_loss(pred, train_set.targets[batch])
             if not np.isfinite(loss):
                 raise NonFiniteError(f"epoch {epoch}, batch starting at {start}: training loss is {loss!r}")
@@ -148,7 +154,7 @@ def train(model, train_set, val_set, config: TrainConfig = TrainConfig()):
                 raise NonFiniteError(f"epoch {epoch}, batch starting at {start}: "
                                      f"non-finite gradient for parameter '{name}'") from None
             batch_losses.append(loss)
-        val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
+        val_loss, _ = mse_loss(model.predict(val_x), val_set.targets)
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"epoch {epoch}: validation loss is {val_loss!r}")
         seconds = time.perf_counter() - tic

@@ -14,7 +14,7 @@ from stanforge.baselines import (
     MlpNetwork,
     fit_linear_regression,
 )
-from stanforge.numerics import ShapeError, finite_diff_errors, mse_loss, relu
+from stanforge.numerics import AdamState, ShapeError, finite_diff_errors, mse_loss, relu
 from stanforge.stan_core import (
     LayerStack,
     NetworkSpec,
@@ -152,7 +152,7 @@ def test_mlp_forward_matches_manual_relu_chain():
 
 def test_mlp_gradients_match_finite_differences():
     spec = NetworkSpec(lookback=5, units=4, depth=3, horizon=2)
-    net = MlpNetwork(spec, seed=9)
+    net = MlpNetwork(spec, seed=9, dtype=np.float64)  # central differences need float64
     rng = np.random.default_rng(10)
     # zero-init biases can park whole rows exactly on the ReLU kink, where
     # central differences and the chosen subgradient legitimately disagree;
@@ -197,7 +197,7 @@ def test_linear_network_is_affine_map():
 
 
 def test_linear_network_gradients_match_finite_differences():
-    net = LinearNetwork(4, 2, seed=15)
+    net = LinearNetwork(4, 2, seed=15, dtype=np.float64)  # central differences need float64
     rng = np.random.default_rng(16)
     x = rng.standard_normal((5, 4))
     target = rng.standard_normal((5, 2))
@@ -216,7 +216,7 @@ def test_linear_network_count():
 
 def test_stan_dense_maps_are_the_mlp_init_at_the_same_seed():
     spec = NetworkSpec(45, 64, 3, 12)
-    mlp = init_params(stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth), 7)
+    mlp = init_params(stack_shapes(spec.lookback, spec.horizon, spec.units, spec.depth), 7, np.float32)
     stan = StanNetwork(spec, seed=7).params
     assert all(np.array_equal(stan[name], arr) for name, arr in mlp.items())
     assert count_parameters(spec) == count_parameters(spec, gated=False) + 4 * 64 * 3
@@ -236,11 +236,33 @@ def test_registry_builds_each_kind_fresh_and_from_a_store(kind):
     store, first = fresh.params, next(iter(fresh.params))
     for bad, named in (({n: a for n, a in store.items() if n != first}, first),
                        ({**store, "extra": np.zeros(2)}, "extra"),
-                       ({**store, first: np.zeros(store[first].shape + (1,))}, first)):
+                       ({**store, first: np.zeros(store[first].shape + (1,), fresh.dtype)}, first)):
         with pytest.raises(ShapeError, match=named):
             entry.build(6, 2, 5, 2, params=bad)
     with pytest.raises(TypeError, match=first):
-        entry.build(6, 2, 5, 2, params={**store, first: store[first].astype(np.float32)})
+        entry.build(6, 2, 5, 2, params={**store, first: store[first].astype(np.float16)})
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_each_kind_computes_in_its_dtype(kind):
+    """float32 for the trained kinds, float64 for the least-squares fit: the
+    parameter and gradient vectors and their views, the layer caches, the Adam
+    moments and the outputs, from float64 inputs."""
+    want = np.float64 if kind == "linreg" else np.float32
+    model = MODEL_KINDS[kind].build(6, 2, 5, 2, seed=3)
+    assert model.dtype == want
+    rng = np.random.default_rng(4)
+    for arr in model.params.values():  # theta off zero, so every gate shapes the output
+        arr[...] = rng.standard_normal(arr.shape)
+    x, dpred = rng.standard_normal((7, 6)), rng.standard_normal((7, 2))
+    pred, cache = model.forward(x)
+    grads = model.backward(cache, dpred)
+    cached = [arr for layer in cache.layers for arr in (layer.x, layer.pre, layer.act, layer.gate) if arr is not None]
+    state = AdamState.for_param(model.params.vector, lr=0.001)
+    arrays = [model.params.vector, model.grads.vector, *model.params.values(), *grads.values(), *cached,
+              cache.proj_input, state.m, state.v, pred]
+    assert {arr.dtype for arr in arrays} == {np.dtype(want)}
+    assert model.predict(x).tobytes() == pred.tobytes()
 
 
 # The kernels behind ``forward``/``backward`` check nothing; the model's entry

@@ -21,8 +21,8 @@ def _perturbed_stan(seed=0):
     net = StanNetwork(NetworkSpec(6, 5, 2, 2), seed=seed)
     rng = np.random.default_rng(seed + 1)
     for i in range(2):
-        net.params[f"layers.{i}.theta"] = rng.standard_normal(5)
-        net.params[f"layers.{i}.c"] = rng.standard_normal(5)
+        net.params[f"layers.{i}.theta"] = rng.standard_normal(5).astype(np.float32)
+        net.params[f"layers.{i}.c"] = rng.standard_normal(5).astype(np.float32)
     return net
 
 
@@ -49,6 +49,71 @@ def test_round_trip_is_bit_identical(tmp_path, kind):
         assert np.array_equal(loaded.params[name], model.params[name])
     x = np.random.default_rng(5).standard_normal((7, 6))
     assert np.array_equal(loaded.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_checkpoint_records_the_dtype_and_reloads_its_bits(tmp_path, kind):
+    model = _random_model(kind)
+    path = save_checkpoint(tmp_path / "m.json", model)
+    assert json.loads(path.read_text())["dtype"] == ("float64" if kind == "linreg" else "float32")
+    loaded, _ = load_checkpoint(path)
+    assert loaded.dtype == model.dtype
+    assert loaded.params.vector.tobytes() == model.params.vector.tobytes()
+
+
+def test_a_float64_network_reloads_as_float64(tmp_path):
+    model = StanNetwork(NetworkSpec(6, 5, 2, 2), seed=4, dtype=np.float64)
+    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "m.json", model))
+    assert loaded.dtype == np.float64 and loaded.params.vector.tobytes() == model.params.vector.tobytes()
+
+
+# A stan checkpoint written by hand in the layout saved before checkpoints had
+# a ``dtype``, and the predictions the float64 network of that layout made of
+# _PARENT_X, read off with that code.
+_PARENT_FORMAT = {
+    "format": "stanforge-checkpoint", "version": 1, "kind": "stan",
+    "spec": {"lookback": 2, "units": 2, "depth": 1, "horizon": 1},
+    "param_order": ["layers.0.W", "layers.0.b", "layers.0.c", "layers.0.gamma", "layers.0.phi", "layers.0.theta",
+                    "proj.W", "proj.b"],
+    "params": {
+        "layers.0.W": {"shape": [2, 2], "data": [0.5, -0.25, 1.0, 0.75]},
+        "layers.0.b": {"shape": [2], "data": [0.1, -0.2]},
+        "layers.0.c": {"shape": [2], "data": [0.1, -0.1]},
+        "layers.0.gamma": {"shape": [2], "data": [1.5, 2.0]},
+        "layers.0.phi": {"shape": [2], "data": [1.0, 0.5]},
+        "layers.0.theta": {"shape": [2], "data": [0.3, -0.7]},
+        "proj.W": {"shape": [2, 1], "data": [0.8, -0.6]},
+        "proj.b": {"shape": [1], "data": [0.05]},
+    },
+    "scaler": None,
+}
+_PARENT_X = [[0.5, -1.0], [1.5, 0.25], [-2.0, 3.0]]
+_PARENT_PRED = [-0.14750000000000008, 1.262089661715122, 2.5107779153512952]
+
+
+def test_a_file_without_a_dtype_loads_as_float64_and_predicts_its_old_bits(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_PARENT_FORMAT))
+    model, scaler = load_checkpoint(path)
+    assert scaler is None and model.dtype == np.float64
+    assert model.predict(np.array(_PARENT_X)).ravel().tolist() == _PARENT_PRED
+
+
+def test_values_past_float32_range_are_refused_for_a_float32_model_by_name(tmp_path):
+    path = tmp_path / "m.json"
+    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text())
+    doc["params"]["proj.b"]["data"] = [1e39]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=r"^m\.json: parameter 'proj\.b' has values past float32 range, up to magnitude 1e\+39$"):
+        load_checkpoint(path)
+    doc["dtype"] = "float64"
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path)[0].params["proj.b"].tolist() == [1e39]
+    for bad in ("float16", None, 32):
+        doc["dtype"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="dtype must be one of"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("kind", [*MODEL_KINDS, "stan-45-64-3"])

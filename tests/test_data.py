@@ -475,11 +475,16 @@ _HUGE = np.tile([1e300, -1e300], 40)
     (lambda: TimeSeries("X", np.zeros((2, 1)), [1.0, 2.0]), _refused("timestamps", np.zeros((2, 1)), _STAMP_KINDS)),
     (lambda: TimeSeries("X", np.array([3, 2, 1], dtype=np.uint8), [1.0, 2.0, 3.0]),
      "timestamps must be strictly increasing"),
+    (lambda: TimeSeries("X", np.array([0.0, 1.0, np.nan, 3.0, np.nan]), [1.0] * 5),
+     "timestamps must hold no NaN or NaT, got nan at index 2"),
+    (lambda: TimeSeries("X", np.array(["2015-01-01T00", "NaT", "2015-01-01T02"], dtype="datetime64[h]"), [1.0] * 3),
+     "timestamps must hold no NaN or NaT, got NaT at index 1"),
 ], ids=["nan-in-prepare_splits", "text-to-estimate_lstar", "huge-int-phi0", "huge-int-gamma_grid", "huge-int-scaler",
         "text-TimeSeries", "bool-TimeSeries", "complex-make_windows", "complex-estimate_lstar", "2d-make_windows",
         "2d-estimate_lstar", "object-make_windows", "datetime-make_windows", "inf-make_windows", "inf-estimate_lstar",
         "nan-fit_scaler", "inf-default_c_grid", "squares-overflow-fit_scaler", "squares-overflow-prepare_splits",
-        "squares-overflow-estimate_lstar", "text-stamps", "none-stamps", "2d-stamps", "unsigned-stamps-decreasing"])
+        "squares-overflow-estimate_lstar", "text-stamps", "none-stamps", "2d-stamps", "unsigned-stamps-decreasing",
+        "nan-stamp", "nat-stamp"])
 def test_the_gates_name_the_field_or_the_series_and_index(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -716,6 +721,12 @@ def test_prepare_splits_default_lookback_follows_rule():
     series = sine_series(400)
     assert prepare_splits(series, horizon=1).lookback == 45
     assert prepare_splits(series, horizon=12).lookback == 60
+
+
+def test_prepare_splits_stores_python_ints():
+    prep = prepare_splits(np.arange(100.0), np.int64(2))
+    assert type(prep.horizon) is int and type(prep.lookback) is int
+    assert type(prepare_splits(np.arange(100.0), 1, lookback=np.int32(5)).lookback) is int
 
 
 def test_prepare_splits_rejects_unknown_mode():

@@ -102,6 +102,12 @@ def test_relu_grad_values():
     assert relu_grad(3.0) == 1.0
 
 
+def test_relu_and_its_grad_keep_float32():
+    x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
+    assert relu(x).dtype == relu_grad(x).dtype == np.float32
+    assert relu_grad([1, -1]).dtype == np.float64
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_relu_idempotent(seed):
     x = np.random.default_rng(seed).standard_normal(64)
@@ -125,6 +131,16 @@ def test_mse_unit_case():
 def test_mse_direct_evaluation():
     loss, _ = mse_loss([[2.0, 2.0, 2.0]], [[1.0, 2.0, 3.0]])
     assert loss == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_mse_takes_a_float32_loss_in_float64_and_returns_a_float32_gradient():
+    rng = np.random.default_rng(3)
+    pred, target = rng.standard_normal((50, 2)).astype(np.float32), rng.standard_normal((50, 2))
+    loss, dpred = mse_loss(pred, target)
+    want, want_dpred = mse_loss(pred.astype(np.float64), target)
+    assert loss == want
+    assert dpred.dtype == np.float32 and np.array_equal(dpred, want_dpred.astype(np.float32))
+    assert mse_loss(pred.astype(np.float64), target.astype(np.float32))[1].dtype == np.float64
 
 
 def test_mse_rejects_empty_and_mismatched():
@@ -169,6 +185,15 @@ def test_adam_zero_gradient_is_identity():
     adam_step(param, np.zeros(3), state)
     assert np.array_equal(param, before)
     assert state.t == 1
+
+
+def test_adam_moments_follow_a_float32_parameter():
+    param = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+    state = AdamState.for_param(param, lr=0.001)
+    assert state.m.dtype == state.v.dtype == np.float32
+    adam_step(param, np.array([0.5, -0.5, 1.0], dtype=np.float32), state)
+    assert param.dtype == state.m.dtype == state.v.dtype == np.float32
+    assert AdamState.for_param([1, 2], lr=0.001).m.dtype == np.float64
 
 
 def test_adam_first_step_moves_by_lr():
@@ -323,7 +348,9 @@ def test_every_scalar_site_accepts_and_refuses_the_same_values(value):
         "value": lambda: finite_real(value, "value"),
     }
     expected = _finite_real_number(value)
-    if not expected or value >= LR_MIN:  # a finite rate below the floor is refused by the floor, not the gate
+    # a finite rate below the floor is refused by the floor, not the gate; compared as the float TrainConfig
+    # reads, since np.float32(2.5e-05) >= 2.5e-05 holds in float32 but not once the value is a float
+    if not expected or float(value) >= LR_MIN:
         sites["lr"] = lambda: TrainConfig(lr=value)
     verdicts = {field: _verdict(call, field) for field, call in sites.items()}
     assert set(verdicts.values()) == {"accepted" if expected else "refused"}, verdicts

@@ -74,6 +74,16 @@ def test_gate_scalar_in_scalar_out():
     assert isinstance(transition_g(1.0, 2.0, 0.0), float)
 
 
+def test_gate_computes_in_a_float32_input_dtype_and_clips_one_float32_ulp_inside():
+    z = np.array([-1e6, -0.5, 0.0, 0.5, 1e6], dtype=np.float32)
+    g = transition_g(z, np.float32(3.0), np.float32(0.1))
+    assert g.dtype == np.float32
+    assert g[0] == np.nextafter(np.float32(0.0), np.float32(1.0))
+    assert g[-1] == np.nextafter(np.float32(1.0), np.float32(0.0))
+    assert np.allclose(g[1:-1], transition_g(z[1:-1].astype(np.float64), 3.0, 0.1), rtol=1e-6, atol=0.0)
+    assert transition_g(np.arange(3), 1.0, 0.0).dtype == np.float64  # anything but float32 is read as float64
+
+
 def _two_branch_gate(z, gamma, c):
     """The gate as it was first written, one branch per sign of t: the
     reference the branch-free evaluation must reproduce bit for bit."""
@@ -212,7 +222,7 @@ def test_layer_backward_matches_finite_differences():
 def test_network_column_selector_configuration():
     # depth 1, identity pass-through, projection picks input coordinate 2
     spec = NetworkSpec(lookback=4, units=4, depth=1, horizon=1)
-    net = StanNetwork(spec, seed=0)
+    net = StanNetwork(spec, seed=0, dtype=np.float64)
     net.params["layers.0.W"] = np.eye(4)
     net.params["proj.W"] = np.zeros((4, 1))
     net.params["proj.W"][2, 0] = 1.0
@@ -222,7 +232,7 @@ def test_network_column_selector_configuration():
 
 def test_network_tiny_hand_computation():
     spec = NetworkSpec(lookback=3, units=2, depth=1, horizon=1)
-    net = StanNetwork(spec, seed=0)
+    net = StanNetwork(spec, seed=0, dtype=np.float64)
     net.params["layers.0.W"] = np.array([[1.0, 0.5], [1.0, 0.0], [0.0, -1.0]])
     net.params["layers.0.b"] = np.array([0.0, 0.1])
     net.params["layers.0.phi"] = np.array([0.5, 1.0])
@@ -246,8 +256,8 @@ def test_network_tiny_hand_computation():
 
 def test_network_rowwise_equals_batch():
     spec = NetworkSpec(lookback=5, units=4, depth=2, horizon=3)
-    loss_fn, params = stan_fd_problem(spec, seed=7)
-    net = StanNetwork(spec, params=params)
+    loss_fn, params = stan_fd_problem(spec, seed=7)  # a float64 store
+    net = StanNetwork(spec, params=params, dtype=np.float64)
     x = np.random.default_rng(8).standard_normal((6, 5))
     batch = net.predict(x)
     rows = np.vstack([net.predict(x[i:i + 1]) for i in range(6)])
@@ -382,7 +392,7 @@ def test_init_weight_statistics():
 
 def test_fresh_network_is_affine():
     spec = NetworkSpec(6, 8, 2, 2)
-    net = StanNetwork(spec, seed=21)
+    net = StanNetwork(spec, seed=21, dtype=np.float64)
     rng = np.random.default_rng(22)
     x = rng.standard_normal((40, 6))
     # an affine map is fully determined by its value on a basis plus the origin
@@ -415,7 +425,7 @@ def test_forward_rejects_wrong_lookback():
 
 def test_assignment_copies_into_the_parameter_vector():
     net = StanNetwork(NetworkSpec(5, 4, 2, 1), seed=0)
-    view, new = net.params["layers.1.gamma"], np.linspace(0.5, 2.0, 4)
+    view, new = net.params["layers.1.gamma"], np.linspace(0.5, 2.0, 4, dtype=np.float32)
     net.params["layers.1.gamma"] = new
     assert net.params["layers.1.gamma"] is view and np.array_equal(view, new)
     assert np.shares_memory(view, net.params.vector) and not np.shares_memory(view, new)
@@ -428,8 +438,8 @@ def test_kernels_read_an_assigned_coefficient_as_one_given_at_construction(name,
     spec, rng = NetworkSpec(5, 4, 2, 2), np.random.default_rng(31)
     base = {key: arr.copy() for key, arr in StanNetwork(spec, seed=3).params.items()}
     for i in range(spec.depth):  # theta=0 would hide gamma and c from the output
-        base[f"layers.{i}.theta"] = rng.uniform(0.5, 1.5, spec.units)
-    key, new = f"layers.{layer}.{name}", rng.uniform(0.5, 1.5, spec.units)
+        base[f"layers.{i}.theta"] = rng.uniform(0.5, 1.5, spec.units).astype(np.float32)
+    key, new = f"layers.{layer}.{name}", rng.uniform(0.5, 1.5, spec.units).astype(np.float32)
     assigned = StanNetwork(spec, params=base)
     assigned.params[key] = new
     built = StanNetwork(spec, params={**base, key: new})
@@ -443,17 +453,26 @@ def test_kernels_read_an_assigned_coefficient_as_one_given_at_construction(name,
 
 
 @pytest.mark.parametrize("name,value,error", [
-    ("proj.W", np.zeros((4, 2)), ShapeError),
+    ("proj.W", np.zeros((4, 2), dtype=np.float32), ShapeError),
     ("layers.2.W", np.zeros((4, 4)), ShapeError),
-    ("proj.b", np.zeros(1, dtype=np.float32), TypeError),
+    ("proj.b", np.zeros(1), TypeError),
     ("proj.b", [0.0], TypeError),
-], ids=["wrong-shape", "unknown-name", "float32", "list"])
+], ids=["wrong-shape", "unknown-name", "float64", "list"])
 def test_assignment_is_checked_as_at_construction(name, value, error):
     net = StanNetwork(NetworkSpec(5, 4, 2, 1), seed=0)
     before = net.params.vector.copy()
     with pytest.raises(error, match=name):
         net.params[name] = value
     assert np.array_equal(net.params.vector, before)
+
+
+def test_network_dtype_is_float32_or_float64():
+    spec = NetworkSpec(5, 4, 2, 1)
+    assert StanNetwork(spec).dtype == np.float32
+    assert StanNetwork(spec, dtype="float64").params.vector.dtype == np.float64
+    for bad in (np.float16, np.int64, "complex128"):
+        with pytest.raises(ValueError, match="^dtype must be float32 or float64"):
+            StanNetwork(spec, dtype=bad)
 
 
 def test_network_rejects_malformed_store():

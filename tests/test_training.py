@@ -238,6 +238,16 @@ def test_train_restores_best_weights():
     assert hist.best_val_loss == min(r.val_loss for r in hist.records)
 
 
+@pytest.mark.parametrize("build", [lambda: LinearNetwork(8, 1, seed=2),
+                                   lambda: StanNetwork(NetworkSpec(8, 4, 2, 1), seed=2)], ids=["linear", "stan"])
+def test_recorded_validation_loss_is_what_mse_loss_reads_at_the_weights(build):
+    train_set, val_set = _linear_problem(n=200)
+    model = build()
+    assert model.dtype == np.float32
+    _, hist = train(model, train_set, val_set, TrainConfig(max_epochs=8, batch_size=32, seed=0))
+    assert hist.best_val_loss == mse_loss(model.predict(val_set.inputs), val_set.targets)[0]
+
+
 def test_train_bit_identical_given_seed():
     train_set, val_set = _linear_problem(n=200)
     runs = []
@@ -291,9 +301,11 @@ def _switching_problem(n=120, q=5, seed=11):
 
 def _per_array_reference(model, train_set, val_set, config):
     """The training loop with one Adam state and one ``adam_step`` per
-    parameter array; returns its (train_loss, val_loss) per epoch. Only
+    parameter array, with the inputs cast once to the model's dtype as
+    ``train`` casts them; returns its (train_loss, val_loss) per epoch. Only
     valid for budgets too short for the plateau schedule or early stopping."""
     rng = np.random.default_rng(config.seed)
+    train_x, val_x = (subset.inputs.astype(model.params.vector.dtype) for subset in (train_set, val_set))
     states = {name: AdamState.for_param(p, lr=config.lr) for name, p in model.params.items()}
     best_val, best = float("inf"), {name: p.copy() for name, p in model.params.items()}
     n, losses = len(train_set.inputs), []
@@ -302,13 +314,13 @@ def _per_array_reference(model, train_set, val_set, config):
         batch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start: start + config.batch_size]
-            pred, cache = model.forward(train_set.inputs[batch])
+            pred, cache = model.forward(train_x[batch])
             loss, dpred = mse_loss(pred, train_set.targets[batch])
             grads = model.backward(cache, dpred)
             for name, param in model.params.items():
                 adam_step(param, grads[name], states[name])
             batch_losses.append(loss)
-        val_loss, _ = mse_loss(model.predict(val_set.inputs), val_set.targets)
+        val_loss, _ = mse_loss(model.predict(val_x), val_set.targets)
         losses.append((float(np.mean(batch_losses)), val_loss))
         if val_loss < best_val:
             best_val, best = val_loss, {name: p.copy() for name, p in model.params.items()}
@@ -335,11 +347,12 @@ def _params_sha256(model) -> str:
     return hashlib.sha256(b"".join(model.params[name].tobytes() for name in sorted(model.params))).hexdigest()
 
 
-# Final-parameter digests of the runs below, recorded with one Adam update per array.
+# Final-parameter digests of the runs below, recorded with one Adam update per
+# array, in float32; they read the same with BLAS at one and at two threads.
 FUSED_UPDATE_GOLDEN = {
-    "STAN-5-4-3": "164f3044d53bb1413426a4c0ad04c77d53ff012e218ca978fecd2224c78572f5",
-    "MLP-5-4-2": "ebb397aaf9c141683ba98b4ff15c6b7cc2a21b19bda98da463c94f0b184d12b8",
-    "LinearNN-5-1": "8d2fd40631e8fd0388572c0785132cff492940a41647c28c949bd0a05df5ab97",
+    "STAN-5-4-3": "13c4ea8197c01981a7e358d511d3e488407d2760f6241f7f7e50ad00b2759e1c",
+    "MLP-5-4-2": "c7470b6882f8cb90d9251253a59f9377f90409ab7348a73bdf83764af4a15c45",
+    "LinearNN-5-1": "f54c164afe5a03c75cac5c78c311930326069acfafc1468ff890dccb5e2370ae",
 }
 
 
@@ -366,13 +379,13 @@ def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
 
 
 # Digests of the final parameters and of the test-window predictions of the runs
-# below, at the benchmark's shapes (lookback 45, 64 units, batch 256). They read
-# the same with BLAS at one and at two threads.
+# below, at the benchmark's shapes (lookback 45, 64 units, batch 256), trained
+# in float32. They read the same with BLAS at one and at two threads.
 BENCH_SHAPE_GOLDEN = {
-    "STAN-64-3": ("361ebad0b82c455ab761c8cf541f98461013de47c15b9d1253c5e2d57c5e0b10",
-                  "4deea7610e1b9206e3a33bd86e4697b5e45daabef454fa9e200b4d07df6b3502"),
-    "MLP-64-3": ("94debde9025b1adc950d4278945cb99d3ddb4d9e6a7b87fac656abfff60dbd66",
-                 "529d7d791341a57e31ec0d1c520fedfc1c1bfae72b9401bfee7bf4b42d714a52"),
+    "STAN-64-3": ("d2a6570e6de65cf0d4cccdde844a1cf7f169c0b7331e38a457ba6c001487542f",
+                  "663d8f429f4c3a70b9b15c7798ccd59dc7b1b133c6c5b0298aac50dba5ed5995"),
+    "MLP-64-3": ("4108638066966712257c12e450f380d59d07de3936f236df5332bb919613944b",
+                 "31b8b0a54dc7f7a304a32d69a9dc7c2d70a21eeff7b1eda487e745e67413cfd3"),
 }
 
 
