@@ -19,6 +19,7 @@ that shape and read as ``proj.W = weights[1:]``, ``proj.b = weights[0]``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -87,9 +88,9 @@ def _load_array(name: str, entry, dtype: str) -> np.ndarray:
         arr = np.asarray(data, dtype=np.float64).reshape(shape)
     except (TypeError, KeyError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise CheckpointError(f"parameter {name!r}: {exc!r}") from None
-    if not np.isfinite(arr).all():
+    peak = float(np.abs(arr).max(initial=0.0))  # one pass: a NaN or an infinity anywhere makes it non-finite
+    if not math.isfinite(peak):
         raise CheckpointError(f"parameter {name!r} has non-finite values")
-    peak = float(np.abs(arr).max(initial=0.0))
     if peak > float(np.finfo(dtype).max):
         raise CheckpointError(f"parameter {name!r} has values past {dtype} range, up to magnitude {peak!r}")
     return arr.astype(dtype, copy=False)

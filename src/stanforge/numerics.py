@@ -90,6 +90,13 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     return a
 
 
+def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the rows of ``a`` (m, d), or of each matrix of a stack (k, m, d), in ``a``'s dtype, written
+    into ``out`` if given. Taken by BLAS as ``ones @ a``: several times faster than ``a.sum(axis=-2)`` at the
+    training shapes, and the same sum in another order, so within the same float error bound."""
+    return np.matmul(np.ones(a.shape[-2], dtype=a.dtype), a, out=out)
+
+
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Compute ``x @ w + b``: (m, p) @ (p, q) + (q,) -> (m, q).
 
@@ -102,11 +109,12 @@ def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, dw: np.ndarray
                     db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``y = x @ w + b`` given upstream ``dy``: ``(dx, dw, db)``
     with ``dx = dy @ w.T``, ``dw = x.T @ dy`` and ``db`` the column sums of
-    ``dy``; ``dw`` and ``db`` are written into the given arrays if any.
+    ``dy`` (``column_sums``); ``dw`` and ``db`` are written into the given
+    arrays if any.
 
     Takes conforming arrays of one float dtype, as ``LayerStack`` passes them.
     """
-    return dy @ w.T, np.matmul(x.T, dy, out=dw), dy.sum(axis=0, out=db)
+    return dy @ w.T, np.matmul(x.T, dy, out=dw), column_sums(dy, out=db)
 
 
 def relu(x):

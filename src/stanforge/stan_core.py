@@ -32,6 +32,7 @@ from .numerics import (
     affine_backward,
     affine_forward,
     as_matrix,
+    column_sums,
     float_array,
     integer_in,
     mse_loss,
@@ -91,38 +92,39 @@ class NetworkSpec:
             object.__setattr__(self, field_name, integer_in(getattr(self, field_name), field_name, 1))
 
 
+# The clamp of the gate's exponent per dtype; ``transition_g`` says why each bound.
+_GATE_CLAMP = {np.dtype(np.float32): (-16.0, 80.0), np.dtype(np.float64): (-36.0, 700.0)}
+
+
 def transition_g(z, gamma, c):
     """Logistic transition ``1 / (1 + exp(-gamma * (z - c)))``, elementwise.
 
-    With ``t = gamma * (z - c)`` it is evaluated branch-free as
-    ``exp(min(t, 0)) / (1 + exp(-|t|))``: for ``t >= 0`` that is
-    ``1 / (1 + exp(-t))`` and for ``t < 0`` it is ``exp(t) / (1 + exp(t))``,
-    so no positive argument is ever exponentiated and arbitrarily large
-    ``|t|`` cannot overflow. One ``exp`` serves both: the numerator is
-    ``maximum(t >= 0, exp(-|t|))``, exactly ``exp(min(t, 0))``, since
-    ``-|t|`` is ``t`` where ``t < 0`` and ``exp(-|t|) <= 1`` elsewhere. The
-    result is clipped to the open interval (0, 1) at one ulp from each end,
-    which keeps downstream ``g * (1 - g)`` factors well defined while staying
-    within one ulp of the saturated limits. It computes in ``z``'s dtype:
+    With ``t = gamma * (c - z)`` it is evaluated as ``1 / (1 + exp(t))``,
+    ``t`` clamped first to ``[-16, 80]`` in float32 or ``[-36, 700]`` in
+    float64, with one ``exp`` and every pass in place. The clamp alone holds
+    the result inside the open interval (0, 1), so no clip of the output is
+    needed: at the low end ``exp(t)`` is still more than half an ulp of 1,
+    so ``1 + exp(t)`` rounds above 1 and the top is exactly ``1 - 2**-23``
+    (float32) or ``1 - 2**-52`` (float64), which keeps downstream
+    ``g * (1 - g)`` factors nonzero; at the high end ``exp(t)`` cannot
+    overflow, and the floor is exactly ``1 / (1 + e**80)``, about 1.8e-35,
+    or ``1 / (1 + e**700)``, about 9.9e-305, both normal floats. Past
+    either end the clamp moves a gate by less than the top's distance from 1
+    or than the floor. A NaN ``t`` gives NaN. It computes in ``z``'s dtype:
     float32 for a float32 ``z``, float64 otherwise. The shorter
     ``0.5 * (1 + tanh(t / 2))`` is not used: it differs in the last bits and
     loses relative precision deep in the negative tail, where the gate's
     ``g * (1 - g)`` slope feeds the gamma and c gradients.
     """
     z = float_array(z)
-    t = np.asarray(np.asarray(gamma, dtype=z.dtype) * (z - np.asarray(c, dtype=z.dtype)))
+    t = np.asarray(np.asarray(gamma, dtype=z.dtype) * (np.asarray(c, dtype=z.dtype) - z))
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)  # a fresh array, reused below for exp(-|t|) and the denominator
-    out = np.greater_equal(t, 0.0, out=np.empty_like(t))
-    np.abs(t, out=t)
-    np.negative(t, out=t)
+    t = np.atleast_1d(t)  # a fresh array, which every pass below overwrites
+    np.clip(t, *_GATE_CLAMP[t.dtype], out=t)
     np.exp(t, out=t)
-    np.maximum(out, t, out=out)
     t += 1.0
-    out /= t
-    zero, one = t.dtype.type(0.0), t.dtype.type(1.0)
-    np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
-    return float(out[0]) if scalar else out
+    np.divide(1.0, t, out=t)
+    return float(t[0]) if scalar else t
 
 
 @dataclass
@@ -185,9 +187,9 @@ def stan_layer_backward(cache: StanLayerCache, coefs: np.ndarray, dy: np.ndarray
 
     ``coefs`` is the layer's (4, d) block of rows phi, theta, gamma and c.
     Returns ``(du, dcoefs)``: ``du`` (m, d), from which ``LayerStack.backward``
-    takes the dense map's gradients ``x.T @ du`` and ``du.sum(axis=0)`` and the
-    input gradient ``du @ w.T``, and ``dcoefs`` (4, d), whose rows are dphi,
-    dtheta, dgamma and dc, written into the given ``out`` array if any.
+    takes the dense map's gradients ``x.T @ du`` and ``column_sums(du)`` and
+    the input gradient ``du @ w.T``, and ``dcoefs`` (4, d), whose rows are
+    dphi, dtheta, dgamma and dc, written into the given ``out`` array if any.
     """
     phi, theta, gamma, c = coefs
     pre, act, gate = cache.pre, cache.act, cache.gate
@@ -200,14 +202,14 @@ def stan_layer_backward(cache: StanLayerCache, coefs: np.ndarray, dy: np.ndarray
     dy_act *= gate
     np.subtract(pre, c, out=terms[2])
     terms[2] *= weighted
-    dcoefs = terms.sum(axis=1, out=out)
+    dcoefs = column_sums(terms, out=out)
     dcoefs[2] *= theta
     dcoefs[3] *= -theta * gamma
     # du in the slope buffer; relu'(u) * g + a * s * gamma is (a * s * gamma + g) * (u > 0)
     slope *= act
     slope *= gamma
     slope += gate
-    slope *= pre > 0.0
+    np.multiply(slope, pre > 0.0, out=slope, dtype=slope.dtype)
     slope *= theta
     slope += phi
     slope *= dy
@@ -392,7 +394,7 @@ class LayerStack:
             else:
                 du = dh * relu_grad(layer.pre)
             np.matmul(layer.x.T, du, out=g[f"layers.{i}.W"])
-            du.sum(axis=0, out=g[f"layers.{i}.b"])
+            column_sums(du, out=g[f"layers.{i}.b"])
             if i:  # nothing reads the first layer's input gradient
                 dh = du @ p[f"layers.{i}.W"].T
         return dict(g)

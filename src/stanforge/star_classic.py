@@ -43,6 +43,8 @@ _SCREEN_BLOCK = 256
 _SCREEN_RESOLVE = 64.0
 _SCREEN_BOUND = 32.0
 _UNIT_ROUNDOFF = 2.0 ** -53
+# |gamma * (z - c)| past which a float64 logistic gate is 1 to the last bit, or below e**-37
+_SATURATED = 37.0
 
 
 class ExplosiveDynamicsError(RuntimeError):
@@ -286,6 +288,19 @@ def _qr_sse(lags, target, z, points) -> np.ndarray:
     return sse
 
 
+def _rank_deficient_message(z, points) -> str:
+    """Why no grid point could be fit, with the smallest ``|gamma * (z - c)|``
+    over the grid: past ``_SATURATED`` at every point, as for a series in
+    units much larger than the default grid's, every gate is saturated and
+    the cause is the grid, not the series."""
+    with np.errstate(over="ignore"):  # an infinite distance is as saturated as a finite one
+        smallest = min(gamma * float(np.abs(z - c).min()) for gamma, c in points)
+    reach = f"the smallest |gamma * (z - c)| over the grid is {smallest:.3g}, and the gamma grid is in the series' units"
+    cause = (f"every gate saturates: {reach}" if smallest > _SATURATED
+             else f"the series may not excite both regimes ({reach})")
+    return f"regressor matrix was rank deficient at all {len(points)} grid points; {cause}"
+
+
 def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=None) -> tuple[LstarParams, float]:
     """Fit a logistic STAR by concentrated least squares over a (gamma, c) grid.
 
@@ -295,7 +310,8 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
     grid point with the smallest sum of squared residuals wins; exact ties go
     to the smallest gamma, then the smallest c. Grid points whose regressor
     matrix is numerically rank deficient are skipped; if every point is
-    skipped, EstimationError is raised.
+    skipped, EstimationError is raised, naming the smallest ``|gamma * (z -
+    c)|`` over the grid and whether every gate saturates.
 
     The SSE of a point is taken by a fixed-block QR (Teräsvirta 1994, JASA
     89:208): the fixed block ``[1, lags]`` is factored once, as Q1 R1, and by
@@ -407,10 +423,7 @@ def estimate_lstar(series, order: int, delay: int = 1, gamma_grid=None, c_grid=N
                 factored[due] = True
                 continue
             if flat is None:
-                raise EstimationError(
-                    f"regressor matrix was rank deficient at all {len(points)} grid points; "
-                    "the series may not excite both regimes"
-                )
+                raise EstimationError(_rank_deficient_message(z, points))
             gamma, c = points[flat]
             with np.errstate(over="ignore"):  # as in _screen_grid
                 gate = _logistic(gamma * (z - c))

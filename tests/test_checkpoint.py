@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -97,6 +98,17 @@ def test_a_file_without_a_dtype_loads_as_float64_and_predicts_its_old_bits(tmp_p
     model, scaler = load_checkpoint(path)
     assert scaler is None and model.dtype == np.float64
     assert model.predict(np.array(_PARENT_X)).ravel().tolist() == _PARENT_PRED
+
+
+@pytest.mark.parametrize("data", [[math.nan], [math.inf], [1e39, math.nan], [-math.inf, 1e39]],
+                         ids=["nan", "inf", "nan-beside-past-range", "inf-beside-past-range"])
+def test_non_finite_values_are_named_before_the_range_check(tmp_path, data):
+    path = tmp_path / "m.json"
+    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text())
+    doc["params"]["proj.W"]["data"][:len(data)] = data
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=r"^m\.json: parameter 'proj\.W' has non-finite values$"):
+        load_checkpoint(path)
 
 
 def test_values_past_float32_range_are_refused_for_a_float32_model_by_name(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import stan_fd_problem
 from stanforge.baselines import MODEL_KINDS
-from stanforge.numerics import ShapeError, finite_diff_errors, mse_loss
+from stanforge.numerics import ShapeError, finite_diff_errors, mse_loss, relu_grad
 from stanforge.stan_core import (
     MAX_PARAMETERS,
     NetworkSpec,
@@ -74,59 +74,99 @@ def test_gate_scalar_in_scalar_out():
     assert isinstance(transition_g(1.0, 2.0, 0.0), float)
 
 
-def test_gate_computes_in_a_float32_input_dtype_and_clips_one_float32_ulp_inside():
-    z = np.array([-1e6, -0.5, 0.0, 0.5, 1e6], dtype=np.float32)
-    g = transition_g(z, np.float32(3.0), np.float32(0.1))
-    assert g.dtype == np.float32
-    assert g[0] == np.nextafter(np.float32(0.0), np.float32(1.0))
-    assert g[-1] == np.nextafter(np.float32(1.0), np.float32(0.0))
-    assert np.allclose(g[1:-1], transition_g(z[1:-1].astype(np.float64), 3.0, 0.1), rtol=1e-6, atol=0.0)
+def test_gate_computes_in_a_float32_input_dtype():
+    z = np.array([-0.5, 0.0, 0.5], dtype=np.float32)
+    assert transition_g(z, np.float32(3.0), np.float32(0.1)).dtype == np.float32
+    assert transition_g(z, 3.0, 0.1).dtype == np.float32  # gamma and c are read in z's dtype
     assert transition_g(np.arange(3), 1.0, 0.0).dtype == np.float64  # anything but float32 is read as float64
 
 
-def _two_branch_gate(z, gamma, c):
-    """The gate as it was first written, one branch per sign of t: the
-    reference the branch-free evaluation must reproduce bit for bit."""
-    t = np.asarray(
-        np.asarray(gamma, dtype=np.float64)
-        * (np.asarray(z, dtype=np.float64) - np.asarray(c, dtype=np.float64))
-    )
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
-    return float(out[0]) if scalar else out
+# Per dtype: the clamp of the gate's argument t = gamma * (c - z), the gate's
+# top (its value at the low end) and floor (at the high end), and the ulp bound
+# of the gate inside the clamp against a float64 reference of the same t.
+_GATE_RANGE = {
+    np.float32: (-16.0, 80.0, 1.0 - 2.0 ** -23, 1.0 / (1.0 + math.exp(80.0)), 5),
+    np.float64: (-36.0, 700.0, 1.0 - 2.0 ** -52, 1.0 / (1.0 + math.exp(700.0)), 5),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_top_and_floor_are_exact_at_and_past_the_clamp(dtype):
+    low, high, top, floor, _ = _GATE_RANGE[dtype]
+    # gamma 1 and c 0 make t = -z
+    z = np.array([-low, -low + 0.5, 1e30, np.inf, -high, -high - 0.5, -1e30, -np.inf], dtype=dtype)
+    g = transition_g(z, 1.0, 0.0)
+    assert g.tolist() == [top] * 4 + [dtype(floor)] * 4
+    assert dtype(floor) >= np.finfo(dtype).tiny  # a normal float, not a subnormal
+
+
+def _gate_reference(z, gamma, c, dtype):
+    """``(t, g)``: the gate's argument ``gamma * (c - z)`` rounded as ``dtype``
+    rounds it, and ``1 / (1 + exp(t))`` of it in float64 by ``math.exp``,
+    clamped as the gate clamps ``t``; both broadcast to the shape of ``z``."""
+    low, high = _GATE_RANGE[dtype][:2]
+    t = np.broadcast_to(dtype(gamma) * (dtype(c) - z), np.shape(z)).astype(np.float64)
+    ref = [math.nan if math.isnan(v) else 1.0 / (1.0 + math.exp(min(max(v, low), high))) for v in t.ravel()]
+    return t, np.array(ref).reshape(t.shape)
+
+
+def _check_gate(z, gamma, c, dtype):
+    """Every property of ``transition_g(z, gamma, c)`` for a ``dtype`` array ``z``."""
+    low, high, top, floor, ulps = _GATE_RANGE[dtype]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        g = transition_g(z, gamma, c)
+    assert g.dtype == dtype and g.shape == z.shape
+    t, ref = _gate_reference(z, gamma, c, dtype)
+    nan = np.isnan(t)
+    assert np.array_equal(np.isnan(g), nan)  # NaN in, NaN out, and only then
+    assert np.all((g[~nan] > 0.0) & (g[~nan] < 1.0))
+    assert np.all(g[t <= low] == top) and np.all(g[t >= high] == dtype(floor))
+    inside = (t > low) & (t < high)
+    wide = np.maximum(g[inside], ref[inside].astype(dtype))  # the larger side's ulp, across a binade edge
+    assert np.all(np.abs(g[inside] - ref[inside]) <= ulps * np.spacing(wide).astype(np.float64))
+
+
+def _check_monotone(z, gamma, c, dtype):
+    """Along a sorted first axis of ``z``, the gate rises where gamma > 0 and falls where gamma < 0."""
+    z = np.sort(z[~np.isnan(z).any(axis=1)], axis=0)
+    slope = np.diff(transition_g(z, gamma, c).astype(np.float64), axis=0) * np.sign(dtype(gamma))
+    assert np.all(slope >= 0.0)
 
 
 # exp under- and overflow, subnormal results, saturation and both zeros
 _GATE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 37.5, -37.5, 709.78, -709.78,
                745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e6, -1e6, np.inf, -np.inf]
 _gate_values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_GATE_EDGES))
-# gamma != 0 keeps gamma * (z - c) free of 0 * inf = NaN, whose bits carry no meaning
+# gamma != 0 keeps gamma * (c - z) free of 0 * inf, an invalid operation numpy warns about
 _gate_gammas = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3), st.sampled_from([1.0, -1.0]))
 _gate_centres = st.floats(-10.0, 10.0)
+_gate_dtypes = st.sampled_from([np.float32, np.float64])
 
 
 @settings(max_examples=300, deadline=None)
-@given(z=_gate_values, gamma=_gate_gammas, c=_gate_centres)
-def test_gate_scalar_is_bit_identical_to_two_branch_form(z, gamma, c):
-    assert repr(transition_g(z, gamma, c)) == repr(_two_branch_gate(z, gamma, c))
+@given(z=st.one_of(_gate_values, st.just(math.nan)), gamma=_gate_gammas, c=_gate_centres, dtype=_gate_dtypes)
+def test_gate_scalar_holds_every_property(z, gamma, c, dtype):
+    g = transition_g(dtype(z), gamma, c)
+    assert isinstance(g, float)
+    want = transition_g(np.array([z], dtype=dtype), gamma, c)
+    assert repr(g) == repr(float(want[0]))  # a scalar is the one-element array's value
+    _check_gate(np.array([z], dtype=dtype), gamma, c, dtype)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 40), cols=st.integers(1, 12), broadcast=st.booleans())
-def test_gate_array_is_bit_identical_to_two_branch_form(data, rows, cols, broadcast):
-    z = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_gate_values))
+@given(data=st.data(), rows=st.integers(1, 40), cols=st.integers(1, 12), broadcast=st.booleans(),
+       dtype=_gate_dtypes)
+def test_gate_array_holds_every_property(data, rows, cols, broadcast, dtype):
+    # drawn in float64 and rounded, so the float64 edges reach float32 as its zeros, infinities and overflows
+    z = data.draw(hnp.arrays(np.float64, (rows, cols), elements=st.one_of(_gate_values, st.just(math.nan))))
+    z = z.astype(dtype)
     if broadcast:  # per-unit gamma and c, broadcast over the rows as in a layer
-        gamma = data.draw(hnp.arrays(np.float64, cols, elements=_gate_gammas))
-        c = data.draw(hnp.arrays(np.float64, cols, elements=_gate_centres))
+        gamma = data.draw(hnp.arrays(np.float64, cols, elements=_gate_gammas)).astype(dtype)
+        c = data.draw(hnp.arrays(np.float64, cols, elements=_gate_centres)).astype(dtype)
     else:
         gamma, c = data.draw(_gate_gammas), data.draw(_gate_centres)
-    assert transition_g(z, gamma, c).tobytes() == _two_branch_gate(z, gamma, c).tobytes()
+    _check_gate(z, gamma, c, dtype)
+    _check_monotone(z, gamma, c, dtype)
 
 
 # ------------------------------------------------------------------ unit ----
@@ -317,6 +357,74 @@ def test_network_theta_zero_keeps_gate_gradients_zero():
     for i in range(2):
         assert not grads[f"layers.{i}.gamma"].any()
         assert not grads[f"layers.{i}.c"].any()
+
+
+# The batch sizes the column-sum tests run at: a single row, two, and the
+# training batch with a smaller one beside it
+_SUM_ROWS = st.sampled_from([1, 2, 100, 256])
+
+
+def _assert_float32_sum(got, operands, scale=1.0):
+    """``got`` is ``scale`` times the column sums of the float32 ``operands``
+    to within float32 error: any order of summation over m rows, then up to
+    two roundings for a float32 scale, errs by at most ``gamma_{m+1} * |scale|
+    * sum |x|`` (gamma_n = n u / (1 - n u), u = 2**-24); the float64 reference
+    takes one more u."""
+    assert got.dtype == np.float32 and operands.dtype == np.float32
+    u = 2.0 ** -24
+    n = len(operands) + 2
+    scale = np.asarray(scale, dtype=np.float64)
+    ref = scale * operands.astype(np.float64).sum(axis=0)
+    bound = n * u / (1.0 - n * u) * np.abs(scale) * np.abs(operands.astype(np.float64)).sum(axis=0)
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_SUM_ROWS, d=st.integers(1, 64), p=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_layer_coefficient_gradients_are_float32_column_sums_of_their_terms(m, d, p, seed, magnitude):
+    rng = np.random.default_rng(seed)
+    w, b, coefs = (a.astype(np.float32) for a in _layer(p, d, rng))
+    x = rng.standard_normal((m, p)).astype(np.float32)
+    dy = (magnitude * rng.standard_normal((m, d))).astype(np.float32)
+    _, cache = stan_layer_forward(x, w, b, coefs)
+    _, dcoefs = stan_layer_backward(cache, coefs, dy)
+    phi, theta, gamma, c = coefs
+    pre, act, gate = cache.pre, cache.act, cache.gate
+    # the four column-sum operands, each rounded as the kernel rounds it
+    dy_act = dy * act
+    weighted = dy_act * ((1.0 - gate) * gate)
+    _assert_float32_sum(dcoefs[0], dy * pre)
+    _assert_float32_sum(dcoefs[1], dy_act * gate)
+    _assert_float32_sum(dcoefs[2], (pre - c) * weighted, theta)
+    _assert_float32_sum(dcoefs[3], weighted, -theta * gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_SUM_ROWS, d=st.integers(1, 64), p=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       kind=st.sampled_from(["stan", "mlp"]))
+def test_bias_gradients_are_float32_column_sums_of_the_upstream_gradients(m, d, p, seed, kind):
+    depth, horizon = 2, 3
+    model = MODEL_KINDS[kind].build(p, horizon, d, depth, seed=seed % 100)
+    rng = np.random.default_rng(seed)
+    if model.gated:
+        for i in range(depth):
+            for name, arr in zip(COEFS, _layer(p, d, rng)[2]):
+                model.params[f"layers.{i}.{name}"] = arr.astype(np.float32)
+    pred, cache = model.forward(rng.standard_normal((m, p)))
+    _, dpred = mse_loss(pred, rng.standard_normal((m, horizon)))
+    grads = model.backward(cache, dpred)
+    _assert_float32_sum(grads["proj.b"], dpred)
+    # each layer's du, as ``LayerStack.backward`` forms it from the layer above
+    dh = dpred @ model.params["proj.W"].T
+    for i in reversed(range(depth)):
+        layer = cache.layers[i]
+        if model.gated:
+            du = stan_layer_backward(layer, np.stack([model.params[f"layers.{i}.{n}"] for n in COEFS]), dh)[0]
+        else:
+            du = dh * relu_grad(layer.pre)
+        _assert_float32_sum(grads[f"layers.{i}.b"], du)
+        dh = du @ model.params[f"layers.{i}.W"].T
 
 
 # ------------------------------------------------------- counts and init ----

@@ -518,6 +518,25 @@ def test_saturated_gates_are_skipped_like_lstsq():
     assert low < est.c < high
 
 
+def test_a_series_in_units_past_the_gamma_grid_is_refused_as_saturated():
+    """Scaled by 1e150, a series that fits puts every default grid point's
+    gate past saturation; the refusal names the grid, not the series."""
+    truth = LstarParams(phi0=0.1, phi=[0.6], theta=[-0.9], gamma=5.0, c=0.0, sigma=0.2)
+    values = simulate_lstar(truth, n=80, seed=3).values
+    estimate_lstar(values, order=1)
+    with pytest.raises(EstimationError) as raised:
+        estimate_lstar(values * 1e150, order=1)
+    message = str(raised.value)
+    assert message.startswith("regressor matrix was rank deficient at all 105 grid points; every gate saturates: ")
+    assert "the gamma grid is in the series' units" in message
+    smallest = float(re.search(r"the smallest \|gamma \* \(z - c\)\| over the grid is (\S+),", message)[1])
+    assert smallest > 1e140
+    # a series that does not excite both regimes keeps that reading
+    flat = simulate_lstar(LstarParams(phi0=1.0, phi=[0.0], theta=[0.0], gamma=1.0, c=0.0, sigma=0.0), n=300)
+    with pytest.raises(EstimationError, match=r"the series may not excite both regimes \(the smallest "):
+        estimate_lstar(flat, order=1, c_grid=(0.5, 1.0, 1.5))
+
+
 # ------------------------------------------ screened search vs full QR search ---
 
 def _full_qr_search(values, order, delay, gamma_grid, c_grid):
@@ -553,25 +572,23 @@ def _full_qr_search(values, order, delay, gamma_grid, c_grid):
         coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank == ncols:
             break
-    else:
-        raise EstimationError(
-            f"regressor matrix was rank deficient at all {sse.size} grid points; "
-            "the series may not excite both regimes"
-        )
+    else:  # the estimator's text starts so, then says why
+        raise EstimationError(f"regressor matrix was rank deficient at all {sse.size} grid points")
     resid = target - design @ coef
     return gamma, c, coef, float(resid @ resid), refused
 
 
 def _same_as_full_search(values, order, delay, gamma_grid, c_grid):
     """Assert estimate_lstar returns the full search's winner, SSE and
-    coefficients byte for byte, or raises its EstimationError text; returns
+    coefficients byte for byte, or raises an EstimationError that starts with
+    its text; returns
     the full search's ``refused`` count, or None after an EstimationError."""
     try:
         gamma, c, coef, sse, refused = _full_qr_search(values, order, delay, gamma_grid, c_grid)
     except EstimationError as exc:
         with pytest.raises(EstimationError) as raised:
             estimate_lstar(values, order=order, delay=delay, gamma_grid=gamma_grid, c_grid=c_grid)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value).startswith(f"{exc}; ")
         return None
     est, est_sse = estimate_lstar(values, order=order, delay=delay, gamma_grid=gamma_grid, c_grid=c_grid)
     assert (est.gamma, est.c) == (gamma, c)

@@ -351,7 +351,7 @@ def _params_sha256(model) -> str:
 # array, in float32; they read the same with BLAS at one and at two threads.
 FUSED_UPDATE_GOLDEN = {
     "STAN-5-4-3": "13c4ea8197c01981a7e358d511d3e488407d2760f6241f7f7e50ad00b2759e1c",
-    "MLP-5-4-2": "c7470b6882f8cb90d9251253a59f9377f90409ab7348a73bdf83764af4a15c45",
+    "MLP-5-4-2": "d819a97cbd11404323f08f2f4f9f2c59b8f07ab0c1c59c8e1b02d14f700873bd",
     "LinearNN-5-1": "f54c164afe5a03c75cac5c78c311930326069acfafc1468ff890dccb5e2370ae",
 }
 
@@ -382,10 +382,10 @@ def test_fused_update_is_bit_identical_to_one_update_per_array(name, build):
 # below, at the benchmark's shapes (lookback 45, 64 units, batch 256), trained
 # in float32. They read the same with BLAS at one and at two threads.
 BENCH_SHAPE_GOLDEN = {
-    "STAN-64-3": ("d2a6570e6de65cf0d4cccdde844a1cf7f169c0b7331e38a457ba6c001487542f",
-                  "663d8f429f4c3a70b9b15c7798ccd59dc7b1b133c6c5b0298aac50dba5ed5995"),
-    "MLP-64-3": ("4108638066966712257c12e450f380d59d07de3936f236df5332bb919613944b",
-                 "31b8b0a54dc7f7a304a32d69a9dc7c2d70a21eeff7b1eda487e745e67413cfd3"),
+    "STAN-64-3": ("9543d159f438aac53b1843f318ad3c140c15ec7c16dc392115ad03f4fcfcea1f",
+                  "50c7ecfaa948b09a8d699b070712b3b1cf217352aee5037256aed6a62223678e"),
+    "MLP-64-3": ("d5ccaac90aac6f2fabd17d7e0875f348755798b62eb00f47cdbefcbecd8d3631",
+                 "82309ea95552bf8ad09340162250d795acb1f88a866a10b5a3c7a677710d9b31"),
 }
 
 
