@@ -103,12 +103,15 @@ def transition_g(z, gamma, c):
     ``t`` clamped first to ``[-16, 80]`` in float32 or ``[-36, 700]`` in
     float64, with one ``exp`` and every pass in place. The clamp alone holds
     the result inside the open interval (0, 1), so no clip of the output is
-    needed: at the low end ``exp(t)`` is still more than half an ulp of 1,
-    so ``1 + exp(t)`` rounds above 1 and the top is exactly ``1 - 2**-23``
-    (float32) or ``1 - 2**-52`` (float64), which keeps downstream
-    ``g * (1 - g)`` factors nonzero; at the high end ``exp(t)`` cannot
-    overflow, and the floor is exactly ``1 / (1 + e**80)``, about 1.8e-35,
-    or ``1 / (1 + e**700)``, about 9.9e-305, both normal floats. Past
+    needed. The low end is the lowest integer at which ``exp(t)`` is still
+    more than half an ulp of 1 (``e**-16`` about 1.1e-7 against ``2**-24``,
+    ``e**-36`` about 2.3e-16 against ``2**-53``), so ``1 + exp(t)`` rounds
+    above 1 and the top is exactly ``1 - 2**-23`` (float32) or
+    ``1 - 2**-52`` (float64), which keeps downstream ``g * (1 - g)``
+    factors nonzero. At the high end ``exp(t)`` cannot overflow (``e**80``
+    is about 5.5e34, ``e**700`` about 1.0e304), and the floor is exactly
+    ``1 / (1 + e**80)``, about 1.8e-35, or ``1 / (1 + e**700)``, about
+    9.9e-305, both normal floats, so no subnormal reaches the slope. Past
     either end the clamp moves a gate by less than the top's distance from 1
     or than the floor. A NaN ``t`` gives NaN. It computes in ``z``'s dtype:
     float32 for a float32 ``z``, float64 otherwise. The shorter
