@@ -20,7 +20,7 @@ import numpy as np
 # ``affine_forward`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.baselines.affine_forward``.
 from .numerics import ShapeError, affine_forward, as_matrix, integer_in  # noqa: F401
-from .stan_core import MAX_PARAMETERS, LayerStack, NetworkSpec, ParamStore, StanNetwork, count_parameters
+from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_allocation, count_parameters
 
 __all__ = [
     "MODEL_KINDS",
@@ -139,12 +139,11 @@ class ModelKind:
 
     def check_size(self, lookback: int, horizon: int, units: int, depth: int) -> None:
         """The one size gate: for a sized kind, a ValueError naming units and
-        depth when its ``NetworkSpec`` refuses them or the network would hold
-        more than MAX_PARAMETERS scalars, counted before anything is allocated."""
-        if self.sized and (size := count_parameters(NetworkSpec(lookback, units, depth, horizon),
-                                                    self.cls.gated)) > MAX_PARAMETERS:
-            raise ValueError(f"units {units} and depth {depth} make {size} parameters, "
-                             f"above the limit of {MAX_PARAMETERS} (1 GiB as float64)")
+        depth when its ``NetworkSpec`` refuses them or ``check_allocation``
+        refuses its parameter count, taken before anything is allocated."""
+        if self.sized:
+            check_allocation(count_parameters(NetworkSpec(lookback, units, depth, horizon), self.cls.gated),
+                             f"units {units} and depth {depth}", "parameters")
 
     @property
     def spec_keys(self) -> tuple[str, ...]:  # the checkpoint ``spec``, in saved order

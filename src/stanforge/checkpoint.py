@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MODEL_KINDS
-from .data import ScalerParams
+from .data import DataFormatError, ScalerParams, read_json
 from .numerics import ShapeError
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
@@ -135,10 +135,8 @@ def load_checkpoint(path):
     """Load a checkpoint; returns ``(model, scaler_or_None)``."""
     path = Path(path)
     try:
-        with open(path) as handle:
-            return _parse(json.load(handle))
-    # a damaged byte may break the UTF-8 too, and nesting too deep to parse is a RecursionError
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise CheckpointError(f"{path.name}: not valid JSON: {exc}") from None
+        return _parse(read_json(path))
+    except DataFormatError as exc:  # already names the file
+        raise CheckpointError(str(exc)) from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path.name}: {exc}") from None

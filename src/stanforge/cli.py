@@ -45,12 +45,14 @@ import numpy as np
 from .baselines import MODEL_KINDS, ConditioningError
 from .checkpoint import CheckpointError, save_checkpoint
 from .data import (
+    SPLIT_MODES,
     DataFormatError,
     TimeSeries,
     hourly_timestamps,
     load_pjm_csv,
     lookback_for,
     prepare_splits,
+    read_json,
     write_pjm_csv,
 )
 from .eval_bench import (
@@ -65,7 +67,7 @@ from .eval_bench import (
     write_report,
 )
 from .numerics import NondeterministicLossError, finite_diff_errors, integer_in
-from .stan_core import MAX_PARAMETERS, NetworkSpec, gradcheck_problem
+from .stan_core import NetworkSpec, check_allocation, gradcheck_problem
 from .star_classic import ExplosiveDynamicsError, LstarParams, simulate_lstar
 # ``train`` is unused here but kept as a module binding: the perfbench
 # tracer test checks that it wraps ``stanforge.cli.train``.
@@ -124,12 +126,9 @@ def _seed(text: str) -> int:
 def _load_config(path: str) -> dict:
     """Type of ``--config``: the JSON object held in the file at ``path``."""
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
+        doc = read_json(path)
+    except (OSError, DataFormatError) as exc:  # a DataFormatError names the file and why it is not JSON
         raise argparse.ArgumentTypeError(f"cannot read config file: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to parse
-        raise argparse.ArgumentTypeError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise argparse.ArgumentTypeError(f"config file {path} must hold a JSON object")
     return doc
@@ -217,34 +216,26 @@ def _number(value, where: str) -> int | float:
     return value
 
 
-def _check_draw(size: int, flags: str) -> None:
-    """Refuse, before anything is drawn, arrays of more than MAX_PARAMETERS float64 values in all."""
-    if size > MAX_PARAMETERS:
-        raise UsageError(f"{flags} make {size} values, above the limit of {MAX_PARAMETERS} (1 GiB as float64)")
-
-
 def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
     # an old config's ``seed`` and fixed recipe values (``config.json`` echoed
     # them as ``train`` fields) still replay: the seed is read and ignored, a
     # fixed value is accepted only at its value
-    merged = {**asdict(TrainConfig()), **FIXED_RECIPE}
+    defaults = {**asdict(TrainConfig()), **FIXED_RECIPE}
     file_train = args.config.get("train", {})
     if not isinstance(file_train, dict):
         raise UsageError("config key 'train' must be a JSON object")
-    unknown = set(file_train) - set(merged)
+    unknown = set(file_train) - set(defaults)
     if unknown:
         raise UsageError(f"unknown train config key(s): {sorted(unknown)}")
-    for key, value in file_train.items():
+    merged = {**defaults, "max_epochs": preset_epochs or defaults["max_epochs"]}
+    # the flags are ``train`` fields read after the file's, so they win
+    flags = [(key, getattr(args, key)) for key in ("max_epochs", "batch_size", "lr") if getattr(args, key) is not None]
+    for key, value in [*file_train.items(), *flags]:
         where = f"config key 'train.{key}'"
         # a field is an integer field when its default is one
-        merged[key] = (_whole if isinstance(merged[key], int) else _number)(value, where)
+        merged[key] = (_whole if isinstance(defaults[key], int) else _number)(value, where)
         if key in FIXED_RECIPE and merged[key] != FIXED_RECIPE[key]:
             raise UsageError(f"{where} is fixed at {FIXED_RECIPE[key]!r} by the training recipe, got {value}")
-    if preset_epochs is not None and args.max_epochs is None and "max_epochs" not in file_train:
-        merged["max_epochs"] = preset_epochs
-    for key in ("max_epochs", "batch_size", "lr"):
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
     try:
         return TrainConfig(**{key: merged[key] for key in _TRAIN_KEYS})
     except ValueError as exc:
@@ -255,7 +246,7 @@ def _train_config(args, preset_epochs: int | None = None) -> TrainConfig:
 
 
 def cmd_simulate(args) -> int:
-    _check_draw(args.n + args.burn_in, f"--n {args.n} and --burn-in {args.burn_in}")
+    check_allocation(args.n + args.burn_in, f"--n {args.n} and --burn-in {args.burn_in}")
     params = LstarParams(phi0=args.phi0, phi=args.phi, theta=args.theta, gamma=args.gamma,
                          c=args.c, delay=args.delay, sigma=args.sigma)
     series = simulate_lstar(params, n=args.n, burn_in=args.burn_in, seed=args.seed, name=args.name)
@@ -319,8 +310,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     spec = NetworkSpec(lookback=args.lookback, units=args.units, depth=args.depth, horizon=args.horizon)
     MODEL_KINDS["stan"].check_size(args.lookback, args.horizon, args.units, args.depth)
-    _check_draw(args.batch * (args.lookback + args.horizon),
-                f"--batch {args.batch} of lookback {args.lookback} and horizon {args.horizon}")
+    check_allocation(args.batch * (args.lookback + args.horizon),
+                     f"--batch {args.batch} of lookback {args.lookback} and horizon {args.horizon}")
     problem, params = gradcheck_problem(spec, args.seed, args.batch)
 
     def loss_fn(params):
@@ -349,35 +340,31 @@ def cmd_gradcheck(args) -> int:
 # --------------------------------------------------------------- benchmark
 
 
+# ``--data``/``--column`` make a one-entry ``datasets`` list, and ``--models``, or every kind when neither it
+# nor a config list is given, make ``models`` entries, so each list goes through one parse
 def _plan_from_args(args) -> BenchmarkPlan:
     cfg = args.config
     units = args.units if args.units is not None else DESK_SCALE_UNITS if args.desk_scale else 64
     if args.data is not None or args.column is not None:
-        if args.data is None or args.column is None:
-            raise UsageError("benchmark needs both --data and --column (or a 'datasets' config list)")
-        datasets = [DatasetRef(path=args.data, column=args.column)]
-    elif cfg.get("datasets"):
-        try:
-            # their types are the plan's to check, as for a model entry's name
-            datasets = [DatasetRef(path=d["path"], column=d["column"]) for d in cfg["datasets"]]
-        except (TypeError, KeyError) as exc:
-            raise UsageError(f"each dataset entry needs 'path' and 'column': {exc}") from None
-    else:
+        datasets = [{key: value for key, value in (("path", args.data), ("column", args.column)) if value is not None}]
+    elif not (datasets := cfg.get("datasets")):
         raise UsageError("benchmark needs --data/--column or a 'datasets' config list")
+    try:
+        # their types are the plan's to check, as for a model entry's name
+        datasets = [DatasetRef(path=d["path"], column=d["column"]) for d in datasets]
+    except (TypeError, KeyError) as exc:
+        raise UsageError(f"each dataset entry needs 'path' and 'column': {exc}") from None
 
-    if args.models is not None:
-        models = [ModelEntry(kind=k, units=units, depth=args.depth) for k in args.models]
-    elif cfg.get("models") is not None:
-        try:
-            models = [ModelEntry(kind=entry["kind"], name=entry.get("name", ""),
-                                 units=_whole(entry.get("units", units), f"config key 'models' entry {i} 'units'"),
-                                 depth=_whole(entry.get("depth", args.depth), f"config key 'models' entry {i} 'depth'"))
-                      for i, entry in enumerate(cfg["models"])]
-        except (TypeError, KeyError, AttributeError, ValueError) as exc:
-            raise UsageError(f"each model entry needs at least a 'kind': {exc!r}") from None
-    else:
-        models = [ModelEntry(kind=name, units=units, depth=args.depth) if kind.sized else ModelEntry(kind=name)
-                  for name, kind in MODEL_KINDS.items()]
+    entries = cfg.get("models") if args.models is None else [{"kind": kind} for kind in args.models]
+    if entries is None:
+        entries = [{"kind": kind} for kind in MODEL_KINDS]
+    try:
+        models = [ModelEntry(kind=entry["kind"], name=entry.get("name", ""),
+                             units=_whole(entry.get("units", units), f"config key 'models' entry {i} 'units'"),
+                             depth=_whole(entry.get("depth", args.depth), f"config key 'models' entry {i} 'depth'"))
+                  for i, entry in enumerate(entries)]
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+        raise UsageError(f"each model entry needs at least a 'kind': {exc!r}") from None
 
     train_cfg = _train_config(args, preset_epochs=DESK_SCALE_EPOCHS if args.desk_scale else None)
     return BenchmarkPlan(datasets=datasets, horizons=args.horizons, models=models,
@@ -439,7 +426,7 @@ def cmd_fixtures(args) -> int:
         raise UsageError(f"duplicate region names: {args.regions}")
     if any("/" in region or os.sep in region for region in args.regions):
         raise UsageError(f"a region name cannot hold a path separator: {args.regions}")
-    _check_draw(len(args.regions) * args.n, f"--n {args.n} for {len(args.regions)} region(s)")
+    check_allocation(len(args.regions) * args.n, f"--n {args.n} for {len(args.regions)} region(s)")
     series = [_fixture_series(region, index, args.n, args.seed) for index, region in enumerate(args.regions)]
     run_dir = _run_dir(args)
     paths = [write_pjm_csv(s, run_dir / f"{s.name}.csv") for s in series]
@@ -463,7 +450,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_training(sub: argparse.ArgumentParser) -> None:
     """The split and the overrides of the ``train`` config object."""
-    sub.add_argument("--split", default="random", choices=["random", "contiguous"])
+    sub.add_argument("--split", default="random", choices=SPLIT_MODES)
     sub.add_argument("--max-epochs", type=int)
     sub.add_argument("--batch-size", type=int)
     sub.add_argument("--lr", type=float)

@@ -12,6 +12,7 @@ and validation ``VAL_FRAC_OF_TRAIN`` (0.2) of the pool, as ``split_windows`` say
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import re
@@ -30,7 +31,9 @@ __all__ = [
     "ScalerParams",
     "WindowedDataset",
     "PreparedSplits",
+    "SPLIT_MODES",
     "load_pjm_csv",
+    "read_json",
     "write_pjm_csv",
     "hourly_timestamps",
     "series_values",
@@ -51,6 +54,8 @@ _BLOCK_ROWS = 256
 # the fixed split: the training pool's share of the windows, and validation's share of the pool
 TRAIN_FRAC = 0.8
 VAL_FRAC_OF_TRAIN = 0.2
+# the orders ``split_windows`` takes the windows in
+SPLIT_MODES = ("random", "contiguous")
 
 
 class DataFormatError(ValueError):
@@ -250,6 +255,17 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     return TimeSeries(name=name, timestamps=stamp_arr, values=value_arr[first])
 
 
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``. Bytes that are not UTF-8, text that is not JSON, an
+    integer too long for ``int()`` and nesting too deep to parse raise one DataFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    # a UnicodeDecodeError, a JSONDecodeError and int()'s refusal are all ValueErrors
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{Path(path).name}: not valid JSON: {exc}") from None
+
+
 def write_pjm_csv(series: TimeSeries, path) -> Path:
     """Write ``series`` in the same layout ``load_pjm_csv`` reads.
 
@@ -372,12 +388,10 @@ def split_windows(dataset: WindowedDataset, seed: int = 0, mode: str = "random")
     ``seed`` must be a non-negative integer, even where the order ignores it.
     """
     seed = integer_in(seed, "seed", 0)
-    if mode == "random":
-        order = np.random.default_rng(seed).permutation(len(dataset))
-    elif mode == "contiguous":
-        order = np.argsort(dataset.anchors, kind="stable")
-    else:
-        raise ValueError(f"unknown split mode {mode!r}; expected 'random' or 'contiguous'")
+    if mode not in SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}; expected {' or '.join(map(repr, SPLIT_MODES))}")
+    order = (np.random.default_rng(seed).permutation(len(dataset)) if mode == "random"
+             else np.argsort(dataset.anchors, kind="stable"))
     pool, n_val = _partition_sizes(len(dataset))
     return tuple(dataset.subset(idx) for idx in np.split(order, [pool - n_val, pool]))
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MODEL_KINDS
-from .data import DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
+from .data import SPLIT_MODES, DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
 from .numerics import ShapeError, integer_in, mse_loss
 from .training import TrainConfig, TrainHistory, train
 
@@ -134,7 +134,7 @@ class BenchmarkPlan:
             problems.append("no horizons")
         if not self.models:
             problems.append("no models")
-        if self.split not in ("random", "contiguous"):
+        if self.split not in SPLIT_MODES:
             problems.append(f"unknown split mode {self.split!r}")
         for what, values in (("dataset names", [ref.name for ref in self.datasets]), ("horizons", horizons),
                              ("model names", [m.name for m in self.models])):

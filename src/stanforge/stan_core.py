@@ -52,6 +52,7 @@ __all__ = [
     "stan_layer_forward",
     "stan_layer_backward",
     "MAX_PARAMETERS",
+    "check_allocation",
     "count_parameters",
     "stack_shapes",
     "init_params",
@@ -68,8 +69,15 @@ ParamStore = dict[str, np.ndarray]
 # c=0 put its gates mid-range for standardized inputs.
 _UNIT_START = {"phi": 1.0, "theta": 0.0, "gamma": 1.0, "c": 0.0}
 
-# The most trainable scalars a network may hold: 1 GiB as float64.
+# The most trainable scalars a network, or float64 values a draw, may hold: 1 GiB as float64.
 MAX_PARAMETERS = 2 ** 27
+
+
+def check_allocation(size: int, what: str, noun: str = "values") -> None:
+    """The one allocation gate, taken before anything is allocated: a ValueError past MAX_PARAMETERS."""
+    if size > MAX_PARAMETERS:
+        raise ValueError(f"{what} make {size} {noun}, above the limit of {MAX_PARAMETERS} (1 GiB as float64)")
+
 
 # Rows per tile of ``LayerStack.predict``'s gate and mix: the training batch,
 # so a tile's temporaries are the size training already allocates.

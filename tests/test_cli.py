@@ -611,7 +611,7 @@ def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, confi
 @pytest.mark.parametrize("argv,config,problem", [
     (["benchmark"], {"desk_scale": "yes"}, "config key 'desk_scale': expected true or false for --desk-scale, got \"yes\""),
     (["train", "--data", "east.csv", "--column", "EAST_MW"], {"train": [1]}, "config key 'train' must be a JSON object"),
-    (["benchmark", "--data", "east.csv"], None, "benchmark needs both --data and --column"),
+    (["benchmark", "--data", "east.csv"], None, "each dataset entry needs 'path' and 'column': 'column'"),
     (["benchmark"], {"datasets": [{"column": "EAST_MW"}]}, "each dataset entry needs 'path' and 'column': 'path'"),
     (["benchmark"], {"datasets": [{"path": "east.csv", "column": "EAST_MW"}], "models": [{"units": 4}]},
      "each model entry needs at least a 'kind': KeyError('kind')"),
