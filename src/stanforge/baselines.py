@@ -25,6 +25,7 @@ from .stan_core import LayerStack, NetworkSpec, ParamStore, StanNetwork, check_a
 __all__ = [
     "MODEL_KINDS",
     "ModelKind",
+    "unknown_kind",
     "ConditioningError",
     "fit_linear_regression",
     "LinearRegressionModel",
@@ -156,3 +157,8 @@ MODEL_KINDS: dict[str, ModelKind] = {
     "linear": ModelKind("LinearNN", LinearNetwork),
     "linreg": ModelKind("LinReg", LinearRegressionModel, fit=LinearRegressionModel.fit),
 }
+
+
+def unknown_kind(name) -> str:
+    """The one refusal text for a model kind ``name`` that is not in MODEL_KINDS."""
+    return f"unknown model kind {name!r}; expected one of {', '.join(MODEL_KINDS)}"

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MODEL_KINDS
+from .baselines import MODEL_KINDS, unknown_kind
 from .data import DataFormatError, ScalerParams, read_json
 from .numerics import ShapeError
 
@@ -62,7 +62,7 @@ def save_checkpoint(path, model, scaler: ScalerParams | None = None) -> Path:
     encode = json.JSONEncoder(allow_nan=False).encode
     tmp = path.with_name(path.name + ".tmp")  # replaces ``path`` only once complete
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(encode(head)[:-1] + ', "params": {')
             for i, name in enumerate(order):
                 entry = {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
@@ -104,7 +104,7 @@ def _parse(doc):
         raise CheckpointError(f"unsupported version {doc.get('version')!r}")
     kind = MODEL_KINDS.get(str(doc.get("kind")))
     if kind is None:
-        raise CheckpointError(f"unknown model kind {doc.get('kind')!r}; expected one of {tuple(MODEL_KINDS)}")
+        raise CheckpointError(unknown_kind(doc.get("kind")))
     spec, raw, scaler = doc.get("spec"), doc.get("params"), doc.get("scaler")
     if not isinstance(spec, dict) or sorted(spec) != sorted(kind.spec_keys) \
             or not all(type(v) is int and v >= 1 for v in spec.values()):

@@ -12,16 +12,20 @@ STANFORGE_OUT environment variable, or ./runs), made only once the arguments
 are valid, and the resolved options are echoed to ``config.json`` there, so
 any run can be replayed exactly via ``--config``.
 
-Each option is declared once, with its type and default. A ``--config`` key
-that names an option of the subcommand (``burn_in`` for ``--burn-in``) goes
-through that option's own parse: a JSON value means what the same text means
-as a flag, a JSON list means its comma-joined text, ``3.0`` counts as an
-integer, ``true``/``false`` is only for a switch and ``null`` leaves the
-option unset. Flags beat config values, which beat the defaults. ``train``
-(TrainConfig fields but ``seed``, overridden only by flags) and, for
-``benchmark``, ``datasets`` and ``models`` have their own handlers; other
-keys, ``benchmark``'s ``data``/``column`` among them, are ignored. Their integer fields (a ``train`` field whose default is an integer,
-a model entry's ``units`` and ``depth``) take JSON integers or whole-number
+Each option is declared once, with its type and default. The ``--config``
+file is read by ``data.read_json``. A key that names an option of the
+subcommand (``burn_in`` for ``--burn-in``) goes through that option's own
+parse: a JSON value means what the same text means as a flag, a JSON list
+means its comma-joined text, ``3.0`` counts as an integer, ``true``/``false``
+is only for a switch and ``null`` leaves the option unset. Flags beat config
+values, which beat the defaults. ``train`` (TrainConfig fields but ``seed``)
+and, for ``benchmark``, ``datasets`` and ``models`` have one parse each, and
+their flags are entries of them: ``--max-epochs``/``--batch-size``/``--lr``
+are ``train`` fields read after the file's, ``--data``/``--column`` a
+one-entry ``datasets`` list and ``--models``, or every kind, ``models``
+entries. Other keys, ``benchmark``'s ``data``/``column`` among them, are
+ignored. Integer fields (a ``train`` field whose default is an integer, a
+model entry's ``units`` and ``depth``) take JSON integers or whole-number
 floats, and ``train``'s other fields take numbers; ``true``/``false`` is neither.
 A dataset entry's ``path`` and ``column`` and a model entry's ``name`` are
 passed on as given, and the plan refuses any that is not a JSON string.
@@ -42,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MODEL_KINDS, ConditioningError
+from .baselines import MODEL_KINDS, ConditioningError, unknown_kind
 from .checkpoint import CheckpointError, save_checkpoint
 from .data import (
     SPLIT_MODES,
@@ -82,8 +86,8 @@ GRADCHECK_GROUPS = ("W", "b", "phi", "theta", "gamma", "c", "projection")
 DESK_SCALE_UNITS = 32
 DESK_SCALE_EPOCHS = 40
 
-# options a config file does not set: the overrides of the ``train`` object
-# are flags only, so ``train`` stays the one config route to its fields
+# options a config file does not set: the flags that are ``train`` fields have
+# no top-level key, so ``train`` stays the one config route to its fields
 _NOT_FROM_CONFIG = ("help", "config", "verbose", "max_epochs", "batch_size", "lr")
 # options that steer the run but are not part of what ``config.json`` echoes
 _NOT_ECHOED = ("config", "out", "verbose", "subcommand", "func")
@@ -108,7 +112,7 @@ class _CommaList:
 
 def _model_kind(text: str) -> str:
     if text not in MODEL_KINDS:
-        raise argparse.ArgumentTypeError(f"unknown model kind {text!r}; expected one of {', '.join(MODEL_KINDS)}")
+        raise argparse.ArgumentTypeError(unknown_kind(text))
     return text
 
 
@@ -196,7 +200,7 @@ def _run_dir(args) -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
 
@@ -332,7 +336,7 @@ def cmd_gradcheck(args) -> int:
     text = "\n".join(report_lines)
     print(text)
     run_dir = _run_dir(args)
-    (run_dir / "gradcheck.txt").write_text(text + "\n")
+    (run_dir / "gradcheck.txt").write_text(text + "\n", encoding="utf-8")
     _write_json(run_dir / "config.json", _options(args))
     return 0 if worst < args.tol else 2
 
@@ -340,8 +344,6 @@ def cmd_gradcheck(args) -> int:
 # --------------------------------------------------------------- benchmark
 
 
-# ``--data``/``--column`` make a one-entry ``datasets`` list, and ``--models``, or every kind when neither it
-# nor a config list is given, make ``models`` entries, so each list goes through one parse
 def _plan_from_args(args) -> BenchmarkPlan:
     cfg = args.config
     units = args.units if args.units is not None else DESK_SCALE_UNITS if args.desk_scale else 64
@@ -449,7 +451,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_training(sub: argparse.ArgumentParser) -> None:
-    """The split and the overrides of the ``train`` config object."""
+    """The split and the flags that are fields of the ``train`` config object."""
     sub.add_argument("--split", default="random", choices=SPLIT_MODES)
     sub.add_argument("--max-epochs", type=int)
     sub.add_argument("--batch-size", type=int)

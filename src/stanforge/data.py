@@ -160,6 +160,19 @@ def _check_row(path: Path, lineno: int, raw_stamp: str, raw_value: str) -> None:
         raise DataFormatError(f"{path.name} line {lineno}: non-finite value {value!r}")
 
 
+def _undecodable_line(path: Path) -> int:
+    """The file line holding the first byte of ``path`` that is not UTF-8, lines ending at ``\\r\\n``, ``\\n``
+    or ``\\r`` as the csv module counts them: a binary rescan, made only once the text read has failed."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+        start = len(data)  # the file changed after the text read failed
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    # the lines before the byte, plus the one it is on
+    return len((data[:start] + b".").splitlines())
+
+
 def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Stamps and values of the rows that have a value, in file order, and
     the count of rows whose value cell is blank.
@@ -171,7 +184,9 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
     DataFormatError naming the file line its record starts on, blank lines
     and lines inside quoted cells counted. A record with a cell past
     ``csv.field_size_limit()`` raises DataFormatError naming its line, after
-    the rows read before it are checked.
+    the rows read before it are checked. The file is read as UTF-8; a byte
+    that is not raises DataFormatError naming the line that holds it, after
+    the rows read before the decoder met it are checked.
     """
     rows: list[tuple[int, str, str]] = []  # (file line, stamp text, value text)
     stamp_blocks: list[np.ndarray] = []
@@ -193,7 +208,7 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
         rows.clear()
 
     missing, next_line = 0, 1
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             fields = next(reader, [])
@@ -218,6 +233,9 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
             flush()  # a bad row read before this record is named first
             raise DataFormatError(f"{path.name} line {next_line}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            flush()  # the decoder reads ahead of the rows, so the rows read so far are named first
+            raise DataFormatError(f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})") from None
     flush()
     return np.concatenate(stamp_blocks), np.concatenate(value_blocks), missing
 
@@ -239,7 +257,8 @@ def load_pjm_csv(path, column_name: str) -> TimeSeries:
     calendar time, then that its value parses, then that it is finite
     (``nan``, ``inf`` and ``1e400`` parse, but are refused). A cell too long
     for the csv module stops the read at its record, so it is named only if
-    no earlier row is bad.
+    no earlier row is bad. The file is read as UTF-8; a byte that is not is
+    named by the file line that holds it.
     """
     path = Path(path)
     stamp_arr, value_arr, missing = _read_rows(path, column_name)
@@ -282,7 +301,7 @@ def write_pjm_csv(series: TimeSeries, path) -> Path:
     """
     path = Path(path)
     stamps = series.timestamps.astype("datetime64[s]")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(["Datetime", f"{series.name}_MW"])
         for start in range(0, len(stamps), _BLOCK_ROWS):
             texts = np.datetime_as_string(stamps[start: start + _BLOCK_ROWS], unit="s").tolist()

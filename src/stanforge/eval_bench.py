@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MODEL_KINDS
+from .baselines import MODEL_KINDS, unknown_kind
 from .data import SPLIT_MODES, DataFormatError, PreparedSplits, TimeSeries, load_pjm_csv, lookback_for, prepare_splits
 from .numerics import ShapeError, integer_in, mse_loss
 from .training import TrainConfig, TrainHistory, train
@@ -142,7 +142,7 @@ class BenchmarkPlan:
                 problems.append(f"duplicate {what}: {values}")
         for m in self.models:
             if m.kind not in MODEL_KINDS:
-                problems.append(f"unknown model kind {m.kind!r}; expected one of {tuple(MODEL_KINDS)}")
+                problems.append(unknown_kind(m.kind))
             elif horizons:
                 # the largest horizon and its lookback make the largest network
                 h = max(horizons)
@@ -330,7 +330,7 @@ def _grid(cells: Cells, value, bold_best: bool = False) -> list[list[str]]:
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
     import csv
 
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(rows)
 
 
@@ -374,8 +374,8 @@ def write_report(cells: Cells, results: list[RunResult], out_dir) -> list[Path]:
     }
     for name, value in grids.items():
         _write_csv(out / name, _grid(cells, value))
-    with open(out / "results.json", "w") as handle:
+    with open(out / "results.json", "w", encoding="utf-8") as handle:
         json.dump({"results": [r.to_json_dict() for r in results]}, handle, indent=2)
         handle.write("\n")
-    (out / "report.md").write_text(_markdown_report(cells))
+    (out / "report.md").write_text(_markdown_report(cells), encoding="utf-8")
     return [out / name for name in (*grids, "results.json", "report.md")]

@@ -96,7 +96,7 @@ class TrainHistory:
     def write_csv(self, path) -> None:
         import csv
 
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow([f.name for f in fields(EpochRecord)])
             writer.writerows([repr(value) for value in astuple(r)] for r in self.records)

@@ -1,6 +1,9 @@
 """Shared fixtures: synthetic series and stub models reused across test modules."""
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +86,22 @@ def sine_series(n: int = 400, name: str = "SINE") -> TimeSeries:
 @pytest.fixture
 def short_series() -> TimeSeries:
     return sine_series()
+
+
+# JSON files that do not decode, each with the start of the reason ``data.read_json`` names; before 3.11
+# Python converts an integer of any length, so the long integer is a refusal only from 3.11 on
+UNDECODABLE_JSON = [
+    pytest.param(b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+    pytest.param(b'{"n": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)", id="5000-digit-integer",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python converts an integer of any length")),
+    pytest.param(b"[" * 200_000, "maximum recursion depth exceeded", id="nested-too-deep"),
+]
+
+
+def with_undecodable_byte(path: Path, line: int) -> Path:
+    """Rewrite the CSV at ``path`` with a 0xff byte ending its value cell on file ``line``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip(b"\r\n") + b"\xff\r\n"
+    path.write_bytes(b"".join(lines))
+    return path

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNDECODABLE_JSON
 from stanforge import checkpoint
 from stanforge.baselines import MODEL_KINDS, LinearNetwork, LinearRegressionModel, fit_linear_regression
 from stanforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -164,16 +165,19 @@ def test_load_rejects_non_checkpoints(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(bad)
-    bad.write_bytes(b'{"format": "\xff"}')  # not UTF-8
-    with pytest.raises(CheckpointError, match="JSON"):
-        load_checkpoint(bad)
-    bad.write_text("[" * 200_000)  # nested past the parser's recursion limit
-    with pytest.raises(CheckpointError, match="JSON"):
-        load_checkpoint(bad)
     other = tmp_path / "other.json"
     other.write_text('{"format": "something-else"}')
     with pytest.raises(CheckpointError, match="stanforge-checkpoint"):
         load_checkpoint(other)
+
+
+@pytest.mark.parametrize("content,reason", UNDECODABLE_JSON)
+def test_a_file_that_does_not_decode_is_a_checkpoint_error_naming_it(tmp_path, content, reason):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(path)
+    assert str(raised.value).startswith(f"m.json: not valid JSON: {reason}")
 
 
 def test_load_rejects_unknown_version_and_kind(tmp_path):

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sine_series
+from conftest import UNDECODABLE_JSON, sine_series, with_undecodable_byte
 from stanforge import cli, eval_bench
-from stanforge.checkpoint import load_checkpoint
+from stanforge.baselines import MODEL_KINDS, LinearNetwork
+from stanforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stanforge.cli import _plan_from_args, build_parser, main
 from stanforge.data import TimeSeries, load_pjm_csv, prepare_splits, write_pjm_csv
-from stanforge.eval_bench import rmse
+from stanforge.eval_bench import BenchmarkPlan, DatasetRef, ModelEntry, PlanError, rmse
 from stanforge.training import TrainConfig
 
 
@@ -157,6 +158,21 @@ def test_train_unknown_model_kind_in_config_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "transformer" in err
     assert "stan, mlp, linear, linreg" in err
+
+
+def test_an_unknown_model_kind_reads_the_same_from_every_entry_point(tmp_path, capsys):
+    expected = "unknown model kind 'transformer'; expected one of stan, mlp, linear, linreg"
+    assert main(["train", "--model", "transformer", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"usage error: argument --model: {expected}\n"
+    plan = BenchmarkPlan(datasets=[DatasetRef("east.csv", "EAST_MW")], horizons=[1],
+                         models=[ModelEntry(kind="transformer")])
+    with pytest.raises(PlanError, match=f"^{re.escape(expected)}$"):
+        plan.validate()
+    path = save_checkpoint(tmp_path / "m.json", LinearNetwork(3, 1))
+    path.write_text(path.read_text(encoding="utf-8").replace('"kind": "linear"', '"kind": "transformer"'),
+                    encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"^m\\.json: {re.escape(expected)}$"):
+        load_checkpoint(path)
 
 
 def test_train_rejects_unknown_train_config_key(tmp_path, capsys):
@@ -536,13 +552,23 @@ def test_flag_beats_config_beats_default(tmp_path):
 @pytest.mark.parametrize("content,problem", [
     ("[1, 2]", "JSON object"),
     ("{not json", "not valid JSON"),
-    pytest.param("[" * 200_000, "not valid JSON", id="nested-past-the-recursion-limit"),
 ])
 def test_broken_config_files_exit_1(tmp_path, capsys, content, problem):
     config = tmp_path / "cfg.json"
     config.write_text(content)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,reason", UNDECODABLE_JSON)
+def test_a_config_file_that_does_not_decode_exits_1_naming_the_file(tmp_path, capsys, content, reason):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(content)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"cfg.json: not valid JSON: {reason}" in err
+    assert "_load_config" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):
@@ -627,6 +653,53 @@ def test_refused_configurations_exit_1_naming_the_problem_without_a_run_director
     assert not (tmp_path / "out").exists()
 
 
+def _plan(tmp_path, argv, config=None) -> BenchmarkPlan:
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    return _plan_from_args(build_parser().parse_args(["benchmark", *argv]))
+
+
+_EAST = {"datasets": [{"path": "east.csv", "column": "EAST_MW"}]}
+
+
+@pytest.mark.parametrize("desk", [[], ["--desk-scale"]], ids=["stock", "desk-scale"])
+def test_flag_config_and_default_routes_make_equal_plans(tmp_path, desk):
+    data = ["--data", "east.csv", "--column", "EAST_MW"]
+    train = ["--max-epochs", "7", "--batch-size", "16", "--lr", "0.01"]
+    by_flags = _plan(tmp_path, [*desk, *data, "--models", ",".join(MODEL_KINDS), *train])
+    by_config = _plan(tmp_path, desk, {**_EAST, "models": [{"kind": kind} for kind in MODEL_KINDS],
+                                       "train": {"max_epochs": 7, "batch_size": 16, "lr": 0.01}})
+    by_default = _plan(tmp_path, [*desk, *data, *train])
+    assert by_flags == by_config == by_default
+    assert [(m.kind, m.units, m.depth) for m in by_default.models] == [(k, 32 if desk else 64, 3) for k in MODEL_KINDS]
+    assert by_default.train == TrainConfig(max_epochs=7, batch_size=16, lr=0.01)
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--data", "east.csv"], {"datasets": [{"path": "east.csv"}]}),
+    (["--column", "EAST_MW"], {"datasets": [{"column": "EAST_MW"}]}),
+    (["--data", "east.csv", "--column", "EAST_MW", "--models", "transformer"],
+     {**_EAST, "models": [{"kind": "transformer"}]}),
+    (["--data", "east.csv", "--column", "EAST_MW", "--max-epochs", "0"], {**_EAST, "train": {"max_epochs": 0}}),
+], ids=["data-without-column", "column-without-data", "unknown-kind", "no-epochs"])
+def test_flag_and_config_routes_refuse_with_equal_text(tmp_path, capsys, flags, config):
+    assert main(["benchmark", *flags, "--out", str(tmp_path / "out")]) == 1
+    by_flags = capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == by_flags
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_default_desk_scale_plan_echoes_units_32_for_every_kind(tmp_path):
+    data = _dataset_csv(tmp_path, n=400)
+    assert main(["benchmark", "--desk-scale", "--data", str(data), "--column", "EAST_MW", "--runs", "1",
+                 "--max-epochs", "1", "--out", str(tmp_path / "out")]) == 0
+    models = _read_json(tmp_path / "out" / "benchmark-seed0" / "config.json")["models"]
+    assert [(m["kind"], m["units"]) for m in models] == [(kind, 32) for kind in MODEL_KINDS]
+
+
 def test_train_names_a_horizon_below_one(tmp_path, capsys):
     argv = ["train", "--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW", "--horizon", "0"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -641,6 +714,16 @@ def test_cell_past_the_csv_field_limit_exits_1_naming_its_line(tmp_path, capsys,
     argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "big.csv line 2: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "benchmark"])
+def test_a_byte_that_is_not_utf8_exits_1_naming_the_file_and_its_line(tmp_path, capsys, subcommand):
+    # line 1501 lies past the first 8 KiB that the text layer decodes at once
+    data = with_undecodable_byte(_dataset_csv(tmp_path, n=2000), 1501)
+    argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "EAST.csv line 1501: not UTF-8 (invalid start byte)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

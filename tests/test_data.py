@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sine_series
+from conftest import UNDECODABLE_JSON, sine_series, with_undecodable_byte
 from stanforge.data import (
     DataFormatError,
     ScalerParams,
@@ -22,6 +22,7 @@ from stanforge.data import (
     lookback_for,
     make_windows,
     prepare_splits,
+    read_json,
     series_values,
     split_windows,
     write_pjm_csv,
@@ -394,6 +395,61 @@ def test_one_pass_load_names_the_first_bad_row_across_blocks(bad, blank_before, 
             load_pjm_csv(write(Path(tmp) / "bad.csv", rows), "EDGE_MW")
         assert str(raised.value) == f"bad.csv line {file_line[first]}: {_BAD_ROW_KINDS[kind][2]}"
 
+
+def _hourly_csv(path: Path, n: int, line_end: str = "\n") -> Path:
+    series = TimeSeries(name="EDGE", timestamps=hourly_timestamps(n), values=np.arange(n, dtype=np.float64))
+    text = write_pjm_csv(series, path).read_text(encoding="utf-8")
+    path.write_bytes(text.replace("\r\n", line_end).encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("line", [1, 2, 300, 1501])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, line_end, line):
+    # the text layer decodes ahead in chunks of about 8 KiB, so line 1501 (past 40 KiB) is met
+    # by the decoder well before the csv reader reaches it
+    path = with_undecodable_byte(_hourly_csv(tmp_path / "bytes.csv", 2000, line_end), line)
+    with pytest.raises(DataFormatError) as raised:
+        load_pjm_csv(path, "EDGE_MW")
+    assert str(raised.value) == f"bytes.csv line {line}: not UTF-8 (invalid start byte)"
+
+
+def test_a_bad_row_read_before_an_undecodable_byte_is_named_first(tmp_path):
+    path = _hourly_csv(tmp_path / "both.csv", 2000)
+    path.write_bytes(path.read_bytes().replace(b"2015-01-01 05:00:00", b"2015-01-01 5:00:00"))  # line 7
+    with pytest.raises(DataFormatError, match="^both.csv line 7: unparseable timestamp '2015-01-01 5:00:00'$"):
+        load_pjm_csv(with_undecodable_byte(path, 1501), "EDGE_MW")
+
+
+def test_the_writer_writes_a_non_ascii_column_name_as_utf8(tmp_path):
+    series = TimeSeries(name="ÅLAND", timestamps=hourly_timestamps(3), values=np.array([1.0, 2.0, 3.0]))
+    path = write_pjm_csv(series, tmp_path / "aland.csv")
+    assert path.read_bytes().startswith("Datetime,ÅLAND_MW\r\n".encode("utf-8"))
+    assert load_pjm_csv(path, "ÅLAND_MW").values.tolist() == [1.0, 2.0, 3.0]
+
+
+# ------------------------------------------------------------------- JSON ---
+
+def test_read_json_reads_utf8_text(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes('{"name": "ÅLAND", "n": [1, 2.5]}'.encode("utf-8"))
+    assert read_json(path) == {"name": "ÅLAND", "n": [1, 2.5]}
+
+
+@pytest.mark.parametrize("content,reason", UNDECODABLE_JSON)
+def test_read_json_names_the_file_for_every_decode_failure(tmp_path, content, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError) as raised:
+        read_json(str(path))
+    assert str(raised.value).startswith(f"doc.json: not valid JSON: {reason}")
+
+
+def test_read_json_leaves_an_unreadable_file_to_its_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "missing.json")
+
+
 # ------------------------------------------------------------- TimeSeries ---
 
 def test_series_rejects_disorder_and_nonfinite():
@@ -730,7 +786,7 @@ def test_prepare_splits_stores_python_ints():
 
 
 def test_prepare_splits_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
+    with pytest.raises(ValueError, match="^unknown split mode 'bogus'; expected 'random' or 'contiguous'$"):
         prepare_splits(sine_series(200), horizon=1, lookback=10, mode="bogus")
 
 

@@ -14,6 +14,7 @@ from stanforge.stan_core import (
     MAX_PARAMETERS,
     NetworkSpec,
     StanNetwork,
+    check_allocation,
     count_parameters,
     stan_layer_backward,
     stan_layer_forward,
@@ -456,6 +457,15 @@ def test_check_size_refuses_past_the_limit_only():
         stan.check_size(45, 1, 64, 100_000_000)
     with pytest.raises(ValueError, match="units must be a positive integer"):
         stan.check_size(45, 1, 0, 2)
+
+
+def test_the_allocation_gate_refuses_one_past_the_limit_naming_what_and_the_count():
+    check_allocation(MAX_PARAMETERS, "--n 5")
+    with pytest.raises(ValueError, match=re.escape(
+            "--n 5 make 134217729 values, above the limit of 134217728 (1 GiB as float64)")):
+        check_allocation(MAX_PARAMETERS + 1, "--n 5")
+    with pytest.raises(ValueError, match="^units 9 and depth 9 make 134217729 parameters, above"):
+        check_allocation(MAX_PARAMETERS + 1, "units 9 and depth 9", "parameters")
 
 
 @pytest.mark.parametrize("seed", range(3))
