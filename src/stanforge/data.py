@@ -186,7 +186,7 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
     ``csv.field_size_limit()`` raises DataFormatError naming its line, after
     the rows read before it are checked. The file is read as UTF-8; a byte
     that is not raises DataFormatError naming the line that holds it, after
-    the rows read before the decoder met it are checked.
+    every row that ends before that line is checked.
     """
     rows: list[tuple[int, str, str]] = []  # (file line, stamp text, value text)
     stamp_blocks: list[np.ndarray] = []
@@ -207,36 +207,47 @@ def _read_rows(path: Path, column_name: str) -> tuple[np.ndarray, np.ndarray, in
             raise
         rows.clear()
 
-    missing, next_line = 0, 1
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    # the text layer decodes ahead of the csv reader, so a byte that is not UTF-8 can stop the read
+    # before the rows above it are read: they are read again, the bad bytes escaped, up to its line
+    missing, resume, bad = 0, 1, None  # the first line not yet read; the line of the first bad byte
+    for errors in ("strict", "surrogateescape"):
+        next_line = 1
         try:
-            fields = next(reader, [])
-            if "Datetime" not in fields or column_name not in fields:
-                raise DataFormatError(
-                    f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
-                )
-            stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
-            next_line = reader.line_num + 1
-            for row in reader:
-                # the file line the record starts on; a quoted cell may span lines
-                lineno, next_line = next_line, reader.line_num + 1
-                if not row:
-                    continue
-                raw_value = row[value_at] if value_at < len(row) else ""
-                if raw_value.strip() == "":
-                    missing += 1
-                    continue
-                rows.append((lineno, row[stamp_at] if stamp_at < len(row) else "", raw_value))
-                if len(rows) == _BLOCK_ROWS:
-                    flush()
+            with open(path, newline="", encoding="utf-8", errors=errors) as handle:
+                reader = csv.reader(handle)
+                fields = next(reader, [])
+                if bad is not None and reader.line_num >= bad:
+                    break
+                if "Datetime" not in fields or column_name not in fields:
+                    raise DataFormatError(
+                        f"{path.name}: need columns 'Datetime' and {column_name!r}, file has {fields}"
+                    )
+                stamp_at, value_at = _column_at(fields, "Datetime"), _column_at(fields, column_name)
+                next_line = reader.line_num + 1
+                for row in reader:
+                    # the file line the record starts on; a quoted cell may span lines
+                    lineno, next_line = next_line, reader.line_num + 1
+                    if bad is not None and reader.line_num >= bad:
+                        break
+                    if not row or lineno < resume:
+                        continue
+                    raw_value = row[value_at] if value_at < len(row) else ""
+                    if raw_value.strip() == "":
+                        missing += 1
+                        continue
+                    rows.append((lineno, row[stamp_at] if stamp_at < len(row) else "", raw_value))
+                    if len(rows) == _BLOCK_ROWS:
+                        flush()
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
             flush()  # a bad row read before this record is named first
             raise DataFormatError(f"{path.name} line {next_line}: {exc}") from None
         except UnicodeDecodeError as exc:
-            flush()  # the decoder reads ahead of the rows, so the rows read so far are named first
-            raise DataFormatError(f"{path.name} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})") from None
+            resume, bad, reason = next_line, _undecodable_line(path), exc.reason
+        else:
+            break
     flush()
+    if bad is not None:
+        raise DataFormatError(f"{path.name} line {bad}: not UTF-8 ({reason})")
     return np.concatenate(stamp_blocks), np.concatenate(value_blocks), missing
 
 

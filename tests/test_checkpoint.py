@@ -57,7 +57,7 @@ def test_round_trip_is_bit_identical(tmp_path, kind):
 def test_checkpoint_records_the_dtype_and_reloads_its_bits(tmp_path, kind):
     model = _random_model(kind)
     path = save_checkpoint(tmp_path / "m.json", model)
-    assert json.loads(path.read_text())["dtype"] == ("float64" if kind == "linreg" else "float32")
+    assert json.loads(path.read_text(encoding="utf-8"))["dtype"] == ("float64" if kind == "linreg" else "float32")
     loaded, _ = load_checkpoint(path)
     assert loaded.dtype == model.dtype
     assert loaded.params.vector.tobytes() == model.params.vector.tobytes()
@@ -95,7 +95,7 @@ _PARENT_PRED = [-0.14750000000000008, 1.262089661715122, 2.5107779153512952]
 
 def test_a_file_without_a_dtype_loads_as_float64_and_predicts_its_old_bits(tmp_path):
     path = tmp_path / "old.json"
-    path.write_text(json.dumps(_PARENT_FORMAT))
+    path.write_text(json.dumps(_PARENT_FORMAT), encoding="utf-8")
     model, scaler = load_checkpoint(path)
     assert scaler is None and model.dtype == np.float64
     assert model.predict(np.array(_PARENT_X)).ravel().tolist() == _PARENT_PRED
@@ -105,26 +105,26 @@ def test_a_file_without_a_dtype_loads_as_float64_and_predicts_its_old_bits(tmp_p
                          ids=["nan", "inf", "nan-beside-past-range", "inf-beside-past-range"])
 def test_non_finite_values_are_named_before_the_range_check(tmp_path, data):
     path = tmp_path / "m.json"
-    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text())
+    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text(encoding="utf-8"))
     doc["params"]["proj.W"]["data"][:len(data)] = data
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CheckpointError, match=r"^m\.json: parameter 'proj\.W' has non-finite values$"):
         load_checkpoint(path)
 
 
 def test_values_past_float32_range_are_refused_for_a_float32_model_by_name(tmp_path):
     path = tmp_path / "m.json"
-    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text())
+    doc = json.loads(save_checkpoint(path, LinearNetwork(3, 1, seed=8)).read_text(encoding="utf-8"))
     doc["params"]["proj.b"]["data"] = [1e39]
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CheckpointError, match=r"^m\.json: parameter 'proj\.b' has values past float32 range, up to magnitude 1e\+39$"):
         load_checkpoint(path)
     doc["dtype"] = "float64"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_checkpoint(path)[0].params["proj.b"].tolist() == [1e39]
     for bad in ("float16", None, 32):
         doc["dtype"] = bad
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CheckpointError, match="dtype must be one of"):
             load_checkpoint(path)
 
@@ -135,7 +135,7 @@ def test_saved_bytes_are_what_the_streaming_encoder_writes(tmp_path, kind):
              else StanNetwork(NetworkSpec(45, 64, 3, 1), seed=0))  # the benchmark's size
     path = save_checkpoint(tmp_path / "m.json", model, ScalerParams(mean=1234.56789, std=98.7654321))
     stream = io.StringIO()  # ``json.dump`` encodes in pure Python, chunk by chunk
-    json.dump(json.loads(path.read_text()), stream, allow_nan=False)
+    json.dump(json.loads(path.read_text(encoding="utf-8")), stream, allow_nan=False)
     stream.write("\n")
     assert path.read_bytes() == stream.getvalue().encode()
 
@@ -149,7 +149,7 @@ def test_scaler_round_trips(tmp_path):
 
 def test_checkpoint_is_self_describing(tmp_path):
     path = save_checkpoint(tmp_path / "m.json", _perturbed_stan())
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["format"] == "stanforge-checkpoint"
     assert doc["version"] == 1
     assert doc["kind"] == "stan"
@@ -162,11 +162,11 @@ def test_checkpoint_is_self_describing(tmp_path):
 
 def test_load_rejects_non_checkpoints(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(bad)
     other = tmp_path / "other.json"
-    other.write_text('{"format": "something-else"}')
+    other.write_text('{"format": "something-else"}', encoding="utf-8")
     with pytest.raises(CheckpointError, match="stanforge-checkpoint"):
         load_checkpoint(other)
 
@@ -183,14 +183,14 @@ def test_a_file_that_does_not_decode_is_a_checkpoint_error_naming_it(tmp_path, c
 def test_load_rejects_unknown_version_and_kind(tmp_path):
     model = LinearNetwork(3, 1, seed=8)
     path = save_checkpoint(tmp_path / "m.json", model)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     doc["version"] = 99
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
     doc["version"] = 1
     doc["kind"] = "transformer"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CheckpointError, match="transformer"):
         load_checkpoint(path)
 
@@ -212,7 +212,7 @@ def test_v1_linreg_checkpoint_loads_and_predicts_bit_identically(tmp_path):
     x, y = rng.standard_normal((300, 45)), rng.standard_normal((300, 3))
     weights, scaler = fit_linear_regression(x, y), ScalerParams(mean=1.5, std=2.5)
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps(_v1_linreg_doc(weights, scaler)) + "\n")
+    path.write_text(json.dumps(_v1_linreg_doc(weights, scaler)) + "\n", encoding="utf-8")
     loaded, loaded_scaler = load_checkpoint(path)
     assert type(loaded) is LinearRegressionModel and loaded_scaler == scaler
     assert (loaded.lookback, loaded.horizon, loaded.num_params()) == (45, 3, 46 * 3)
@@ -268,9 +268,9 @@ MALFORMED = {
 @pytest.mark.parametrize("kind,mutate", MALFORMED.values(), ids=list(MALFORMED))
 def test_load_rejects_malformed_checkpoints(tmp_path, kind, mutate):
     path = save_checkpoint(tmp_path / "m.json", _random_model(kind), ScalerParams(mean=1.0, std=2.0))
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     mutate(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CheckpointError, match="m.json"):
         load_checkpoint(path)
 
@@ -308,7 +308,7 @@ def test_oversized_spec_is_refused_without_building_the_model(tmp_path):
         "format": "stanforge-checkpoint", "version": 1, "kind": "stan",
         "spec": {"lookback": 24, "units": 1500, "depth": 2, "horizon": 1},
         "params": {}, "scaler": None,
-    }))
+    }), encoding="utf-8")
     assert path.stat().st_size == 161
     tracemalloc.start()
     try:

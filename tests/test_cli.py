@@ -37,7 +37,7 @@ def _dataset_csv(tmp_path, n=400, name="EAST"):
 
 
 def _read_json(path):
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
@@ -47,7 +47,7 @@ def _read_json(path):
 def test_simulate_writes_the_layout_train_reads_and_its_config(tmp_path):
     assert main(["simulate", "--n", "50", "--out", str(tmp_path)]) == 0
     run_dir = tmp_path / "simulate-seed0"
-    lines = (run_dir / "series.csv").read_text().splitlines()
+    lines = (run_dir / "series.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "Datetime,SIM_MW"
     assert lines[1].startswith("2015-01-01 00:00:00,") and lines[-1].startswith("2015-01-03 01:00:00,")
     assert len(lines) == 51
@@ -75,7 +75,7 @@ def test_simulate_noise_free_intercept_only_series_is_constant(tmp_path):
     code = main(["simulate", "--n", "30", "--phi", "0", "--theta", "0",
                  "--sigma", "0", "--phi0", "0.7", "--out", str(tmp_path)])
     assert code == 0
-    rows = (tmp_path / "simulate-seed0" / "series.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "simulate-seed0" / "series.csv").read_text(encoding="utf-8").splitlines()[1:]
     values = np.array([float(row.split(",")[1]) for row in rows])
     assert np.array_equal(np.unique(values), [0.7])
 
@@ -140,7 +140,7 @@ def test_train_linreg_solves_in_closed_form(tmp_path):
     summary = _read_json(run_dir / "summary.json")
     assert summary["epochs"] == 0
     assert summary["param_count"] == 46
-    assert (run_dir / "history.csv").read_text() == "epoch,train_loss,val_loss,lr,seconds\n"
+    assert (run_dir / "history.csv").read_text(encoding="utf-8") == "epoch,train_loss,val_loss,lr,seconds\n"
 
 
 def test_train_without_data_flags_exits_1(tmp_path, capsys):
@@ -150,7 +150,7 @@ def test_train_without_data_flags_exits_1(tmp_path, capsys):
 
 def test_train_unknown_model_kind_in_config_exits_1(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"model": "transformer"}))
+    config.write_text(json.dumps({"model": "transformer"}), encoding="utf-8")
     data = _dataset_csv(tmp_path, n=260)
     code = main(["train", "--data", str(data), "--column", "EAST_MW",
                  "--config", str(config), "--out", str(tmp_path)])
@@ -177,7 +177,7 @@ def test_an_unknown_model_kind_reads_the_same_from_every_entry_point(tmp_path, c
 
 def test_train_rejects_unknown_train_config_key(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"train": {"bogus": 1}}))
+    config.write_text(json.dumps({"train": {"bogus": 1}}), encoding="utf-8")
     data = _dataset_csv(tmp_path, n=260)
     code = main(["train", "--data", str(data), "--column", "EAST_MW",
                  "--config", str(config), "--out", str(tmp_path)])
@@ -192,7 +192,7 @@ def test_train_rejects_unknown_train_config_key(tmp_path, capsys):
 ])
 def test_train_config_fields_are_type_checked(tmp_path, capsys, key, value):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"train": {key: value}}))
+    config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
     data = _dataset_csv(tmp_path, n=260)
     code = main(["train", "--data", str(data), "--column", "EAST_MW",
                  "--config", str(config), "--out", str(tmp_path / "out")])
@@ -206,7 +206,7 @@ def test_train_config_fields_are_type_checked(tmp_path, capsys, key, value):
 ])
 def test_train_config_fixed_recipe_keys_refuse_another_value(tmp_path, capsys, key, value, fixed):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"train": {key: value}}))
+    config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
     data = _dataset_csv(tmp_path, n=260)
     code = main(["train", "--data", str(data), "--column", "EAST_MW",
                  "--config", str(config), "--out", str(tmp_path / "out")])
@@ -228,7 +228,7 @@ def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path,
     if lr is not None:
         argv += ["--lr", lr]
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
@@ -237,7 +237,8 @@ def test_a_learning_rate_that_is_not_finite_or_below_the_floor_exits_1(tmp_path,
 
 def test_train_config_seed_is_read_as_an_integer_and_ignored(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}], "train": {"seed": 99}}))
+    config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}], "train": {"seed": 99}}),
+                      encoding="utf-8")
     plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config), "--seed", "3"]))
     assert plan.train == TrainConfig() and plan.base_seed == 3
 
@@ -260,7 +261,7 @@ def test_a_config_echoing_the_old_train_fields_replays_byte_identically(tmp_path
     first = tmp_path / "first" / f"{argv[0]}-seed0"
     echoed = _read_json(first / "config.json")
     assert echoed["train"] == {"max_epochs": 2, "batch_size": 256, "lr": 0.001, "es_start_epoch": 6}
-    (tmp_path / "old.json").write_text(json.dumps({**echoed, "train": _OLD_TRAIN_ECHO}))
+    (tmp_path / "old.json").write_text(json.dumps({**echoed, "train": _OLD_TRAIN_ECHO}), encoding="utf-8")
     assert main([argv[0], "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "second")]) == 0
     second = tmp_path / "second" / f"{argv[0]}-seed0"
     for name in outputs + ["config.json"]:  # the old fields are read, not echoed
@@ -270,7 +271,7 @@ def test_a_config_echoing_the_old_train_fields_replays_byte_identically(tmp_path
 def test_train_config_whole_numbers_count_as_integers(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
-                                  "train": {"max_epochs": 3.0, "batch_size": 1e1, "lr": 1}}))
+                                  "train": {"max_epochs": 3.0, "batch_size": 1e1, "lr": 1}}), encoding="utf-8")
     train = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)])).train
     assert (train.max_epochs, train.batch_size, train.lr) == (3, 10, 1)
     assert isinstance(train.max_epochs, int) and isinstance(train.batch_size, int)
@@ -281,7 +282,7 @@ def test_train_config_whole_numbers_count_as_integers(tmp_path):
 
 def test_gradcheck_default_spec_passes(tmp_path, capsys):
     assert main(["gradcheck", "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text()
+    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text(encoding="utf-8")
     for group in ("W", "b", "phi", "theta", "gamma", "c", "projection"):
         assert f"  {group}" in text
     assert "OK" in text
@@ -291,7 +292,7 @@ def test_gradcheck_default_spec_passes(tmp_path, capsys):
 def test_gradcheck_corrupted_group_is_caught(tmp_path):
     code = main(["gradcheck", "--corrupt", "phi", "--out", str(tmp_path)])
     assert code == 2
-    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text()
+    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text(encoding="utf-8")
     assert "FAIL" in text
     phi_line = next(line for line in text.splitlines() if line.startswith("  phi"))
     assert "5.000e-01" in phi_line
@@ -317,7 +318,7 @@ def test_gradcheck_fails_a_group_whose_error_is_nan(tmp_path, monkeypatch):
     errors = {"layers.0.W": 1e-9, "layers.0.phi": math.nan, "layers.1.phi": 1e-9}
     monkeypatch.setattr("stanforge.cli.finite_diff_errors", lambda *args, **kwargs: errors)
     assert main(["gradcheck", "--out", str(tmp_path)]) == 2
-    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text()
+    text = (tmp_path / "gradcheck-seed0" / "gradcheck.txt").read_text(encoding="utf-8")
     phi_line = next(line for line in text.splitlines() if line.startswith("  phi"))
     assert "nan" in phi_line
     assert text.splitlines()[-1] == "worst nan vs tolerance 1e-05: FAIL"
@@ -352,7 +353,7 @@ def test_benchmark_desk_scale_smoke(tmp_path):
     results = _read_json(run_dir / "results.json")["results"]
     assert len(results) == 4
     assert all(r["error"] is None and r["rmse"] is not None for r in results)
-    assert "LinReg" in (run_dir / "report.md").read_text()
+    assert "LinReg" in (run_dir / "report.md").read_text(encoding="utf-8")
 
 
 def test_benchmark_echoes_lookback_per_horizon(tmp_path):
@@ -383,7 +384,7 @@ def test_benchmark_replays_exactly_from_config(tmp_path):
     first_dir = tmp_path / "first" / "benchmark-seed5"
     # configs echoed before the matrix became serial carry a "jobs" key
     config = _read_json(first_dir / "config.json")
-    (first_dir / "config.json").write_text(json.dumps({**config, "jobs": 2}))
+    (first_dir / "config.json").write_text(json.dumps({**config, "jobs": 2}), encoding="utf-8")
     code = main(["benchmark", "--config", str(first_dir / "config.json"),
                  "--out", str(tmp_path / "second")])
     assert code == 0
@@ -413,7 +414,7 @@ def test_benchmark_plan_entries_must_be_text(tmp_path, capsys, monkeypatch, data
     data = _dataset_csv(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"datasets": [{"path": str(data), "column": "EAST_MW", **dataset}],
-                                  "models": [model]}))
+                                  "models": [model]}), encoding="utf-8")
     # refused before any data file is read
     monkeypatch.setattr(eval_bench, "load_pjm_csv", lambda *args: pytest.fail("a data file was read"))
     assert main(["benchmark", "--config", str(config), "--runs", "1", "--out", str(tmp_path / "out")]) == 1
@@ -516,7 +517,7 @@ def test_a_negative_seed_exits_1_naming_the_flag_without_a_run_directory(tmp_pat
     if subcommand in ("train", "benchmark"):
         argv += ["--data", str(_dataset_csv(tmp_path, n=260)), "--column", "EAST_MW"]
     if by_config:
-        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
         argv += ["--config", str(tmp_path / "cfg.json")]
     else:
         argv += ["--seed", "-1"]
@@ -541,7 +542,7 @@ def test_out_falls_back_to_environment(tmp_path, monkeypatch):
 
 def test_flag_beats_config_beats_default(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"n": 50, "gamma": 5.0}))
+    config.write_text(json.dumps({"n": 50, "gamma": 5.0}), encoding="utf-8")
     main(["simulate", "--config", str(config), "--n", "30", "--out", str(tmp_path)])
     echoed = _read_json(tmp_path / "simulate-seed0" / "config.json")
     assert echoed["n"] == 30       # flag wins over config
@@ -555,7 +556,7 @@ def test_flag_beats_config_beats_default(tmp_path):
 ])
 def test_broken_config_files_exit_1(tmp_path, capsys, content, problem):
     config = tmp_path / "cfg.json"
-    config.write_text(content)
+    config.write_text(content, encoding="utf-8")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
     assert problem in capsys.readouterr().err
 
@@ -614,7 +615,7 @@ def test_replay_from_echoed_config_is_byte_identical(tmp_path, argv):
 ])
 def test_malformed_config_value_exits_1_naming_the_key(tmp_path, capsys, subcommand, config):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     key = next(iter(config))
     assert f"config key {key!r}" in capsys.readouterr().err
@@ -628,7 +629,7 @@ def test_malformed_config_value_exits_1_naming_the_key(tmp_path, capsys, subcomm
 ])
 def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, config):
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
@@ -646,7 +647,7 @@ def test_rejected_calls_exit_1_and_create_no_run_directory(tmp_path, argv, confi
 def test_refused_configurations_exit_1_naming_the_problem_without_a_run_directory(tmp_path, capsys, argv, config,
                                                                                     problem):
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert problem in capsys.readouterr().err
@@ -710,7 +711,7 @@ def test_train_names_a_horizon_below_one(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["train", "benchmark"])
 def test_cell_past_the_csv_field_limit_exits_1_naming_its_line(tmp_path, capsys, subcommand):
     data = tmp_path / "big.csv"
-    data.write_text(f"Datetime,EAST_MW\n2015-01-01 00:00:00,{'1' * (csv.field_size_limit() + 1)}\n")
+    data.write_text(f"Datetime,EAST_MW\n2015-01-01 00:00:00,{'1' * (csv.field_size_limit() + 1)}\n", encoding="utf-8")
     argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "big.csv line 2: field larger than field limit" in capsys.readouterr().err
@@ -728,7 +729,7 @@ def test_a_byte_that_is_not_utf8_exits_1_naming_the_file_and_its_line(tmp_path, 
 
 
 def test_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert main(["fixtures", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -741,9 +742,9 @@ def test_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("subcommand", ["train", "benchmark"])
 def test_a_non_finite_value_exits_1_naming_its_line(tmp_path, capsys, subcommand, cell):
     data = _dataset_csv(tmp_path)
-    lines = data.read_text().splitlines(keepends=True)
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[300] = f"{lines[300].split(',')[0]},{cell}\n"  # line 301, in the second block of rows
-    data.write_text("".join(lines))
+    data.write_text("".join(lines), encoding="utf-8")
     argv = [subcommand, "--data", str(data), "--column", "EAST_MW", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -770,7 +771,7 @@ def test_missing_data_file_exits_1_without_a_run_directory(tmp_path, capsys, sub
 def test_benchmark_model_entry_sizes_must_be_integers(tmp_path, capsys, entry, key):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
-                                  "models": [{"kind": "linreg"}, entry]}))
+                                  "models": [{"kind": "linreg"}, entry]}), encoding="utf-8")
     assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert f"config key 'models' entry 1 {key!r} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -779,27 +780,27 @@ def test_benchmark_model_entry_sizes_must_be_integers(tmp_path, capsys, entry, k
 def test_benchmark_model_entry_whole_number_sizes_are_accepted(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"datasets": [{"path": "east.csv", "column": "EAST_MW"}],
-                                  "models": [{"kind": "mlp", "units": 4.0, "depth": 2e0}]}))
+                                  "models": [{"kind": "mlp", "units": 4.0, "depth": 2e0}]}), encoding="utf-8")
     plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)]))
     assert [(m.name, m.units, m.depth) for m in plan.models] == [("MLP-4-2", 4, 2)]
 
 
 def test_config_null_means_unset(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"n": None, "regions": None, "jobs": 2}))
+    config.write_text(json.dumps({"n": None, "regions": None, "jobs": 2}), encoding="utf-8")
     assert main(["fixtures", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert _read_json(tmp_path / "fixtures-seed0" / "config.json") == {"regions": ["EAST", "WEST"], "n": 4000, "seed": 0}
 
 
 @pytest.mark.parametrize("config,n", [({"n": 3.0}, 3), ({"n": 1e2}, 100)])
 def test_config_whole_numbers_count_as_integers(tmp_path, config, n):
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
     assert _read_json(tmp_path / "simulate-seed0" / "config.json")["n"] == n
 
 
 def test_a_whole_number_config_seed_counts_as_an_integer(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"n": 20, "seed": 2.0}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"n": 20, "seed": 2.0}), encoding="utf-8")
     assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
     assert _read_json(tmp_path / "simulate-seed2" / "config.json")["seed"] == 2
 
@@ -808,7 +809,8 @@ def test_train_overrides_are_flags_not_config_keys(tmp_path):
     data = _dataset_csv(tmp_path, n=260)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"data": str(data), "column": "EAST_MW", "model": "mlp", "units": 4, "depth": 1,
-                                  "max_epochs": 5, "batch_size": 8, "lr": 0.5, "train": {"max_epochs": 1}}))
+                                  "max_epochs": 5, "batch_size": 8, "lr": 0.5, "train": {"max_epochs": 1}}),
+                      encoding="utf-8")
     assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
     echoed = _read_json(tmp_path / "train-seed0" / "config.json")
     assert not {"max_epochs", "batch_size", "lr"} & set(echoed)
@@ -821,7 +823,7 @@ def test_train_overrides_are_flags_not_config_keys(tmp_path):
 def test_benchmark_reads_data_and_overrides_only_from_flags_and_train(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"desk_scale": True, "max_epochs": 5, "data": "elsewhere.csv", "column": "X",
-                                  "datasets": [{"path": "east.csv", "column": "EAST_MW"}]}))
+                                  "datasets": [{"path": "east.csv", "column": "EAST_MW"}]}), encoding="utf-8")
     plan = _plan_from_args(build_parser().parse_args(["benchmark", "--config", str(config)]))
     assert [(d.path, d.column) for d in plan.datasets] == [("east.csv", "EAST_MW")]
     assert plan.train.max_epochs == 40  # the desk-scale preset, not the top-level key
@@ -847,7 +849,7 @@ def test_simulate_flags_and_config_mean_the_same(n, burn_in, seed, phi0, phi, th
              for key, value in values.items()]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "cfg.json").write_text(json.dumps(values))
+        (tmp / "cfg.json").write_text(json.dumps(values), encoding="utf-8")
         assert main(["simulate", *flags, "--out", str(tmp / "flags")]) == 0
         assert main(["simulate", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "config")]) == 0
         by_flags, by_config = tmp / "flags" / f"simulate-seed{seed}", tmp / "config" / f"simulate-seed{seed}"

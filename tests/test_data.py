@@ -40,7 +40,7 @@ WELL_FORMED = """Datetime,AEP_MW
 
 def test_load_well_formed(tmp_path):
     path = tmp_path / "aep.csv"
-    path.write_text(WELL_FORMED)
+    path.write_text(WELL_FORMED, encoding="utf-8")
     series = load_pjm_csv(path, "AEP_MW")
     assert series.name == "AEP"
     assert len(series) == 3
@@ -56,7 +56,7 @@ def test_load_drops_duplicate_timestamp_keeps_first(tmp_path, caplog):
         "2015-01-01 01:00:00,2.0\n"
         "2015-01-01 01:00:00,999.0\n"
         "2015-01-01 02:00:00,3.0\n"
-    )
+    , encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         series = load_pjm_csv(path, "AEP_MW")
     assert len(series) == 3
@@ -66,10 +66,10 @@ def test_load_drops_duplicate_timestamp_keeps_first(tmp_path, caplog):
 
 def test_load_shuffled_rows_match_sorted_fixture(tmp_path):
     sorted_path = tmp_path / "sorted.csv"
-    sorted_path.write_text(WELL_FORMED)
+    sorted_path.write_text(WELL_FORMED, encoding="utf-8")
     lines = WELL_FORMED.strip().split("\n")
     shuffled_path = tmp_path / "shuffled.csv"
-    shuffled_path.write_text("\n".join([lines[0], lines[3], lines[1], lines[2]]) + "\n")
+    shuffled_path.write_text("\n".join([lines[0], lines[3], lines[1], lines[2]]) + "\n", encoding="utf-8")
     a = load_pjm_csv(sorted_path, "AEP_MW")
     b = load_pjm_csv(shuffled_path, "AEP_MW")
     assert np.array_equal(a.values, b.values)
@@ -83,7 +83,7 @@ def test_load_drops_missing_values(tmp_path, caplog):
         "2015-01-01 00:00:00,1.0\n"
         "2015-01-01 01:00:00,\n"
         "2015-01-01 02:00:00,3.0\n"
-    )
+    , encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         series = load_pjm_csv(path, "AEP_MW")
     assert len(series) == 2
@@ -92,7 +92,7 @@ def test_load_drops_missing_values(tmp_path, caplog):
 
 def test_load_missing_column_lists_available(tmp_path):
     path = tmp_path / "cols.csv"
-    path.write_text(WELL_FORMED)
+    path.write_text(WELL_FORMED, encoding="utf-8")
     with pytest.raises(DataFormatError, match="AEP_MW"):
         load_pjm_csv(path, "DEOK_MW")
 
@@ -103,7 +103,7 @@ def test_load_bad_timestamp_names_line(tmp_path):
         "Datetime,AEP_MW\n"
         "2015-01-01 00:00:00,1.0\n"
         "not-a-date,2.0\n"
-    )
+    , encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 3"):
         load_pjm_csv(path, "AEP_MW")
 
@@ -113,7 +113,7 @@ def test_load_bad_value_names_line(tmp_path):
     path.write_text(
         "Datetime,AEP_MW\n"
         "2015-01-01 00:00:00,oops\n"
-    )
+    , encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 2"):
         load_pjm_csv(path, "AEP_MW")
 
@@ -141,7 +141,7 @@ def _reference_load(path, column_name):
     """The row-by-row ``strptime`` loader this package used to ship, kept as
     the referee: (stamps, values, warning counts), or DataFormatError."""
     stamps, values, missing = [], [], 0
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         if "Datetime" not in fields or column_name not in fields:
@@ -172,7 +172,7 @@ def _reference_load(path, column_name):
 def _reference_write(series, path):
     """The row-by-row ``strftime`` writer this package used to ship."""
     stamps = series.timestamps.astype("datetime64[s]")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["Datetime", f"{series.name}_MW"])
         for stamp, value in zip(stamps, series.values):
@@ -202,7 +202,8 @@ class _WarningCounts(logging.Handler):
 ])
 def test_load_rejects_any_other_stamp_shape_naming_its_line(tmp_path, stamp):
     path = tmp_path / "stamp.csv"
-    path.write_text(f"Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n{stamp},2.0\n2015-01-01 02:00:00,3.0\n")
+    path.write_text(f"Datetime,AEP_MW\n2015-01-01 00:00:00,1.0\n{stamp},2.0\n2015-01-01 02:00:00,3.0\n",
+                    encoding="utf-8")
     with pytest.raises(DataFormatError, match=f"line 3: unparseable timestamp {stamp!r}"):
         load_pjm_csv(path, "AEP_MW")
 
@@ -213,7 +214,7 @@ def test_load_rejects_any_other_stamp_shape_naming_its_line(tmp_path, stamp):
 ])
 def test_load_reports_the_first_bad_line(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
-    path.write_text("Datetime,AEP_MW\n" + "\n".join(rows) + "\n")
+    path.write_text("Datetime,AEP_MW\n" + "\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=message):
         load_pjm_csv(path, "AEP_MW")
 
@@ -246,7 +247,7 @@ _PAST_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)
         "cell-past-field-limit", "header-cell-past-field-limit", "bad-date-before-cell-past-field-limit"])
 def test_load_names_the_file_line_the_record_starts_on(tmp_path, text, message):
     path = tmp_path / "lines.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError) as raised:
         load_pjm_csv(path, "AEP_MW")
     assert str(raised.value) == f"lines.csv {message}"
@@ -268,7 +269,7 @@ def test_load_matches_strptime_reference(start, rows):
     logger = logging.getLogger("stanforge.data")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "aep.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         logger.addHandler(handler)
         try:
             try:
@@ -303,7 +304,7 @@ def test_load_names_the_line_of_the_first_non_finite_value(cells, data):
     text = "Datetime,AEP_MW\n" + "".join(f"{stamp.replace('T', ' ')},{cell}\n" for stamp, cell in zip(stamps, cells))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "aep.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataFormatError) as raised:
             load_pjm_csv(path, "AEP_MW")
     assert str(raised.value) == f"aep.csv line {first + 2}: non-finite value {float(bad[first])!r}"
@@ -342,9 +343,9 @@ def test_csv_io_matches_references_across_blocks(tmp_path):
     back = load_pjm_csv(tmp_path / "new.csv", "LONG_MW")
     stamps, values, _ = _reference_load(tmp_path / "new.csv", "LONG_MW")
     assert np.array_equal(back.timestamps, stamps) and back.values.tobytes() == values.tobytes()
-    lines = (tmp_path / "new.csv").read_text().splitlines()
+    lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
     lines[2999] = "2015-02-30 00:00:00,1.0"  # line 3000, well past the first block
-    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 3000: unparseable timestamp"):
         load_pjm_csv(tmp_path / "bad.csv", "LONG_MW")
 
@@ -371,12 +372,13 @@ def test_one_pass_load_names_the_first_bad_row_across_blocks(bad, blank_before, 
                         values=np.random.default_rng(seed).standard_normal(n))
     with tempfile.TemporaryDirectory() as tmp:
         good = write_pjm_csv(series, Path(tmp) / "good.csv")
-        rows = [row.split(",") for row in good.read_text().splitlines()[1:]]
+        rows = [row.split(",") for row in good.read_text(encoding="utf-8").splitlines()[1:]]
         file_line = {r: 2 + r + sum(k <= r for k in blank_before) for r in range(n)}
 
         def write(path, rows):
             path.write_text("Datetime,EDGE_MW\n" + "".join(
-                ("\n" if r in blank_before else "") + ",".join(row) + "\n" for r, row in enumerate(rows)))
+                ("\n" if r in blank_before else "") + ",".join(row) + "\n" for r, row in enumerate(rows)),
+                encoding="utf-8")
             return path
 
         back = load_pjm_csv(write(Path(tmp) / "valid.csv", rows), "EDGE_MW")
@@ -419,6 +421,26 @@ def test_a_bad_row_read_before_an_undecodable_byte_is_named_first(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"2015-01-01 05:00:00", b"2015-01-01 5:00:00"))  # line 7
     with pytest.raises(DataFormatError, match="^both.csv line 7: unparseable timestamp '2015-01-01 5:00:00'$"):
         load_pjm_csv(with_undecodable_byte(path, 1501), "EDGE_MW")
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_bad_row_in_the_decoders_read_ahead_is_named_before_a_later_undecodable_byte(tmp_path, line_end):
+    # lines 1400 and 1501 are decoded in one chunk, before the csv reader reaches line 1400
+    lines = _hourly_csv(tmp_path / "ahead.csv", 2000).read_bytes().splitlines(keepends=True)
+    lines[1399] = lines[1399].split(b",")[0] + b",oops\n"
+    path = tmp_path / "ahead.csv"
+    path.write_bytes(b"".join(lines).replace(b"\n", line_end.encode("ascii")))
+    with pytest.raises(DataFormatError, match="^ahead.csv line 1400: unparseable value 'oops'$"):
+        load_pjm_csv(with_undecodable_byte(path, 1501), "EDGE_MW")
+
+
+def test_a_byte_that_is_not_utf8_in_a_column_not_read_is_refused(tmp_path):
+    lines = [b"Datetime,EDGE_MW,NOTE\n"] + [f"2015-01-01 {h:02d}:00:00,{h}.0,ok\n".encode("ascii") for h in range(24)]
+    lines[20] = lines[20].replace(b"ok", b"\xffk")
+    path = tmp_path / "note.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DataFormatError, match=r"^note.csv line 21: not UTF-8 \(invalid start byte\)$"):
+        load_pjm_csv(path, "EDGE_MW")
 
 
 def test_the_writer_writes_a_non_ascii_column_name_as_utf8(tmp_path):

@@ -214,7 +214,7 @@ def test_report_bolds_the_row_best_and_every_exact_tie(tmp_path):
     results = _results([0.2, 0.2], model="A") + _results([0.3, 0.3], model="B") \
         + _results([0.2, 0.2], model="C")
     write_report(aggregate(results), results, tmp_path)
-    assert "| 1 | DS | **0.200** | 0.300 | **0.200** |\n" in (tmp_path / "report.md").read_text()
+    assert "| 1 | DS | **0.200** | 0.300 | **0.200** |\n" in (tmp_path / "report.md").read_text(encoding="utf-8")
 
 
 def test_aggregate_counts_failures():
@@ -246,10 +246,10 @@ def test_aggregate_orders_rows_and_columns_as_first_seen(tmp_path):
     cells = aggregate(results)
     assert list(cells) == [(6, "D2", "B"), (1, "D1", "A"), (1, "D1", "B"), (6, "D2", "A")]
     write_report(cells, results, tmp_path)
-    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+    with open(tmp_path / "results_rmse_mean.csv", newline="", encoding="utf-8") as handle:
         assert [row[:2] for row in csv.reader(handle)] == [
             ["horizon", "dataset"], ["6", "D2"], ["6", "D1"], ["1", "D2"], ["1", "D1"]]
-    assert "| horizon | dataset | B | A |\n" in (tmp_path / "report.md").read_text()
+    assert "| horizon | dataset | B | A |\n" in (tmp_path / "report.md").read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------------- reports --
@@ -272,7 +272,7 @@ def test_write_report_produces_all_files(tmp_path):
 def test_report_csv_round_trip(tmp_path):
     cells, results = _tiny_cells_and_results()
     write_report(cells, results, tmp_path)
-    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+    with open(tmp_path / "results_rmse_mean.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["horizon", "dataset", "A", "B"]
     assert rows[1][0] == "1" and rows[1][1] == "DS"
@@ -283,7 +283,7 @@ def test_report_csv_round_trip(tmp_path):
 def test_report_markdown_bolds_best_cell(tmp_path):
     cells, results = _tiny_cells_and_results()
     write_report(cells, results, tmp_path)
-    text = (tmp_path / "report.md").read_text()
+    text = (tmp_path / "report.md").read_text(encoding="utf-8")
     best = cells[(1, "DS", "A")].mean_rmse
     assert f"**{best:.3f}**" in text
     worse = cells[(1, "DS", "B")].mean_rmse
@@ -295,16 +295,17 @@ def test_report_marks_failed_cells(tmp_path):
     results += [RunResult(model="B", dataset="DS", horizon=1, seed=i, error="boom")
                 for i in range(2)]
     write_report(aggregate(results), results, tmp_path)
-    assert "FAILED" in (tmp_path / "results_rmse_mean.csv").read_text()
-    assert "FAILED" in (tmp_path / "report.md").read_text()
+    assert "FAILED" in (tmp_path / "results_rmse_mean.csv").read_text(encoding="utf-8")
+    assert "FAILED" in (tmp_path / "report.md").read_text(encoding="utf-8")
 
 
 def test_report_leaves_a_never_run_cell_blank(tmp_path):
     # B never ran on D1, and A never on D2
     results = _results([0.2], model="A", dataset="D1") + _results([0.3], model="B", dataset="D2")
     write_report(aggregate(results), results, tmp_path)
-    assert "| 1 | D1 | **0.200** |  |\n| 1 | D2 |  | **0.300** |\n" in (tmp_path / "report.md").read_text()
-    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+    report = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert "| 1 | D1 | **0.200** |  |\n| 1 | D2 |  | **0.300** |\n" in report
+    with open(tmp_path / "results_rmse_mean.csv", newline="", encoding="utf-8") as handle:
         assert list(csv.reader(handle))[1:] == [["1", "D1", "0.200", ""], ["1", "D2", "", "0.300"]]
 
 
@@ -317,7 +318,7 @@ def test_write_report_refuses_an_empty_table(tmp_path):
 def test_report_json_excludes_wall_time(tmp_path):
     cells, results = _tiny_cells_and_results()
     write_report(cells, results, tmp_path)
-    doc = json.loads((tmp_path / "results.json").read_text())
+    doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
     assert len(doc["results"]) == 4
     for entry in doc["results"]:
         assert "train_seconds" not in entry
@@ -359,10 +360,10 @@ def test_report_bytes_are_pinned(tmp_path):
 def test_report_markdown_escapes_a_pipe_in_a_name(tmp_path):
     results = _results([0.2], model="a|b", dataset="D|1") + _results([0.3], model="C", dataset="D|1")
     write_report(aggregate(results), results, tmp_path)
-    lines = (tmp_path / "report.md").read_text().splitlines()
+    lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
     assert "| horizon | dataset | a\\|b | C |" in lines
     assert "| 1 | D\\|1 | **0.200** | 0.300 |" in lines
-    with open(tmp_path / "results_rmse_mean.csv", newline="") as handle:
+    with open(tmp_path / "results_rmse_mean.csv", newline="", encoding="utf-8") as handle:
         assert list(csv.reader(handle)) == [["horizon", "dataset", "a|b", "C"], ["1", "D|1", "0.200", "0.300"]]
 
 

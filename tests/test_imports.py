@@ -14,7 +14,7 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "stanforge"}
 
 
 def _imported(path: Path):
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports stay in the package
@@ -41,7 +41,7 @@ UNUSED_BUT_PINNED = {("cli", "train"), ("baselines", "affine_forward")}
 
 def _unused_imports(path: Path) -> list[str]:
     """Names a module-level import binds that the module never reads and does not export in ``__all__``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bound = [(alias.asname or alias.name).split(".")[0]
              for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
              if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
@@ -61,5 +61,5 @@ def test_module_has_no_unused_module_level_import(path):
 def test_the_unused_import_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("from __future__ import annotations\nimport os\nimport json as js\n"
-                      "from math import pi, tau\n__all__ = ['tau']\nprint(pi)\n")
+                      "from math import pi, tau\n__all__ = ['tau']\nprint(pi)\n", encoding="utf-8")
     assert _unused_imports(module) == ["os", "js"]

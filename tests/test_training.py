@@ -89,7 +89,7 @@ def test_config_stores_numpy_numbers_as_python_numbers(tmp_path, constant_model_
     ds = _dataset(np.zeros((4, 3)), np.zeros((4, 1)))
     _, history = train(constant_model_cls(value=0.0), ds, ds, cfg)
     history.write_csv(tmp_path / "history.csv")
-    rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "history.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [float(row.split(",")[3]) for row in rows] == [0.01, 0.01]
 
 
@@ -429,7 +429,7 @@ def test_history_csv_round_trip(tmp_path):
     ], best_epoch=1, best_val_loss=0.4, final_lr=0.001)
     path = tmp_path / "history.csv"
     hist.write_csv(path)
-    lines = path.read_text().strip().split("\n")
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "epoch,train_loss,val_loss,lr,seconds"
     assert len(lines) == 3
     assert float(lines[1].split(",")[2]) == 0.4
