@@ -66,7 +66,6 @@ from .eval_bench import (
     PlanError,
     aggregate,
     fit_model,
-    rmse,
     run_benchmark,
     write_report,
 )
@@ -278,9 +277,8 @@ def cmd_train(args) -> int:
                                           "train": {k: getattr(train_cfg, k) for k in _TRAIN_KEYS}})
 
     entry = ModelEntry(kind=args.model, units=args.units, depth=args.depth)
-    model, history = fit_model(entry, prep, train_cfg, args.seed)
+    model, history, test_rmse = fit_model(entry, prep, train_cfg, args.seed)
     history.write_csv(run_dir / "history.csv")
-    test_rmse = rmse(prep.test.targets, model.predict(prep.test.inputs))
     save_checkpoint(run_dir / "checkpoint.json", model, scaler=prep.scaler)
     _write_json(run_dir / "summary.json", {
         "model": args.model,

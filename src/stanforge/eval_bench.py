@@ -3,11 +3,11 @@
 A plan fully specifies every cell up front. Each run derives its seed as
 ``base_seed + run_index`` and uses it for the split, the weight init, and
 the batch shuffling, so results are reproducible and independent of the
-order in which cells execute. Cells run one after another in plan order: a
-thread pool was tried and was slower, since the many small numpy calls of a
-short fit hold the GIL. A run that hits a data or numeric error is recorded
-as failed in the results instead of aborting the matrix; a ``ShapeError``
-and any other exception propagate.
+order in which cells execute. Each run's split is prepared once, and every
+model is fitted on it one after another: a thread pool was slower, since the
+many small numpy calls of a short fit hold the GIL. A data or numeric error
+is recorded as a failed cell, for every model when the split fails, instead
+of aborting the matrix; a ``ShapeError`` and any other exception propagate.
 
 Report files, from the cells ``aggregate`` builds in one pass over the runs:
 ``results_rmse_mean.csv``, ``results_rmse_std.csv``, ``results_time.csv``,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -178,7 +179,8 @@ class RunResult:
 
 
 def fit_model(entry: ModelEntry, prep: PreparedSplits, config: TrainConfig, seed: int):
-    """Build ``entry``'s model at ``seed`` and fit it; returns (model, history).
+    """Build ``entry``'s model at ``seed``, fit it and score it on the test
+    windows; returns (model, history, test RMSE). No fit writes into ``prep``.
 
     Network kinds train with ``config`` reseeded to ``seed``. A closed-form
     kind solves once on the training pool (train plus validation), since it
@@ -189,33 +191,44 @@ def fit_model(entry: ModelEntry, prep: PreparedSplits, config: TrainConfig, seed
     if kind.fit is not None:
         model = kind.fit(np.vstack([prep.train.inputs, prep.val.inputs]),
                          np.vstack([prep.train.targets, prep.val.targets]))
-        return model, TrainHistory(best_val_loss=mse_loss(model.predict(prep.val.inputs), prep.val.targets)[0])
-    model = kind.build(prep.lookback, prep.horizon, entry.units, entry.depth, seed=seed)
-    return train(model, prep.train, prep.val, config.with_seed(seed))
+        history = TrainHistory(best_val_loss=mse_loss(model.predict(prep.val.inputs), prep.val.targets)[0])
+    else:
+        model = kind.build(prep.lookback, prep.horizon, entry.units, entry.depth, seed=seed)
+        model, history = train(model, prep.train, prep.val, config.with_seed(seed))
+    return model, history, rmse(prep.test.targets, model.predict(prep.test.inputs))
 
 
-def _run_cell(series: TimeSeries, entry: ModelEntry, horizon: int, seed: int,
-              split: str, config: TrainConfig) -> RunResult:
-    result = RunResult(model=entry.name, dataset=series.name, horizon=horizon, seed=seed)
-    tic = time.perf_counter()
+@contextmanager
+def _failures_recorded(results: list[RunResult]):
+    """Record a failure of the block on each of ``results``."""
     try:
-        prep = prepare_splits(series, horizon, mode=split, seed=seed)
-        model, history = fit_model(entry, prep, config, seed)
-        pred = model.predict(prep.test.inputs)
-        result.rmse = rmse(prep.test.targets, pred)
-        result.epochs = len(history)
-        result.param_count = model.num_params()
-    # data, conditioning and numeric failures are recorded per cell and the
-    # matrix keeps going; anything else is a bug and propagates, as is a
+        yield
+    # data, conditioning and numeric failures are recorded and the matrix
+    # keeps going; anything else is a bug and propagates, as is a
     # ShapeError, since the model is built from the windows' own shapes
     except ShapeError:
         raise
     except (ValueError, ArithmeticError) as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
-        logger.warning("run failed (%s, %s, h=%d, seed=%d): %s",
-                       entry.name, series.name, horizon, seed, result.error)
-    result.train_seconds = time.perf_counter() - tic
-    return result
+        for result in results:
+            result.error = f"{type(exc).__name__}: {exc}"
+            logger.warning("run failed (%s, %s, h=%d, seed=%d): %s",
+                           result.model, result.dataset, result.horizon, result.seed, result.error)
+
+
+def _run_split(plan: BenchmarkPlan, series: TimeSeries, horizon: int, seed: int) -> list[RunResult]:
+    """One run of each model of ``plan``, in its order, on the one split of
+    ``series`` at ``seed``; the first model's time counts the split's."""
+    results = [RunResult(model=entry.name, dataset=series.name, horizon=horizon, seed=seed) for entry in plan.models]
+    tic = time.perf_counter()
+    with _failures_recorded(results):
+        prep = prepare_splits(series, horizon, mode=plan.split, seed=seed)
+        for entry, result in zip(plan.models, results):
+            with _failures_recorded([result]):
+                model, history, result.rmse = fit_model(entry, prep, plan.train, seed)
+                result.epochs, result.param_count = len(history), model.num_params()
+            toc = time.perf_counter()
+            result.train_seconds, tic = toc - tic, toc
+    return results
 
 
 def load_plan_series(plan: BenchmarkPlan) -> dict[str, TimeSeries]:
@@ -234,7 +247,7 @@ def load_plan_series(plan: BenchmarkPlan) -> dict[str, TimeSeries]:
 
 def run_benchmark(plan: BenchmarkPlan) -> list[RunResult]:
     """Execute every (horizon, dataset, model, run) cell of the plan, one
-    after another.
+    after another, each (horizon, dataset, run) split prepared once.
 
     Results come back in plan order (horizons outermost, then datasets,
     models, run index); per-cell failures are recorded in the RunResult
@@ -243,13 +256,11 @@ def run_benchmark(plan: BenchmarkPlan) -> list[RunResult]:
     plan.validate()
     series = load_plan_series(plan)
     logger.info("benchmark: %d cells", len(plan.horizons) * len(plan.datasets) * len(plan.models) * plan.runs)
-    return [
-        _run_cell(series[ref.name], model, int(horizon), int(plan.base_seed) + run, plan.split, plan.train)
-        for horizon in plan.horizons
-        for ref in plan.datasets
-        for model in plan.models
-        for run in range(plan.runs)
-    ]
+    # a split gives one run of every model; zip puts each model's runs together, in plan order
+    return [result for horizon in plan.horizons for ref in plan.datasets
+            for by_model in zip(*[_run_split(plan, series[ref.name], int(horizon), int(plan.base_seed) + run)
+                                  for run in range(plan.runs)])
+            for result in by_model]
 
 
 @dataclass

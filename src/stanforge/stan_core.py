@@ -79,11 +79,6 @@ def check_allocation(size: int, what: str, noun: str = "values") -> None:
         raise ValueError(f"{what} make {size} {noun}, above the limit of {MAX_PARAMETERS} (1 GiB as float64)")
 
 
-# Rows per tile of ``LayerStack.predict``'s gate and mix: the training batch,
-# so a tile's temporaries are the size training already allocates.
-PREDICT_TILE = 256
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture of one forecaster: lookback q, units d, depth L, horizon tau,
@@ -412,20 +407,13 @@ class LayerStack:
 
     def predict(self, x) -> np.ndarray:
         """``forward(x)[0]``, bit for bit, without building caches. Each GEMM
-        is one call on the whole matrix, as in ``forward``; a gated layer's
-        gate and mix run over ``PREDICT_TILE``-row tiles written over the
-        pre-activation."""
+        is one call on the whole matrix, as in ``forward``, and a gated
+        layer's gate and mix write over the whole pre-activation."""
         h = self._check_input(x)
         p = self.params
         for i in range(self.depth):
             pre = affine_forward(h, p[f"layers.{i}.W"], p[f"layers.{i}.b"])
-            if self.gated:
-                for start in range(0, len(pre), PREDICT_TILE):
-                    tile = pre[start:start + PREDICT_TILE]
-                    _gate_and_mix(tile, self._coefs[i], out=tile)
-                h = pre
-            else:
-                h = relu(pre)
+            h = _gate_and_mix(pre, self._coefs[i], out=pre)[0] if self.gated else relu(pre)
         return affine_forward(h, p["proj.W"], p["proj.b"])
 
     def num_params(self) -> int:

@@ -297,8 +297,8 @@ def test_every_kind_refuses_bad_shapes_at_its_entry_points(kind, lookback, horiz
             train(model, train_set, val_set, TrainConfig(max_epochs=1))
 
 
-# ``predict`` runs the gate in tiles of ``PREDICT_TILE`` rows and keeps no
-# caches; its bits must still be ``forward``'s, on either side of a tile edge.
+# ``predict`` keeps no caches and writes the gate and mix over each layer's
+# pre-activation; its bits must still be ``forward``'s, at every row count.
 @pytest.mark.parametrize("horizon", [1, 6])
 @pytest.mark.parametrize("kind", list(MODEL_KINDS))
 @settings(max_examples=25, deadline=None)

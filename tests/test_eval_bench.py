@@ -8,7 +8,7 @@ import pytest
 
 from conftest import sine_series
 from stanforge import eval_bench
-from stanforge.data import TimeSeries, hourly_timestamps, write_pjm_csv
+from stanforge.data import TimeSeries, hourly_timestamps, lookback_for, prepare_splits, write_pjm_csv
 from stanforge.eval_bench import (
     BenchmarkPlan,
     CellStats,
@@ -17,6 +17,7 @@ from stanforge.eval_bench import (
     PlanError,
     RunResult,
     aggregate,
+    fit_model,
     rmse,
     run_benchmark,
     write_report,
@@ -406,19 +407,22 @@ def test_benchmark_reports_true_param_counts(tmp_path, short_series):
 
 
 def test_benchmark_records_failures_without_aborting(tmp_path):
-    # series long enough to window but far too short to split 64/16/20
-    tiny = sine_series(60, name="TINY")
-    path = write_pjm_csv(tiny, tmp_path / "tiny.csv")
-    plan = BenchmarkPlan(
-        datasets=[DatasetRef(str(path), "TINY_MW")],
-        horizons=[1, 2],
-        models=[ModelEntry(kind="linreg")],
-        runs=1,
-    )
-    results = run_benchmark(plan)
-    assert len(results) == 2
-    assert all(r.failed for r in results)
-    assert all(r.error for r in results)
+    # each series is long enough to window: at 60 points every split leaves
+    # linreg too few rows to fit, and at 50 the split itself leaves an empty
+    # subset, which fails every model's cell of its run with the split's text
+    cases = [(60, [ModelEntry(kind="linreg")], "ValueError: need more rows than regressors to fit: "),
+             (50, [ModelEntry(kind="linreg"), ModelEntry(kind="stan", units=4, depth=1)],
+              "ValueError: split of {windows} windows leaves an empty subset: ")]
+    for length, models, error in cases:
+        tiny = sine_series(length, name="TINY")
+        path = write_pjm_csv(tiny, tmp_path / f"tiny{length}.csv")
+        plan = BenchmarkPlan(datasets=[DatasetRef(str(path), "TINY_MW")], horizons=[1, 2], models=models, runs=1)
+        results = run_benchmark(plan)
+        assert [(r.horizon, r.model) for r in results] == [(h, m.name) for h in (1, 2) for m in models]
+        assert all(r.failed for r in results)
+        for r in results:
+            windows = length - lookback_for(r.horizon) - r.horizon + 1
+            assert r.error.startswith(error.format(windows=windows)), r.error
 
 
 @pytest.mark.parametrize("error", [TypeError, ShapeError])
@@ -439,6 +443,49 @@ def test_benchmark_propagates_programming_errors(tmp_path, short_series, monkeyp
     monkeypatch.setattr(eval_bench, "fit_model", broken_fit)
     with pytest.raises(error, match="called wrongly"):
         run_benchmark(plan)
+
+
+def test_benchmark_prepares_each_split_once(tmp_path, short_series, monkeypatch):
+    # one split per (horizon, dataset, run), and every model of the run is fit on that object
+    path = write_pjm_csv(short_series, tmp_path / "sine.csv")
+    plan = BenchmarkPlan(
+        datasets=[DatasetRef(str(path), "SINE_MW")],
+        horizons=[1, 2],
+        models=[ModelEntry(kind="linreg"), ModelEntry(kind="linear"), ModelEntry(kind="stan", units=4, depth=1)],
+        runs=2,
+        train=TrainConfig(max_epochs=2, batch_size=64),
+    )
+    prepare, fit = eval_bench.prepare_splits, eval_bench.fit_model
+    prepared, fitted = [], {}
+
+    def counted_prepare(*args, **kwargs):
+        prepared.append(prepare(*args, **kwargs))
+        return prepared[-1]
+
+    def counted_fit(entry, prep, config, seed):
+        fitted.setdefault(id(prep), []).append(entry.name)
+        return fit(entry, prep, config, seed)
+
+    monkeypatch.setattr(eval_bench, "prepare_splits", counted_prepare)
+    monkeypatch.setattr(eval_bench, "fit_model", counted_fit)
+    results = run_benchmark(plan)
+    assert len(results) == 12 and not any(r.failed for r in results)
+    assert len(prepared) == 4
+    assert fitted == {id(prep): ["LinReg", "LinearNN", "STAN-4-1"] for prep in prepared}
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_no_fit_writes_into_the_split_it_shares(short_series, horizon):
+    prep = prepare_splits(short_series, horizon, seed=4)
+
+    def fingerprint():
+        return [(arr.dtype, arr.shape, arr.tobytes()) for subset in (prep.train, prep.val, prep.test)
+                for arr in (subset.inputs, subset.targets, subset.anchors)]
+
+    before = fingerprint()
+    for kind in ("stan", "mlp", "linear", "linreg"):
+        fit_model(ModelEntry(kind=kind, units=8, depth=2), prep, TrainConfig(max_epochs=3, batch_size=32), seed=1)
+    assert fingerprint() == before
 
 
 def test_benchmark_same_seed_reproduces(tmp_path, short_series):
